@@ -10,10 +10,9 @@ import argparse
 import sys
 
 from . import posets, series, simplicial, tamari, trees
-from .exactlin import LinComb
 from .paths import PathOracle, enumerate_paths, parse_path, path_product
 from .reporting import CheckReport
-from .trees import App, Gen, TreeOracle, evaluate_expression, parse_tree, tree_product
+from .trees import TreeOracle, parse_tree, tree_product
 
 
 def _dims(args) -> int:
@@ -75,54 +74,57 @@ def _hasse(args) -> int:
 def _negative_report(m: int) -> CheckReport:
     """Relations that must FAIL in the free algebras (found differences pass)."""
     report = CheckReport(name=f"negative controls m={m}")
-    x, y, z = Gen("x"), Gen("y"), Gen("z")
     if m == 1:
-        report.checks += 1
-        lhs = evaluate_expression(App(1, App(1, x, y), z), 1)
-        rhs = evaluate_expression(App(1, x, App(1, y, z)), 1)
-        if lhs == rhs:
-            report.fail("(x *_1 y) *_1 z equals x *_1 (y *_1 z) in the free algebra")
+        oracle = trees.LabeledTreeOracle(1, ("x", "y", "z"))
+        x, y, z = (oracle.generator(name) for name in oracle.alphabet)
+        controls = (
+            (
+                "(x *_1 y) *_1 z equals x *_1 (y *_1 z) in the free algebra",
+                ((1, "R", 1, 1),),
+                ((1, "L", 1, 1),),
+            ),
+        )
     elif m == 2:
         oracle = TreeOracle(2)
-        leaf = trees.LEAF
-        t2 = oracle.product  # basis-key product
-        # (i): (u *_2 v) *_1 w  vs  u *_1 (v *_1 w + v *_0 w)
-        report.checks += 1
-        lhs = _extend_right(oracle, t2(leaf, leaf, 2), leaf, 1)
-        rhs = _extend_left(oracle, leaf, t2(leaf, leaf, 1) + t2(leaf, leaf, 0), 1)
-        if lhs == rhs:
-            report.fail("alternative relation (i) unexpectedly holds")
-        # (ii): (u *_1 v + u *_0 v) *_1 w  vs  u *_0 (v *_1 w)
-        report.checks += 1
-        lhs = _extend_right(oracle, t2(leaf, leaf, 1) + t2(leaf, leaf, 0), leaf, 1)
-        rhs = _extend_left(oracle, leaf, t2(leaf, leaf, 1), 0)
-        if lhs == rhs:
-            report.fail("alternative relation (ii) unexpectedly holds")
+        x = y = z = trees.LEAF
+        controls = (
+            # (u *_2 v) *_1 w  vs  u *_1 (v *_1 w + v *_0 w)
+            (
+                "alternative relation (i) unexpectedly holds",
+                ((1, "R", 2, 1),),
+                ((1, "L", 1, 1), (1, "L", 1, 0)),
+            ),
+            # (u *_1 v + u *_0 v) *_1 w  vs  u *_0 (v *_1 w)
+            (
+                "alternative relation (ii) unexpectedly holds",
+                ((1, "R", 1, 1), (1, "R", 0, 1)),
+                ((1, "L", 0, 1),),
+            ),
+        )
     else:
         raise ValueError("negative suite is defined for m = 1 and m = 2")
+    xy = [oracle.product(x, y, k) for k in range(m + 1)]
+    triple = trees.Bracketings(oracle.product, x, y, z, xy)
+    for label, lhs, rhs in controls:
+        report.checks += 1
+        if triple.holds(lhs, rhs):
+            report.fail(label)
     return report
 
 
-def _extend_left(oracle, x, lc: LinComb, i: int) -> LinComb:
-    out = LinComb.zero()
-    for u, c in lc.items():
-        out = out + oracle.product(x, u, i).scale(c)
-    return out
-
-
-def _extend_right(oracle, lc: LinComb, z, i: int) -> LinComb:
-    out = LinComb.zero()
-    for u, c in lc.items():
-        out = out + oracle.product(u, z, i).scale(c)
-    return out
+def _given(value, default):
+    return default if value is None else value
 
 
 def _suite_reports(args) -> list[CheckReport]:
     suite = args.suite
+    for flag, value in (("--m", args.m), ("--max-m", args.max_m)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1")
     reports: list[CheckReport] = []
     if suite in ("axioms", "all"):
-        max_degree = args.max_degree or 5
-        for m in range(1, (args.m or 3) + 1):
+        max_degree = _given(args.max_degree, 5)
+        for m in range(1, _given(args.m, 3) + 1):
             tree_oracle = TreeOracle(m)
             r = trees.verify_dyck_axioms(
                 m, max_degree, tree_oracle.product, tree_oracle.basis
@@ -140,18 +142,18 @@ def _suite_reports(args) -> list[CheckReport]:
             )
             reports.append(r)
     if suite in ("ordm", "all"):
-        max_degree = args.max_degree or 5
+        max_degree = _given(args.max_degree, 5)
         family = posets.TamariBinaryFamily()
-        for m in range(1, (args.m or 2) + 1):
+        for m in range(1, _given(args.m, 2) + 1):
             oracle = posets.OrdmOracle(family, m)
             r = trees.verify_dyck_axioms(m, max_degree, oracle.product, oracle.basis)
             r.name = f"axioms on Tamari {m}-simplices degree<={max_degree}"
             reports.append(r)
     if suite in ("simplicial", "all"):
-        reports.append(simplicial.verify_simplicial_identities(args.max_m or 5))
+        reports.append(simplicial.verify_simplicial_identities(_given(args.max_m, 5)))
     if suite in ("freeness", "all"):
-        max_degree = args.max_degree or 4
-        for m in range(1, (args.m or 2) + 1):
+        max_degree = _given(args.max_degree, 4)
+        for m in range(1, _given(args.m, 2) + 1):
             for k in range(m):
                 reports.append(simplicial.verify_Sk_freeness(m, k, max_degree))
     if suite in ("poset", "all"):
@@ -159,7 +161,7 @@ def _suite_reports(args) -> list[CheckReport]:
             with open(args.file, "r", encoding="utf-8") as handle:
                 family = posets.parse_poset_file(handle.read())
             declared = family.declared_degrees()
-            bound = args.max_degree or (max(declared) if declared else 1)
+            bound = _given(args.max_degree, max(declared) if declared else 1)
             reports.append(posets.verify_dendriform_poset(family, bound))
         else:
             instances = (
@@ -169,18 +171,20 @@ def _suite_reports(args) -> list[CheckReport]:
                 (posets.PlanarTreeFamily(), 4),
             )
             for family, bound in instances:
-                bound = args.max_degree or bound
+                bound = _given(args.max_degree, bound)
                 reports.append(posets.verify_dendriform_poset(family, bound))
     if suite in ("tamari-interval", "all"):
-        max_size = args.max_size or 6
-        for m in range(1, (args.m or 2) + 1):
+        max_size = _given(args.max_size, 6)
+        for m in range(1, _given(args.m, 2) + 1):
             reports.append(tamari.verify_interval_product(m, max_size))
         if suite == "all":
             reports.append(tamari.verify_interval_product(3, 4))
     if suite in ("series", "all"):
-        reports.append(series.check_series_identities(args.max_m or 4, args.order or 10))
+        reports.append(
+            series.check_series_identities(_given(args.max_m, 4), _given(args.order, 10))
+        )
     if suite in ("negative", "all"):
-        for m in (args.m,) if args.m else (1, 2):
+        for m in (1, 2) if args.m is None else (args.m,):
             reports.append(_negative_report(m))
     if not reports:
         raise ValueError(f"unknown suite {suite!r}")

@@ -6,7 +6,9 @@ positive denominator, and no floating point is used anywhere.  This module
 provides the two workhorses shared by all the combinatorial models:
 
 * :class:`LinComb`, a formal finite linear combination of opaque basis keys
-  (trees, lattice paths, chains, ...) with rational coefficients, and
+  (trees, lattice paths, chains, ...) with rational coefficients, together
+  with :func:`linear_sum`, the one accumulator behind every linear
+  extension of a basis product, and
 * fraction-free rank computation (:func:`matrix_rank`, Bareiss elimination)
   together with :func:`span_contains`, used for change-of-basis and
   generation checks.
@@ -142,29 +144,26 @@ class LinComb:
         return f"LinComb({dict(self.items_sorted())!r})"
 
 
-def lincomb_add(a: LinComb, b: LinComb) -> LinComb:
-    return a + b
-
-
-def lincomb_scale(a: LinComb, c) -> LinComb:
-    return a.scale(c)
+def linear_sum(pairs: Iterable[tuple[LinComb, object]]) -> LinComb:
+    """The combination sum of c*v over ``(v, c)`` pairs, built in one dict."""
+    data: dict = {}
+    for v, c in pairs:
+        for key, cv in v._terms.items():
+            acc = data.get(key, 0) + c * cv
+            if acc:
+                data[key] = acc
+            else:
+                data.pop(key, None)
+    out = LinComb.__new__(LinComb)
+    out._terms = data
+    return out
 
 
 def bilinear(a: LinComb, b: LinComb, product: Callable) -> LinComb:
     """Extend a product on basis keys bilinearly to linear combinations."""
-    data: dict = {}
-    for x, cx in a.items():
-        for y, cy in b.items():
-            cxy = cx * cy
-            for z, cz in product(x, y).items():
-                acc = data.get(z, 0) + cxy * cz
-                if acc:
-                    data[z] = acc
-                else:
-                    data.pop(z, None)
-    out = LinComb.__new__(LinComb)
-    out._terms = data
-    return out
+    return linear_sum(
+        (product(x, y), cx * cy) for x, cx in a.items() for y, cy in b.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -202,9 +201,22 @@ def _integer_rows(entries) -> list[list[int]]:
 
 
 def _bareiss_rank(rows: list[list[int]], cols: int) -> int:
+    # A row whose pivot-column entry is zero skips the elimination step,
+    # which would only multiply it by p / prev.  Its Bareiss value is then
+    # row * prev / scale[r]: an integer minor, restored exactly once the
+    # row is used again, so that every later division by prev stays exact.
     mat = [row[:] for row in rows]
+    scale = [1] * len(mat)
     prev = 1
     rank = 0
+
+    def restore(r: int, col: int) -> None:
+        if scale[r] != prev:
+            row, s = mat[r], scale[r]
+            for c in range(col, cols):
+                row[c] = row[c] * prev // s
+            scale[r] = prev
+
     for col in range(cols):
         pivot = None
         for r in range(rank, len(mat)):
@@ -214,14 +226,18 @@ def _bareiss_rank(rows: list[list[int]], cols: int) -> int:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        scale[rank], scale[pivot] = scale[pivot], scale[rank]
+        restore(rank, col)
         p = mat[rank][col]
         for r in range(rank + 1, len(mat)):
-            factor = mat[r][col]
-            if factor:
+            if mat[r][col]:
+                restore(r, col)
+                factor = mat[r][col]
                 row_r, row_p = mat[r], mat[rank]
                 for c in range(col + 1, cols):
                     row_r[c] = (p * row_r[c] - factor * row_p[c]) // prev
-            mat[r][col] = 0
+                row_r[col] = 0
+                scale[r] = p
         prev = p
         rank += 1
         if rank == len(mat):

@@ -77,6 +77,3 @@ def mask_indices(mask: int):
         yield low.bit_length() - 1
         mask ^= low
 
-
-def interval_indices(up: list[int], down: list[int], lo: int, hi: int) -> list[int]:
-    return list(mask_indices(up[lo] & down[hi]))

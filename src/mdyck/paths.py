@@ -284,11 +284,8 @@ def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
     """P *_i Q: the sum of P *_lam Q over the class-i compositions."""
     if P.m != Q.m:
         raise ValueError("mixed m")
-    factors = prime_factors(Q)
-    out = LinComb.zero()
-    for lam in lambda_sets(P, len(factors), i):
-        out = out + LinComb.single(star_lambda(P, Q, lam))
-    return out
+    lams = lambda_sets(P, len(prime_factors(Q)), i)
+    return LinComb((star_lambda(P, Q, lam), 1) for lam in lams)
 
 
 class PathOracle:
@@ -422,12 +419,3 @@ def recompose_zero_inv(P: DyckPath, Q: DyckPath, r: int, gamma: tuple[int, ...],
     lam = gamma[:r] + (gamma[r] - sum(delta[j0 + 1:]),) + delta[j0 + 1:]
     tau = delta[:j0] + (sum(delta[j0:]) - gamma[r],) + (0,) * (s - j0)
     return lam, tau
-
-
-def recompose_repeated(P: DyckPath, lam: tuple[int, ...], tau: tuple[int, ...]):
-    """(lam, tau) with tau in a positive class <= i -> (lam, delta), delta_s > lam_r."""
-    return lam, tau[:-1] + (tau[-1] + lam[-1],)
-
-
-def recompose_repeated_inv(P: DyckPath, gamma: tuple[int, ...], delta: tuple[int, ...]):
-    return gamma, delta[:-1] + (delta[-1] - gamma[-1],)

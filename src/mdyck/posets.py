@@ -25,6 +25,7 @@ from functools import lru_cache
 from .exactlin import LinComb
 from .orders import closure_from_pairs, closure_masks, mask_indices
 from .reporting import CheckReport
+from .trees import Bracketings, dyck_relations
 
 SLASH = "/"
 PERP = "bot"
@@ -498,22 +499,18 @@ class PermutationFamily(PosetFamily):
         return tuple(v if v < n else n + r for v in x) + tuple(v + n - 1 for v in y)
 
 
-def bruhat_restriction(max_degree: int = 4) -> PermutationFamily:
+def bruhat_restriction() -> PermutationFamily:
     """The permutation dendriform poset (the facial order restricted).
 
     The order is computed from inversion sets; agreement with the literal
     restriction of the facial order is verified by
     :func:`facial_restriction_agrees`.
     """
-    family = PermutationFamily()
-    family.max_degree = max_degree
-    return family
+    return PermutationFamily()
 
 
-def planar_tree_order(max_degree: int = 4) -> PlanarTreeFamily:
-    family = PlanarTreeFamily()
-    family.max_degree = max_degree
-    return family
+def planar_tree_order() -> PlanarTreeFamily:
+    return PlanarTreeFamily()
 
 
 def facial_restriction_agrees(n: int) -> bool:
@@ -714,39 +711,18 @@ def _condition3_cardinalities(family: PosetFamily, x, y, z) -> bool:
     return len(left_prec) == len(right_prec)
 
 
+# the dendriform axioms are the m = 1 Dyck relations with (succ, prec) as
+# (*_0, *_1): a1 is mixed associativity at i = 0, a2 the interchange (0, 1)
+# and a3 mixed associativity at i = 1
+DENDRIFORM_AXIOMS = dyck_relations(1)
+
+
 def _dendriform_axioms(family: PosetFamily, x, y, z) -> bool:
-    def ext_succ(a, lc: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for u, c in lc.items():
-            out = out + family.succ(a, u).scale(c)
-        return out
-
-    def ext_prec(a, lc: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for u, c in lc.items():
-            out = out + family.prec(a, u).scale(c)
-        return out
-
-    def ext_succ_r(lc: LinComb, c_) -> LinComb:
-        out = LinComb.zero()
-        for u, c in lc.items():
-            out = out + family.succ(u, c_).scale(c)
-        return out
-
-    def ext_prec_r(lc: LinComb, c_) -> LinComb:
-        out = LinComb.zero()
-        for u, c in lc.items():
-            out = out + family.prec(u, c_).scale(c)
-        return out
-
-    a1 = ext_succ(x, family.succ(y, z)) == ext_succ_r(
-        family.succ(x, y) + family.prec(x, y), z
+    products = (family.succ, family.prec)
+    triple = Bracketings(
+        lambda a, b, k: products[k](a, b), x, y, z, [p(x, y) for p in products]
     )
-    a2 = ext_succ(x, family.prec(y, z)) == ext_prec_r(family.succ(x, y), z)
-    a3 = ext_prec(x, family.succ(y, z) + family.prec(y, z)) == ext_prec_r(
-        family.prec(x, y), z
-    )
-    return a1 and a2 and a3
+    return all(triple.holds(lhs, rhs) for _, lhs, rhs in DENDRIFORM_AXIOMS)
 
 
 # ---------------------------------------------------------------------------

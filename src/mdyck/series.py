@@ -110,9 +110,6 @@ class TruncatedSeries:
             inv[n] = -c0 * acc
         return TruncatedSeries(self.order, tuple(inv))
 
-    def valuation_ge(self, v: int) -> bool:
-        return all(c == 0 for c in self.coeffs[: min(v, self.order + 1)])
-
 
 def series_compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f(g(x)) truncated at the common order; g must have zero constant term."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-from .exactlin import LinComb, lincombs_to_matrix, matrix_rank
+from .exactlin import LinComb, linear_sum, lincombs_to_matrix, matrix_rank
 from .reporting import CheckReport
 from .series import check_lemform, fuss_catalan
 from .trees import (
@@ -82,10 +82,7 @@ class SlotTransformedOracle:
         return self.base.basis(n)
 
     def product(self, x, y, i: int) -> LinComb:
-        out = LinComb.zero()
-        for j in self.slots[i]:
-            out = out + self.base.product(x, y, j)
-        return out
+        return linear_sum((self.base.product(x, y, j), 1) for j in self.slots[i])
 
 
 def face_oracle(base, i: int) -> SlotTransformedOracle:

@@ -17,6 +17,7 @@ from .paths import (
     UP,
     DyckPath,
     _path_from_steps,
+    _suffix_max_multiplicity,
     concat_i,
     enumerate_paths,
     path_product,
@@ -28,32 +29,31 @@ from .reporting import CheckReport
 from .series import fuss_catalan
 
 
-def covers(P: DyckPath) -> list[DyckPath]:
-    """All rotations P -> P_(d): move a pre-up down step past the excursion.
+def _rotations(P: DyckPath):
+    """Yield (pos, end, rotated steps) for every rotation of P.
 
-    For each down step d immediately followed by an up step u, the excursion
-    of u is the minimal sub-path from u back down to u's starting height and
-    d is re-attached after its final (matching) down step.
+    For each down step d at ``pos`` immediately followed by an up step u,
+    the excursion of u is the minimal sub-path from u back down to u's
+    starting height, ending at ``end``; d is re-attached after that final
+    (matching) down step.
     """
     steps = P.steps()
-    out = []
+    height = 0
     for pos in range(len(steps) - 1):
+        height += P.m if steps[pos] == UP else -1
         if steps[pos] != DOWN or steps[pos + 1] != UP:
             continue
-        height = 0
-        for s in steps[: pos + 1]:
-            height += P.m if s == UP else -1
-        base = height
         h = height
-        end = None
-        for q in range(pos + 1, len(steps)):
-            h += P.m if steps[q] == UP else -1
-            if h == base:
-                end = q
+        for end in range(pos + 1, len(steps)):
+            h += P.m if steps[end] == UP else -1
+            if h == height:
                 break
-        assert end is not None and steps[end] == DOWN
-        rotated = steps[:pos] + steps[pos + 1 : end + 1] + (DOWN,) + steps[end + 1 :]
-        out.append(_path_from_steps(P.m, rotated))
+        yield pos, end, steps[:pos] + steps[pos + 1 : end + 1] + (DOWN,) + steps[end + 1 :]
+
+
+def covers(P: DyckPath) -> list[DyckPath]:
+    """All rotations P -> P_(d): move a pre-up down step past the excursion."""
+    out = [_path_from_steps(P.m, rotated) for _, _, rotated in _rotations(P)]
     out.sort(key=DyckPath.sort_key)
     return out
 
@@ -137,45 +137,25 @@ def build_lattice(m: int, n: int, cap: int = DEFAULT_CAP) -> TamariLattice:
     return lattice
 
 
-def interval(lattice: TamariLattice, P: DyckPath, Q: DyckPath) -> list[DyckPath]:
-    return lattice.interval(P, Q)
+def _multiplicity_class(P: DyckPath, i: int) -> list[int]:
+    # suffix lengths l of the top word whose maximal letter multiplicity is i
+    if not 0 <= i <= P.m:
+        raise ValueError("index out of range")
+    mult = _suffix_max_multiplicity(top_word(P))
+    lengths = [length for length, best in enumerate(mult) if best == i]
+    if not lengths:
+        raise ValueError(f"no suffix of multiplicity {i}")
+    return lengths
 
 
 def c_bound(P: DyckPath, i: int) -> int:
     """Minimal suffix length of the top word with maximal multiplicity i."""
-    if not 0 <= i <= P.m:
-        raise ValueError("index out of range")
-    omega = top_word(P)
-    counts: dict[int, int] = {}
-    best = 0
-    if i == 0:
-        return 0
-    for length, letter in enumerate(reversed(omega), start=1):
-        counts[letter] = counts.get(letter, 0) + 1
-        best = max(best, counts[letter])
-        if best == i:
-            return length
-    raise ValueError(f"no suffix of multiplicity {i}")
+    return _multiplicity_class(P, i)[0]
 
 
 def C_bound(P: DyckPath, i: int) -> int:
     """Maximal suffix length of the top word with maximal multiplicity i."""
-    if not 0 <= i <= P.m:
-        raise ValueError("index out of range")
-    omega = top_word(P)
-    counts: dict[int, int] = {}
-    best = 0
-    answer = 0 if i == 0 else None
-    for length, letter in enumerate(reversed(omega), start=1):
-        counts[letter] = counts.get(letter, 0) + 1
-        best = max(best, counts[letter])
-        if best == i:
-            answer = length
-        if best > i:
-            break
-    if answer is None:
-        raise ValueError(f"no suffix of multiplicity {i}")
-    return answer
+    return _multiplicity_class(P, i)[-1]
 
 
 def slash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
@@ -265,22 +245,8 @@ def rotation_preserves_colors(m: int, n: int) -> bool:
     for P in enumerate_paths(m, n):
         steps = P.steps()
         colors = standard_coloring(P).colors
-        for pos in range(len(steps) - 1):
-            if steps[pos] != DOWN or steps[pos + 1] != UP:
-                continue
-            height = 0
-            for s in steps[: pos + 1]:
-                height += m if s == UP else -1
-            h = height
-            end = None
-            for q in range(pos + 1, len(steps)):
-                h += m if steps[q] == UP else -1
-                if h == height:
-                    end = q
-                    break
-            rotated_steps = steps[:pos] + steps[pos + 1 : end + 1] + (DOWN,) + steps[end + 1 :]
-            rotated = _path_from_steps(m, rotated_steps)
-            rotated_colors = standard_coloring(rotated).colors
+        for pos, end, rotated_steps in _rotations(P):
+            rotated_colors = standard_coloring(_path_from_steps(m, rotated_steps)).colors
             # the moved step was down #k; it becomes down #k' where k' counts
             # downs among steps[:end+1] minus the removed one
             k = sum(1 for s in steps[:pos] if s == DOWN)

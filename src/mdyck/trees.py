@@ -11,9 +11,15 @@ by a structural recursion and satisfy
     sum_{j<=i} x *_i (y *_j z) = sum_{k>=i} (x *_k y) *_i z,
 
 the defining relations of an order-m Dyck algebra (m = 0 is associativity,
-m = 1 the dendriform splitting).  This module also hosts the generic
-relation checker used to verify those axioms for any product oracle, and
-the partial-sum change of products o_i = *_0 + ... + *_i.
+m = 1 the dendriform splitting).
+
+This module also hosts the one relation checker used for every product
+oracle.  Relations are data: :func:`dyck_relations` holds the two families
+above, :func:`circ_relations` the difference, bottom and diagonal relations
+of the partial sums o_i = *_0 + ... + *_i, and the dendriform axioms and the
+CLI's negative controls are tables of the same form.  :class:`Bracketings`
+evaluates both bracketings of one basis triple at most once each, and every
+linear extension goes through :func:`mdyck.exactlin.linear_sum`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .exactlin import LinComb, bilinear
+from .exactlin import LinComb, bilinear, linear_sum
 from .reporting import CheckReport
 
 LEFT = "L"
@@ -252,11 +258,14 @@ def _tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
         result = _graft_left(t.left, t.color, _tree_product(t.right, w, i, m))
     else:
         # (x *_i y) *_i z rewritten through the mixed-associativity relation
-        result = LinComb.zero()
-        for k in range(i + 1):
-            result = result + _graft_left(t.left, i, _tree_product(t.right, w, k, m))
-        for k in range(i + 1, m + 1):
-            result = result - _graft_right(_tree_product(t.left, t.right, k, m), i, w)
+        terms = [
+            (_graft_left(t.left, i, _tree_product(t.right, w, k, m)), 1) for k in range(i + 1)
+        ]
+        terms += [
+            (_graft_right(_tree_product(t.left, t.right, k, m), i, w), -1)
+            for k in range(i + 1, m + 1)
+        ]
+        result = linear_sum(terms)
     _PRODUCT_MEMO[key] = result
     return result
 
@@ -390,18 +399,99 @@ class TreeOracle:
         return _tree_product(x, y, i, self.m)
 
 
-def _mul_key_lc(multiplier, x, lc: LinComb, i: int) -> LinComb:
-    out = LinComb.zero()
-    for u, c in lc.items():
-        out = out + multiplier(x, u, i).scale(c)
-    return out
+# ---------------------------------------------------------------------------
+# Relations as data and the sweep over basis triples
+#
+# A relation is a pair of sides; a side is a tuple of signed terms
+# (coeff, bracket, a, b), where bracket "L" is x *_a (y *_b z) and "R" is
+# (x *_a y) *_b z.  The tables below carry a label that starts the failure
+# message.
 
 
-def _mul_lc_key(multiplier, lc: LinComb, z, i: int) -> LinComb:
-    out = LinComb.zero()
-    for u, c in lc.items():
-        out = out + multiplier(u, z, i).scale(c)
-    return out
+def dyck_relations(m: int) -> list[tuple]:
+    """Interchange for every i < j, then mixed associativity for every i."""
+    table = []
+    for i in range(m + 1):
+        for j in range(i + 1, m + 1):
+            table.append(
+                (f"interchange fails at i={i} j={j}", ((1, "L", i, j),), ((1, "R", i, j),))
+            )
+    for i in range(m + 1):
+        table.append(
+            (
+                f"mixed associativity fails at i={i}",
+                tuple((1, "L", i, j) for j in range(i + 1)),
+                tuple((1, "R", k, i) for k in range(i, m + 1)),
+            )
+        )
+    return table
+
+
+def _circ(bracket: str, i: int, j: int, coeff: int = 1) -> tuple:
+    # x o_i (y o_j z) or (x o_i y) o_j z for the partial sums o_i = *_0 + ... + *_i
+    return tuple((coeff, bracket, p, q) for p in range(i + 1) for q in range(j + 1))
+
+
+def circ_relations(m: int) -> list[tuple]:
+    """The difference, bottom and diagonal relations of the partial sums o_i."""
+    table = []
+    for i in range(m + 1):
+        for j in range(i + 1, m + 1):
+            table.append(
+                (
+                    f"difference relation fails i={i} j={j}",
+                    _circ("L", i, j) + _circ("R", i, j, -1),
+                    _circ("L", i, j - 1) + _circ("R", i, j - 1, -1),
+                )
+            )
+    table.append(("bottom relation fails", _circ("L", 0, 0), _circ("R", m, 0)))
+    for i in range(1, m + 1):
+        table.append(
+            (
+                f"diagonal relation fails i={i}",
+                _circ("L", i, i),
+                _circ("R", m, i) + _circ("R", m, i - 1, -1) + _circ("L", i - 1, i - 1),
+            )
+        )
+    return table
+
+
+class Bracketings:
+    """Both bracketings of one triple (x, y, z), each evaluated at most once.
+
+    ``xy[k]`` is x *_k y, computed once per pair by the caller; the
+    products y *_k z are computed here, once per triple.
+    """
+
+    def __init__(self, multiplier: Callable, x, y, z, xy: Sequence[LinComb]):
+        self.multiplier = multiplier
+        self.x = x
+        self.z = z
+        self.xy = xy
+        self.yz = [multiplier(y, z, k) for k in range(len(xy))]
+        self._memo: dict = {}
+
+    def bracket(self, kind: str, a: int, b: int) -> LinComb:
+        key = (kind, a, b)
+        value = self._memo.get(key)
+        if value is None:
+            mul = self.multiplier
+            if kind == "L":
+                x = self.x
+                value = linear_sum((mul(x, u, a), c) for u, c in self.yz[b].items())
+            else:
+                z = self.z
+                value = linear_sum((mul(u, z, b), c) for u, c in self.xy[a].items())
+            self._memo[key] = value
+        return value
+
+    def side(self, terms: tuple) -> LinComb:
+        if len(terms) == 1 and terms[0][0] == 1:
+            return self.bracket(*terms[0][1:])
+        return linear_sum((self.bracket(kind, a, b), c) for c, kind, a, b in terms)
+
+    def holds(self, lhs: tuple, rhs: tuple) -> bool:
+        return self.side(lhs) == self.side(rhs)
 
 
 def _degree_triples(max_total_degree: int):
@@ -410,6 +500,31 @@ def _degree_triples(max_total_degree: int):
             n3_max = max_total_degree - n1 - n2
             for n3 in range(1, n3_max + 1):
                 yield n1, n2, n3
+
+
+def _sweep(
+    name: str,
+    relations: list[tuple],
+    m: int,
+    max_total_degree: int,
+    multiplier: Callable,
+    basis_enumerator: Callable[[int], Iterable],
+) -> CheckReport:
+    """Check every relation on every basis triple; stop at the first failure."""
+    report = CheckReport(name=name)
+    bases = {n: list(basis_enumerator(n)) for n in range(1, max_total_degree - 1)}
+    for n1, n2, n3 in _degree_triples(max_total_degree):
+        for x in bases[n1]:
+            for y in bases[n2]:
+                xy = [multiplier(x, y, k) for k in range(m + 1)]
+                for z in bases[n3]:
+                    triple = Bracketings(multiplier, x, y, z, xy)
+                    for label, lhs, rhs in relations:
+                        report.checks += 1
+                        if not triple.holds(lhs, rhs):
+                            report.fail(f"{label} x={x!r} y={y!r} z={z!r}")
+                            return report
+    return report
 
 
 def verify_dyck_axioms(
@@ -425,42 +540,10 @@ def verify_dyck_axioms(
     whose degrees sum to at most ``max_total_degree``.  Stops at the first
     counterexample.
     """
-    report = CheckReport(name=f"axioms m={m} degree<={max_total_degree}")
     if max_total_degree < 3:
         raise ValueError("need max_total_degree >= 3")
-    bases = {n: list(basis_enumerator(n)) for n in range(1, max_total_degree - 1)}
-    for n1, n2, n3 in _degree_triples(max_total_degree):
-        for x in bases[n1]:
-            for y in bases[n2]:
-                xy = {k: multiplier(x, y, k) for k in range(m + 1)}
-                for z in bases[n3]:
-                    yz = {k: multiplier(y, z, k) for k in range(m + 1)}
-                    for i in range(m + 1):
-                        for j in range(i + 1, m + 1):
-                            report.checks += 1
-                            lhs = _mul_key_lc(multiplier, x, yz[j], i)
-                            rhs = _mul_lc_key(multiplier, xy[i], z, j)
-                            if lhs != rhs:
-                                report.fail(
-                                    f"interchange fails at i={i} j={j} "
-                                    f"x={x!r} y={y!r} z={z!r}"
-                                )
-                                return report
-                    for i in range(m + 1):
-                        report.checks += 1
-                        lhs = LinComb.zero()
-                        for j in range(i + 1):
-                            lhs = lhs + _mul_key_lc(multiplier, x, yz[j], i)
-                        rhs = LinComb.zero()
-                        for k in range(i, m + 1):
-                            rhs = rhs + _mul_lc_key(multiplier, xy[k], z, i)
-                        if lhs != rhs:
-                            report.fail(
-                                f"mixed associativity fails at i={i} "
-                                f"x={x!r} y={y!r} z={z!r}"
-                            )
-                            return report
-    return report
+    name = f"axioms m={m} degree<={max_total_degree}"
+    return _sweep(name, dyck_relations(m), m, max_total_degree, multiplier, basis_enumerator)
 
 
 def circ_basis_convert(products: list[Callable]) -> list[Callable]:
@@ -468,10 +551,7 @@ def circ_basis_convert(products: list[Callable]) -> list[Callable]:
 
     def make(i: int):
         def circ(x, y):
-            out = LinComb.zero()
-            for j in range(i + 1):
-                out = out + products[j](x, y)
-            return out
+            return linear_sum((products[j](x, y), 1) for j in range(i + 1))
 
         return circ
 
@@ -485,57 +565,5 @@ def verify_circ_relations(
     basis_enumerator: Callable[[int], Iterable],
 ) -> CheckReport:
     """The three relation families satisfied by the partial sums o_i."""
-    report = CheckReport(name=f"partial-sum relations m={m} degree<={max_total_degree}")
-    products = [
-        (lambda i: (lambda x, y: multiplier(x, y, i)))(i) for i in range(m + 1)
-    ]
-    circ = circ_basis_convert(products)
-
-    def mul_key_lc(i, x, lc):
-        out = LinComb.zero()
-        for u, c in lc.items():
-            out = out + circ[i](x, u).scale(c)
-        return out
-
-    def mul_lc_key(i, lc, z):
-        out = LinComb.zero()
-        for u, c in lc.items():
-            out = out + circ[i](u, z).scale(c)
-        return out
-
-    bases = {n: list(basis_enumerator(n)) for n in range(1, max_total_degree - 1)}
-    for n1, n2, n3 in _degree_triples(max_total_degree):
-        for x in bases[n1]:
-            for y in bases[n2]:
-                xy = {k: circ[k](x, y) for k in range(m + 1)}
-                for z in bases[n3]:
-                    yz = {k: circ[k](y, z) for k in range(m + 1)}
-                    for i in range(m + 1):
-                        for j in range(i + 1, m + 1):
-                            report.checks += 1
-                            lhs = mul_key_lc(i, x, yz[j]) - mul_lc_key(j, xy[i], z)
-                            rhs = mul_key_lc(i, x, yz[j - 1]) - mul_lc_key(j - 1, xy[i], z)
-                            if lhs != rhs:
-                                report.fail(
-                                    f"difference relation fails i={i} j={j} "
-                                    f"x={x!r} y={y!r} z={z!r}"
-                                )
-                                return report
-                    report.checks += 1
-                    if mul_key_lc(0, x, yz[0]) != mul_lc_key(0, xy[m], z):
-                        report.fail(f"bottom relation fails x={x!r} y={y!r} z={z!r}")
-                        return report
-                    for i in range(1, m + 1):
-                        report.checks += 1
-                        lhs = mul_key_lc(i, x, yz[i])
-                        rhs = (
-                            mul_lc_key(i, xy[m], z)
-                            - mul_lc_key(i - 1, xy[m], z)
-                            + mul_key_lc(i - 1, x, yz[i - 1])
-                        )
-                        if lhs != rhs:
-                            report.fail(
-                                f"diagonal relation fails i={i} x={x!r} y={y!r} z={z!r}"
-                            )
-                            return report
-    return report
+    name = f"partial-sum relations m={m} degree<={max_total_degree}"
+    return _sweep(name, circ_relations(m), m, max_total_degree, multiplier, basis_enumerator)

@@ -1,5 +1,6 @@
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,41 @@ def test_verify_negative():
     code, out = run(["verify", "--suite", "negative", "--m", "1"])
     assert code == 0
     assert "ok" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "axioms", "--m", "0", "--max-degree", "0"],
+        ["verify", "--suite", "negative", "--m", "0"],
+        ["verify", "--suite", "simplicial", "--max-m", "0"],
+        ["verify", "--suite", "series", "--max-m", "-1"],
+    ],
+)
+def test_verify_rejects_m_below_one(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.getvalue().startswith("error: ")
+
+
+def test_verify_keeps_explicit_zero_bound():
+    # an explicit --max-degree 0 reaches the checker instead of the default 5
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["verify", "--suite", "axioms", "--m", "1", "--max-degree", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.getvalue() == "error: need max_total_degree >= 3\n"
+
+
+def test_verify_all_matches_golden_output():
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify_all.txt"
+    code, out = run(["verify", "--suite", "all"])
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_verify_axioms_small():

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from mdyck.exactlin import (
     ExactMatrix,
     LinComb,
-    lincomb_add,
-    lincomb_scale,
     lincombs_to_matrix,
+    linear_sum,
     matrix_rank,
     span_contains,
 )
@@ -26,22 +25,22 @@ def lc(**terms):
 
 
 def test_add_cancellation():
-    assert lincomb_add(lc(x=1), lc(x=-1)) == LinComb.zero()
+    assert lc(x=1) + lc(x=-1) == LinComb.zero()
 
 
 def test_add_disjoint_supports():
-    assert lincomb_add(lc(x=1), lc(y=2)) == lc(x=1, y=2)
+    assert lc(x=1) + lc(y=2) == lc(x=1, y=2)
 
 
 def test_add_exact_rationals():
     half = Fraction(1, 2)
-    assert lincomb_add(lc(x=half), lc(x=half)) == lc(x=1)
+    assert lc(x=half) + lc(x=half) == lc(x=1)
 
 
 def test_scale_zero_and_identity():
-    assert lincomb_scale(lc(x=3), 0) == LinComb.zero()
-    assert lincomb_scale(lc(x=2, y=-1), 1) == lc(x=2, y=-1)
-    assert lincomb_scale(lc(x=Fraction(1, 3)), 3) == lc(x=1)
+    assert lc(x=3).scale(0) == LinComb.zero()
+    assert lc(x=2, y=-1).scale(1) == lc(x=2, y=-1)
+    assert lc(x=Fraction(1, 3)).scale(3) == lc(x=1)
 
 
 def test_render_is_sorted_and_signed():
@@ -64,6 +63,14 @@ def test_scale_distributes(a, b, c):
     assert (a + b).scale(c) == a.scale(c) + b.scale(c)
 
 
+@given(st.lists(st.tuples(lincombs, rationals), max_size=4))
+def test_linear_sum_matches_scale_and_add(pairs):
+    expected = LinComb.zero()
+    for v, c in pairs:
+        expected = expected + v.scale(c)
+    assert linear_sum(pairs) == expected
+
+
 def test_matrix_rank_examples():
     identity = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert matrix_rank(identity) == 3
@@ -71,6 +78,12 @@ def test_matrix_rank_examples():
     assert matrix_rank(zero) == 0
     proportional = ExactMatrix.from_rows([[1, 2], [2, 4]])
     assert matrix_rank(proportional) == 1
+    # the zero entry under the first pivot leaves row 2 unscaled; the
+    # elimination must still divide it exactly at the second pivot
+    skipped = ExactMatrix.from_rows(
+        [[0] * 8, [0, -1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 1], [-2] + [0] * 7]
+    )
+    assert matrix_rank(skipped) == 3 == matrix_rank(skipped.transpose())
 
 
 matrices = st.integers(1, 12).flatmap(

@@ -20,8 +20,6 @@ from mdyck.paths import (
     prime_factors,
     recompose_distinct,
     recompose_distinct_inv,
-    recompose_repeated,
-    recompose_repeated_inv,
     recompose_zero,
     recompose_zero_inv,
     rho,
@@ -297,8 +295,8 @@ def _check_recompose_repeated(path, Q, r, s, i):
                 codomain.add((gamma, delta))
     image = set()
     for lam, tau in domain:
-        gamma, delta = recompose_repeated(path, lam, tau)
-        assert recompose_repeated_inv(path, gamma, delta) == (lam, tau)
+        gamma, delta = recompose_distinct(path, lam, tau)
+        assert recompose_distinct_inv(path, gamma, delta) == (lam, tau)
         image.add((gamma, delta))
     assert image == codomain
 

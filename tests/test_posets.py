@@ -68,7 +68,7 @@ def test_surj_products_always_surjective():
 
 
 def test_bruhat_order():
-    perms = bruhat_restriction(4)
+    perms = bruhat_restriction()
     assert perms.leq((1, 2), (2, 1))
     assert not perms.leq((2, 1), (1, 2))
     assert len(perms.elements(4)) == 24
@@ -82,7 +82,7 @@ def test_facial_restriction_is_weak_order():
 
 
 def test_planar_tree_counts():
-    fam = planar_tree_order(4)
+    fam = planar_tree_order()
     # little Schroeder numbers by their recurrence, as an independent count:
     # (n+1) a(n) = (6n-3) a(n-1) - (n-2) a(n-2)
     schroeder = [1, 1]

@@ -156,17 +156,49 @@ def test_axioms_tree_oracle():
         assert report.ok, report.failures
 
 
-def test_axioms_corrupted_oracle_reports_counterexample():
+@pytest.mark.parametrize(
+    "verifier, y, i, replacement, checks, prefix",
+    [
+        pytest.param(
+            verify_dyck_axioms, "|", 1, "(0 | |)", 1, "interchange fails at i=0 j=1",
+            id="interchange",
+        ),
+        pytest.param(
+            verify_dyck_axioms, "(0 | |)", 0, None, 2, "mixed associativity fails at i=0",
+            id="mixed",
+        ),
+        pytest.param(
+            verify_circ_relations, "|", 0, None, 1, "difference relation fails i=0 j=1",
+            id="difference",
+        ),
+        pytest.param(
+            verify_circ_relations, "(0 | |)", 0, None, 2, "bottom relation fails",
+            id="bottom",
+        ),
+        pytest.param(
+            verify_circ_relations, "(0 | |)", 1, None, 3, "diagonal relation fails i=1",
+            id="diagonal",
+        ),
+    ],
+)
+def test_axioms_corrupted_oracle_reports_counterexample(
+    verifier, y, i, replacement, checks, prefix
+):
+    # the product | *_i y is replaced (None: by zero); every family reports
+    # its first counterexample, here always the triple of leaves
     oracle = TreeOracle(1)
+    bad = (LEAF, t(y), i)
+    wrong = LinComb.single(t(replacement)) if replacement else LinComb.zero()
 
-    def corrupted(x, y, i):
-        if x is LEAF and y is LEAF and i == 1:
-            return LinComb.single(node(0, LEAF, LEAF))
-        return oracle.product(x, y, i)
+    def corrupted(a, b, k):
+        if (a, b, k) == bad:
+            return wrong
+        return oracle.product(a, b, k)
 
-    report = verify_dyck_axioms(1, 3, corrupted, oracle.basis)
+    report = verifier(1, 3, corrupted, oracle.basis)
     assert not report.ok
-    assert report.failures
+    assert report.failures == [f"{prefix} x=| y=| z=|"]
+    assert report.checks == checks
 
 
 def test_normal_form():
