@@ -18,6 +18,8 @@ from .trees import TreeOracle, parse_tree, tree_product
 def _dims(args) -> int:
     if args.m < 1:
         raise ValueError("m must be >= 1")
+    if args.max_n < 1:
+        raise ValueError("--max-n must be >= 1")
     print(f"{'n':>3} {'fuss-catalan':>14} {'trees':>14} {'paths':>14}  status")
     ok = True
     for n in range(1, args.max_n + 1):
@@ -158,8 +160,12 @@ def _suite_reports(args) -> list[CheckReport]:
                 reports.append(simplicial.verify_Sk_freeness(m, k, max_degree))
     if suite in ("poset", "all"):
         if getattr(args, "file", None):
-            with open(args.file, "r", encoding="utf-8") as handle:
-                family = posets.parse_poset_file(handle.read())
+            try:
+                with open(args.file, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except OSError as exc:
+                raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
+            family = posets.parse_poset_file(text)
             declared = family.declared_degrees()
             bound = _given(args.max_degree, max(declared) if declared else 1)
             reports.append(posets.verify_dendriform_poset(family, bound))

@@ -9,9 +9,17 @@ provides the two workhorses shared by all the combinatorial models:
   (trees, lattice paths, chains, ...) with rational coefficients, together
   with :func:`linear_sum`, the one accumulator behind every linear
   extension of a basis product, and
-* fraction-free rank computation (:func:`matrix_rank`, Bareiss elimination)
-  together with :func:`span_contains`, used for change-of-basis and
-  generation checks.
+* one exact rank routine on sparse integer rows ``{column: entry}``, built
+  straight from the terms of a :class:`LinComb` (or from the rows of an
+  :class:`ExactMatrix`) by clearing denominators.  Elimination modulo a
+  large prime, always on a row's largest column, comes first: its rank is a
+  lower bound for the rational rank, so reaching ``min(rows, cols)``
+  certifies the answer.  Vectors with distinct leading columns, such as the
+  ``phi`` images of the tree basis, are already in echelon form and cause
+  no fill-in.  Only when that certificate is deficient does fraction-free
+  Bareiss elimination decide.  :func:`rank_of_lincombs`,
+  :func:`span_contains`, :func:`matrix_rank` and :func:`has_full_rank` are
+  entry points onto it, used for change-of-basis and generation checks.
 """
 
 from __future__ import annotations
@@ -191,13 +199,11 @@ class ExactMatrix:
         return ExactMatrix(self.cols, self.rows, data)
 
 
-def _integer_rows(entries) -> list[list[int]]:
-    # scale each row by the lcm of its denominators; rank is unchanged
-    out = []
-    for row in entries:
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+def _integer_row(terms) -> dict[int, int]:
+    # scale the (column, value) pairs by the lcm of their denominators;
+    # the rank is unchanged and no zero value is kept
+    scale = math.lcm(*(x.denominator for _, x in terms))
+    return {c: x.numerator * (scale // x.denominator) for c, x in terms if x}
 
 
 def _bareiss_rank(rows: list[list[int]], cols: int) -> int:
@@ -245,53 +251,51 @@ def _bareiss_rank(rows: list[list[int]], cols: int) -> int:
     return rank
 
 
-def _modular_rank(rows: list[list[int]], cols: int, p: int) -> int:
-    mat = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        piv_row = mat[rank]
-        for r in range(rank + 1, len(mat)):
-            factor = mat[r][col]
-            if factor:
-                mult = factor * inv % p
-                row_r = mat[r]
-                for c in range(col, cols):
-                    row_r[c] = (row_r[c] - mult * piv_row[c]) % p
-        rank += 1
-        if rank == len(mat):
+def _sparse_rank(rows: list[dict[int, int]], cols: int) -> int:
+    """Exact rank over the rationals of sparse integer rows ``{column: entry}``.
+
+    Rows are reduced one at a time modulo ``_CERT_PRIME``, each on its
+    largest column, against the echelon rows kept so far.  The count of
+    echelon rows is at most the rational rank, so reaching
+    ``min(len(rows), cols)`` certifies it.  Vectors with distinct leading
+    columns (the ``phi`` basis) pass without a single reduction.  Only a
+    deficient count runs the exact Bareiss elimination.
+    """
+    target = min(len(rows), cols)
+    p = _CERT_PRIME
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(echelon) == target:
             break
-    return rank
+        row = {c: x % p for c, x in row.items() if x % p}
+        while row:
+            col = max(row)
+            pivot = echelon.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, p)
+                echelon[col] = {c: x * inv % p for c, x in row.items()}
+                break
+            factor = row[col]
+            for c, x in pivot.items():
+                value = (row.get(c, 0) - factor * x) % p
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+    if len(echelon) < target:
+        return _bareiss_rank([[row.get(c, 0) for c in range(cols)] for row in rows], cols)
+    return target
 
 
 def matrix_rank(matrix: ExactMatrix) -> int:
-    """Exact rank over the rationals (fraction-free Bareiss elimination)."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    return _bareiss_rank(_integer_rows(matrix.entries), matrix.cols)
+    """Exact rank over the rationals of a dense matrix."""
+    rows = [_integer_row(list(enumerate(row))) for row in matrix.entries]
+    return _sparse_rank(rows, matrix.cols)
 
 
 def has_full_rank(matrix: ExactMatrix) -> bool:
-    """True iff rank equals ``min(rows, cols)``.
-
-    A full modular rank certifies full rational rank, so that cheap check
-    is tried first; otherwise the exact elimination decides.
-    """
-    target = min(matrix.rows, matrix.cols)
-    if target == 0:
-        return True
-    rows = _integer_rows(matrix.entries)
-    if _modular_rank(rows, matrix.cols, _CERT_PRIME) == target:
-        return True
-    return _bareiss_rank(rows, matrix.cols) == target
+    """True iff rank equals ``min(rows, cols)``."""
+    return matrix_rank(matrix) == min(matrix.rows, matrix.cols)
 
 
 def _key_universe(vectors: Iterable[LinComb]) -> list:
@@ -309,9 +313,18 @@ def lincombs_to_matrix(vectors: list[LinComb], keys: list | None = None) -> Exac
 
 
 def rank_of_lincombs(vectors: list[LinComb], keys: list | None = None) -> int:
-    if not vectors:
-        return 0
-    return matrix_rank(lincombs_to_matrix(vectors, keys))
+    """Exact rank of ``vectors`` restricted to ``keys`` (default: their support).
+
+    Rows are built from the terms alone; no dense matrix is formed.
+    """
+    if keys is None:
+        keys = _key_universe(vectors)
+    index = {k: i for i, k in enumerate(keys)}
+    rows = [
+        _integer_row([(index[k], c) for k, c in v.items() if k in index])
+        for v in vectors
+    ]
+    return _sparse_rank(rows, len(keys))
 
 
 def span_contains(vectors: list[LinComb], target: LinComb) -> bool:

@@ -331,14 +331,14 @@ def phi(t: ColoredTree, m: int) -> LinComb:
 
 def phi_matrix_full_rank(m: int, n: int) -> bool:
     """Whether {phi(t) : t basis tree of degree n} spans the paths of size n."""
-    from .exactlin import has_full_rank, lincombs_to_matrix
+    from .exactlin import rank_of_lincombs
 
     trees = enumerate_Bm(m, n)
     paths = enumerate_paths(m, n)
     if len(trees) != len(paths):
         return False
     vectors = [phi(t, m) for t in trees]
-    return has_full_rank(lincombs_to_matrix(vectors, paths))
+    return rank_of_lincombs(vectors, paths) == len(paths)
 
 
 def decompose_smaller(P: DyckPath) -> tuple[DyckPath, DyckPath, int]:

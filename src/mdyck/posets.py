@@ -140,6 +140,8 @@ def pt_parse(text: str):
 
     def parse():
         nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError("unexpected end of tree literal")
         tok = tokens[pos]
         pos += 1
         if tok == "|":
@@ -147,8 +149,10 @@ def pt_parse(text: str):
         if tok != "(":
             raise ValueError(f"unexpected token {tok!r}")
         children = []
-        while tokens[pos] != ")":
+        while pos < len(tokens) and tokens[pos] != ")":
             children.append(parse())
+        if pos == len(tokens):
+            raise ValueError("expected ')'")
         pos += 1
         if len(children) < 2:
             raise ValueError("internal vertices need at least two children")
@@ -854,6 +858,10 @@ class DeclaredFamily(PosetFamily):
             raise ValueError(f"product {op} {x} {y} not declared") from None
 
 
+# number of words on each kind of line of the declarative format
+_POSET_LINE_WORDS = {"degree": 2, "elem": 2, "cover": 3, "prod": 6}
+
+
 def parse_poset_file(text: str) -> DeclaredFamily:
     """Parse the declarative format.
 
@@ -872,6 +880,8 @@ def parse_poset_file(text: str) -> DeclaredFamily:
         if not line:
             continue
         parts = line.split()
+        if len(parts) != _POSET_LINE_WORDS.get(parts[0], len(parts)):
+            raise ValueError(f"malformed {parts[0]} line: {raw!r}")
         if parts[0] == "degree":
             current = int(parts[1])
             degrees.setdefault(current, [])
@@ -889,7 +899,7 @@ def parse_poset_file(text: str) -> DeclaredFamily:
                 raise ValueError(f"cover {a} {b}: unknown tokens or mixed degrees")
             covers.setdefault(degree_of[a], []).append((a, b))
         elif parts[0] == "prod":
-            if len(parts) != 6 or parts[4] != "->":
+            if parts[4] != "->":
                 raise ValueError(f"malformed product line: {raw!r}")
             op, a, b, c = parts[1], parts[2], parts[3], parts[5]
             if op not in OPS:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-from .exactlin import LinComb, linear_sum, lincombs_to_matrix, matrix_rank
+from .exactlin import LinComb, linear_sum, rank_of_lincombs
 from .reporting import CheckReport
 from .series import check_lemform, fuss_catalan
 from .trees import (
@@ -397,7 +397,7 @@ def verify_Sk_freeness(
                     for j in range(m):
                         vectors.append(product(t, w, j))
         report.checks += 1
-        rank = matrix_rank(lincombs_to_matrix(vectors, basis)) if vectors else 0
+        rank = rank_of_lincombs(vectors, basis)
         if rank != dim:
             report.fail(
                 f"degree {n}: generated subspace has rank {rank}, expected {dim}"

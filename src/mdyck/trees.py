@@ -118,23 +118,24 @@ def parse_tree(text: str) -> ColoredTree:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse() -> ColoredTree:
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise ValueError("unexpected end of tree literal")
-        tok = tokens[pos]
         pos += 1
+        return tokens[pos - 1]
+
+    def parse() -> ColoredTree:
+        tok = take()
         if tok == "|":
             return LEAF
         if tok != "(":
             raise ValueError(f"unexpected token {tok!r}")
-        color = int(tokens[pos])
-        pos += 1
+        color = int(take())
         left = parse()
         right = parse()
-        if tokens[pos] != ")":
+        if take() != ")":
             raise ValueError("expected ')'")
-        pos += 1
         return ColoredTree(color, left, right)
 
     result = parse()

@@ -63,6 +63,41 @@ def test_mul_parse_error():
     assert code == 2
 
 
+def _usage_error(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(argv)
+    return code, out, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "--model", "trees", "--m", "2", "--i", "0", "(1 | |", "|"],
+        ["mul", "--model", "trees", "--m", "2", "--i", "0", "(", "|"],
+        ["mul", "--model", "ordm", "--m", "2", "--i", "0", "(| |", "|"],
+        ["dims", "--m", "2", "--max-n", "-3"],
+        ["verify", "--suite", "poset", "--file", "/nonexistent/family.poset"],
+    ],
+    ids=["tree-unclosed", "tree-open-only", "ordm-unclosed", "dims-negative", "missing-file"],
+)
+def test_malformed_input_is_usage_error(argv):
+    code, out, err = _usage_error(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["degree", "elem", "cover a", "degree 1\nelem a\ncover a"])
+def test_truncated_poset_line_is_usage_error(tmp_path, line):
+    path = tmp_path / "family.poset"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, out, err = _usage_error(["verify", "--suite", "poset", "--file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_hasse():
     code, out = run(["hasse", "--m", "2", "--n", "1"])
     assert code == 0

@@ -1,15 +1,21 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdyck import exactlin
 from mdyck.exactlin import (
+    _CERT_PRIME,
     ExactMatrix,
     LinComb,
+    _bareiss_rank,
+    has_full_rank,
     lincombs_to_matrix,
     linear_sum,
     matrix_rank,
+    rank_of_lincombs,
     span_contains,
 )
 
@@ -101,6 +107,63 @@ matrices = st.integers(1, 12).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_rank_equals_rank_of_transpose(matrix):
     assert matrix_rank(matrix) == matrix_rank(matrix.transpose())
+
+
+@st.composite
+def deficient_rows(draw):
+    """Rational rows: a few drawn rows, rational combinations of them and
+    zero rows, shuffled, so that the rank is usually below both sizes."""
+    cols = draw(st.integers(1, 8))
+    row = st.lists(rationals, min_size=cols, max_size=cols)
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    weights = st.lists(rationals, min_size=len(base), max_size=len(base))
+    combos = [
+        [sum((w * r[c] for w, r in zip(ws, base)), Fraction(0)) for c in range(cols)]
+        for ws in draw(st.lists(weights, max_size=5))
+    ]
+    zeros = [[Fraction(0)] * cols] * draw(st.integers(0, 2))
+    return draw(st.permutations(base + combos + zeros))
+
+
+@given(deficient_rows())
+@settings(max_examples=150, deadline=None)
+def test_sparse_rank_agrees_with_bareiss(rows):
+    cols = len(rows[0])
+    integer_rows = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        integer_rows.append([int(x * scale) for x in row])
+    assert matrix_rank(ExactMatrix.from_rows(rows)) == _bareiss_rank(integer_rows, cols)
+
+
+@given(st.lists(lincombs, max_size=5), st.lists(keys, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_rank_of_lincombs_matches_dense_matrix(vectors, key_list):
+    # key lists that miss part of the support restrict the vectors
+    assert rank_of_lincombs(vectors, key_list) == matrix_rank(
+        lincombs_to_matrix(vectors, key_list)
+    )
+    everything = sorted({k for v in vectors for k in v})
+    assert rank_of_lincombs(vectors) == matrix_rank(
+        lincombs_to_matrix(vectors, everything)
+    )
+
+
+def test_rank_falls_back_to_exact_elimination():
+    # the only entry vanishes modulo the certificate prime
+    matrix = ExactMatrix.from_rows([[_CERT_PRIME]])
+    assert matrix_rank(matrix) == 1
+    assert has_full_rank(matrix)
+
+
+def test_full_certificate_skips_exact_elimination(monkeypatch):
+    def refuse(rows, cols):
+        raise AssertionError("Bareiss ran on a certified rank")
+
+    monkeypatch.setattr(exactlin, "_bareiss_rank", refuse)
+    tall = ExactMatrix.from_rows([[1, 2], [0, Fraction(1, 3)], [5, 7], [0, 0]])
+    assert matrix_rank(tall) == 2
+    assert rank_of_lincombs([lc(x=1), lc(x=1, y=Fraction(1, 2))]) == 2
 
 
 def test_span_examples():

@@ -196,6 +196,9 @@ def test_phi_full_rank():
     for m in (1, 2):
         for n in range(1, 6):
             assert phi_matrix_full_rank(m, n)
+    # sizes the sparse rank makes affordable: 7752 and 7084 paths
+    assert phi_matrix_full_rank(2, 7)
+    assert phi_matrix_full_rank(3, 6)
 
 
 def test_phi_intertwines_products():

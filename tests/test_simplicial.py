@@ -225,6 +225,13 @@ def test_freeness():
             assert report.ok, report.failures
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_freeness_degree_six(k):
+    report = verify_Sk_freeness(2, k, 6)
+    assert report.ok, report.failures
+    assert report.checks == 22
+
+
 def test_freeness_fault_injection():
     def dropped(m, k, n):
         gens = generators_Amk(m, k, n)

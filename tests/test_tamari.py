@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from mdyck.paths import (
@@ -56,6 +59,15 @@ def test_intervals():
     assert lattice.interval_count() == 13
     with pytest.raises(ValueError):
         lattice.interval(hi, lo)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_interval_count_matches_closed_form(m):
+    # (m+1)/(n(mn+1)) * C((m+1)^2 n + m, n-1): Bousquet-Melou, Fusy and
+    # Preville-Ratelle (2011), independent of the lattice built here
+    for n in range(1, 6):
+        count = Fraction(m + 1, n * (m * n + 1)) * math.comb((m + 1) ** 2 * n + m, n - 1)
+        assert build_lattice(m, n).interval_count() == count
 
 
 def test_min_max_elements():
