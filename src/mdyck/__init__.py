@@ -21,6 +21,7 @@ __all__ = [
     "TamariLattice",
     "TruncatedSeries",
     "build_lattice",
+    "clear_caches",
     "enumerate_Bm",
     "enumerate_paths",
     "fuss_catalan",
@@ -32,3 +33,32 @@ __all__ = [
     "span_contains",
     "tree_product",
 ]
+
+
+def clear_caches() -> None:
+    """Empty every memo table and ``lru_cache`` of the library.
+
+    Products, ``phi``, the change of basis, the basis enumerations and the
+    m-Tamari lattices are memoised for the life of the process, so a
+    long-running process grows without bound.  Clearing frees that memory;
+    later calls recompute the same results.
+    """
+    from . import paths, posets, simplicial, tamari, trees
+
+    for memo in (
+        trees._PRODUCT_MEMO,
+        trees._BM_CACHE,
+        paths._PHI_MEMO,
+        simplicial._THETA_MEMO,
+        tamari._LATTICE_CACHE,
+    ):
+        memo.clear()
+    for cached in (
+        paths._enumerate_levels,
+        paths.standard_coloring,
+        posets._binary_trees,
+        posets._planar_trees,
+        simplicial._all_colored_trees,
+    ):
+        cached.cache_clear()
+

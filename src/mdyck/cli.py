@@ -34,6 +34,13 @@ def _dims(args) -> int:
 
 def _parse_simplex(family, text: str) -> tuple:
     elems = tuple(posets.pt_parse(tok) for tok in text.split(";"))
+    for x in elems:
+        n = family.degree(x)
+        if n < 1 or x not in family.elements(n):
+            raise ValueError(
+                f"simplex coordinate {posets.pt_encode(x)!r} is not a {family.name} "
+                "tree with at least two leaves"
+            )
     for a, b in zip(elems, elems[1:]):
         if not family.leq(a, b):
             raise ValueError(f"simplex coordinates not increasing: {text!r}")

@@ -1,9 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package is computed with exact arithmetic: coefficients
-are ``fractions.Fraction`` values, kept automatically in lowest terms with a
-positive denominator, and no floating point is used anywhere.  This module
-provides the two workhorses shared by all the combinatorial models:
+Everything in this package is computed with exact arithmetic and no
+floating point is used anywhere.  A coefficient is a plain ``int`` and is
+promoted to a ``fractions.Fraction`` (lowest terms, positive denominator)
+only when it is not whole; a ``Fraction`` that becomes whole again is
+stored as its ``int``.  Products and relations of the models have integer
+coefficients, so their arithmetic never leaves ``int``.  Both types have
+``numerator`` and ``denominator``, and print alike when whole, so rendering
+and rank code treat them the same.  This module provides the two
+workhorses shared by all the combinatorial models:
 
 * :class:`LinComb`, a formal finite linear combination of opaque basis keys
   (trees, lattice paths, chains, ...) with rational coefficients, together
@@ -25,9 +30,9 @@ provides the two workhorses shared by all the combinatorial models:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
 
 Rational = Fraction
 
@@ -48,11 +53,22 @@ def sort_key(key):
     return key
 
 
+def _exact(c) -> int | Fraction:
+    """``c`` as a coefficient: the ``int`` it equals if whole, else a ``Fraction``."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class LinComb:
     """Formal linear combination of basis keys with rational coefficients.
 
-    Zero coefficients are never stored, so two combinations are equal
-    exactly when their term dictionaries are.  Instances are immutable.
+    A coefficient is stored as an ``int`` and promoted to ``Fraction`` only
+    when it is not whole.  Zero coefficients are never stored, so two
+    combinations are equal exactly when their term dictionaries are.
+    Instances are immutable.
     """
 
     __slots__ = ("_terms",)
@@ -61,8 +77,12 @@ class LinComb:
         data: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, coeff in items:
-            acc = data.get(key, 0) + Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = _exact(coeff)
+            acc = data.get(key, 0) + coeff
             if acc:
+                if type(acc) is not int and acc.denominator == 1:
+                    acc = acc.numerator
                 data[key] = acc
             else:
                 data.pop(key, None)
@@ -85,8 +105,8 @@ class LinComb:
     def support(self):
         return set(self._terms)
 
-    def __getitem__(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def __getitem__(self, key) -> int | Fraction:
+        return self._terms.get(key, 0)
 
     def __contains__(self, key) -> bool:
         return key in self._terms
@@ -112,6 +132,8 @@ class LinComb:
         for key, coeff in other._terms.items():
             acc = data.get(key, 0) + coeff
             if acc:
+                if type(acc) is not int and acc.denominator == 1:
+                    acc = acc.numerator
                 data[key] = acc
             else:
                 data.pop(key, None)
@@ -128,9 +150,9 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
-        c = Fraction(c)
+        c = _exact(c)
         out = LinComb.__new__(LinComb)
-        out._terms = {} if not c else {k: c * v for k, v in self._terms.items()}
+        out._terms = {} if not c else {k: _exact(c * v) for k, v in self._terms.items()}
         return out
 
     def __mul__(self, c) -> "LinComb":
@@ -156,9 +178,13 @@ def linear_sum(pairs: Iterable[tuple[LinComb, object]]) -> LinComb:
     """The combination sum of c*v over ``(v, c)`` pairs, built in one dict."""
     data: dict = {}
     for v, c in pairs:
+        if type(c) is not int:
+            c = _exact(c)
         for key, cv in v._terms.items():
             acc = data.get(key, 0) + c * cv
             if acc:
+                if type(acc) is not int and acc.denominator == 1:
+                    acc = acc.numerator
                 data[key] = acc
             else:
                 data.pop(key, None)

@@ -103,7 +103,11 @@ def validate_path(m: int, levels) -> DyckPath:
 
 
 def parse_path(m: int, text: str) -> DyckPath:
-    return validate_path(m, (tok for tok in text.split(",") if tok.strip() != ""))
+    """Parse comma-separated levels; an empty level is an error."""
+    tokens = text.split(",")
+    if any(not tok.strip() for tok in tokens):
+        raise ValueError(f"empty level in path literal {text!r}")
+    return validate_path(m, tokens)
 
 
 @lru_cache(maxsize=None)
@@ -140,17 +144,22 @@ def concat_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     return DyckPath(P.m, levels)
 
 
-def prime_factors(P: DyckPath) -> list[DyckPath]:
-    """The unique factorization P = P_1 x_0 ... x_0 P_r into prime paths."""
+def _prime_blocks(P: DyckPath) -> list[tuple[int, ...]]:
+    # level sequences of the prime factors: cut after every return to the axis
     out = []
     total = 0
     start = 0
     for j, lv in enumerate(P.levels, start=1):
         total += lv
         if total == P.m * j:
-            out.append(DyckPath(P.m, P.levels[start:j]))
+            out.append(P.levels[start:j])
             start = j
     return out
+
+
+def prime_factors(P: DyckPath) -> list[DyckPath]:
+    """The unique factorization P = P_1 x_0 ... x_0 P_r into prime paths."""
+    return [DyckPath(P.m, block) for block in _prime_blocks(P)]
 
 
 @dataclass(frozen=True)
@@ -281,11 +290,25 @@ def star_lambda(P: DyckPath, Q: DyckPath, lam: WeakComposition) -> DyckPath:
 
 
 def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
-    """P *_i Q: the sum of P *_lam Q over the class-i compositions."""
+    """P *_i Q: the sum of P *_lam Q over the class-i compositions.
+
+    Q is factored once per call.  Unrolling the nested ``concat_i`` chain of
+    :func:`star_lambda` gives each P *_lam Q directly on level sequences:
+    the levels of P with L(P) replaced by lam_0, then for each prime factor
+    of Q its levels with lam_k added to the last one.  Only the finished
+    path is validated.
+    """
     if P.m != Q.m:
         raise ValueError("mixed m")
-    lams = lambda_sets(P, len(prime_factors(Q)), i)
-    return LinComb((star_lambda(P, Q, lam), 1) for lam in lams)
+    blocks = [(block[:-1], block[-1]) for block in _prime_blocks(Q)]
+    head = P.levels[:-1]
+    out = []
+    for lam in lambda_sets(P, len(blocks), i):
+        levels = head + lam[:1]
+        for (body, last), part in zip(blocks, lam[1:]):
+            levels += body + (last + part,)
+        out.append((DyckPath(P.m, levels), 1))
+    return LinComb(out)
 
 
 class PathOracle:

@@ -76,10 +76,26 @@ def _usage_error(argv):
         ["mul", "--model", "trees", "--m", "2", "--i", "0", "(1 | |", "|"],
         ["mul", "--model", "trees", "--m", "2", "--i", "0", "(", "|"],
         ["mul", "--model", "ordm", "--m", "2", "--i", "0", "(| |", "|"],
+        ["mul", "--model", "paths", "--m", "2", "--i", "0", "1,,3", "2"],
+        ["mul", "--model", "paths", "--m", "2", "--i", "0", "2", "2,"],
+        ["mul", "--model", "ordm", "--m", "2", "--i", "0", "|;|", "|;|"],
+        ["mul", "--model", "ordm", "--m", "1", "--i", "0", "|", "(| |)"],
+        ["mul", "--model", "ordm", "--m", "2", "--i", "0", "(| | |);(| | |)", "(| |);(| |)"],
         ["dims", "--m", "2", "--max-n", "-3"],
         ["verify", "--suite", "poset", "--file", "/nonexistent/family.poset"],
     ],
-    ids=["tree-unclosed", "tree-open-only", "ordm-unclosed", "dims-negative", "missing-file"],
+    ids=[
+        "tree-unclosed",
+        "tree-open-only",
+        "ordm-unclosed",
+        "path-empty-level",
+        "path-trailing-comma",
+        "ordm-leaf-coordinates",
+        "ordm-leaf-coordinate",
+        "ordm-ternary-simplex",
+        "dims-negative",
+        "missing-file",
+    ],
 )
 def test_malformed_input_is_usage_error(argv):
     code, out, err = _usage_error(argv)

@@ -11,6 +11,7 @@ from mdyck.exactlin import (
     ExactMatrix,
     LinComb,
     _bareiss_rank,
+    bilinear,
     has_full_rank,
     lincombs_to_matrix,
     linear_sum,
@@ -52,6 +53,89 @@ def test_scale_zero_and_identity():
 def test_render_is_sorted_and_signed():
     assert lc(y=-1, x=Fraction(3, 2)).render() == "+3/2*[x] -1*[y]"
     assert LinComb.zero().render() == "0"
+
+
+def _reference(pairs):
+    # the sum of c * v over (dict v, c) in Fraction arithmetic, zeros dropped
+    out = {}
+    for v, c in pairs:
+        for key, x in v.items():
+            out[key] = out.get(key, Fraction(0)) + Fraction(c) * Fraction(x)
+    return {key: x for key, x in out.items() if x}
+
+
+def _reference_render(terms):
+    if not terms:
+        return "0"
+    return " ".join(
+        f"{'+' if c > 0 else '-'}{abs(c)}*[{key}]" for key, c in sorted(terms.items())
+    )
+
+
+def _key_terms(x, y):
+    # a test product on string keys with coefficients 2 and -1
+    return {x + y: 2, y + x: -1}
+
+
+def _check_kernel(da, db, j, k):
+    """Every LinComb operation against the Fraction reference; returns the results."""
+    a, b = LinComb(da), LinComb(db)
+    cases = [
+        (a + b, [(da, 1), (db, 1)]),
+        (a - b, [(da, 1), (db, -1)]),
+        (a.scale(j), [(da, j)]),
+        (linear_sum([(a, j), (b, k)]), [(da, j), (db, k)]),
+        (
+            bilinear(a, b, lambda x, y: LinComb(_key_terms(x, y))),
+            [(_key_terms(x, y), cx * cy) for x, cx in da.items() for y, cy in db.items()],
+        ),
+    ]
+    for result, pairs in cases:
+        expected = _reference(pairs)
+        assert dict(result.items()) == expected
+        assert result.render() == _reference_render(expected)
+        for _, c in result.items():
+            # whole values are stored as int, the others stay Fraction
+            assert type(c) is (int if c.denominator == 1 else Fraction)
+    return [result for result, _ in cases]
+
+
+integers = st.integers(-6, 6)
+int_terms = st.dictionaries(keys, integers, max_size=4)
+
+
+@given(int_terms, int_terms, integers, integers)
+def test_integer_inputs_stay_int(da, db, j, k):
+    results = _check_kernel(da, db, j, k)
+    assert all(type(c) is int for r in results for _, c in r.items())
+    # whole Fractions on the way in give the same int results (and
+    # _check_kernel asserts that every whole coefficient is an int)
+    as_fractions = _check_kernel(
+        {key: Fraction(c) for key, c in da.items()},
+        {key: Fraction(c) for key, c in db.items()},
+        Fraction(j),
+        Fraction(k),
+    )
+    assert as_fractions == results
+
+
+@given(
+    st.dictionaries(keys, rationals, max_size=4),
+    st.dictionaries(keys, rationals, max_size=4),
+    rationals,
+    integers,
+)
+def test_rational_inputs_stay_exact(da, db, j, k):
+    _check_kernel(da, db, j, k)
+
+
+def test_whole_coefficients_are_int():
+    half = lc(x=Fraction(1, 2), y=3)
+    assert type((half + half)["x"]) is int
+    assert type(half.scale(2)["x"]) is int
+    assert type(half["z"]) is int and half["z"] == 0
+    assert type(lc(x=Fraction(6, 3))["x"]) is int
+    assert type(half["x"]) is Fraction
 
 
 @given(lincombs, lincombs)

@@ -161,6 +161,20 @@ def test_product_examples():
     )
 
 
+def test_path_product_matches_star_lambda():
+    # path_product builds each P *_lam Q on level sequences; star_lambda is
+    # the nested concat_i reference that validates every intermediate path
+    basis = [p for n in (1, 2, 3) for p in enumerate_paths(2, n)]
+    for a in basis:
+        for b in basis:
+            r = len(prime_factors(b))
+            for i in range(3):
+                expected = LinComb(
+                    (star_lambda(a, b, lam), 1) for lam in lambda_sets(a, r, i)
+                )
+                assert path_product(a, b, i) == expected
+
+
 def test_product_unit_coefficients_disjoint():
     for n1 in (1, 2):
         for n2 in (1, 2, 3):
