@@ -47,34 +47,39 @@ def _parse_simplex(family, text: str) -> tuple:
     return elems
 
 
+def _product_text(args) -> str:
+    m, i = args.m, args.i
+    if args.model == "trees":
+        lhs, rhs = parse_tree(args.lhs), parse_tree(args.rhs)
+        return tree_product(lhs, rhs, i, m).render(lambda t: t.encode())
+    if args.model == "paths":
+        lhs, rhs = parse_path(m, args.lhs), parse_path(m, args.rhs)
+        return path_product(lhs, rhs, i).render(lambda p: p.encode())
+    family = posets.TamariBinaryFamily()
+    xbar = _parse_simplex(family, args.lhs)
+    ybar = _parse_simplex(family, args.rhs)
+    if len(xbar) != m or len(ybar) != m:
+        raise ValueError(f"simplices must have {m} coordinates")
+    result = posets.ordm_product(family, xbar, ybar, i)
+    return result.render(lambda c: ";".join(posets.pt_encode(t) for t in c))
+
+
 def _mul(args) -> int:
     m, i = args.m, args.i
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0 <= i <= m:
         raise ValueError(f"product index {i} out of range [0, {m}]")
-    if args.model == "trees":
-        lhs, rhs = parse_tree(args.lhs), parse_tree(args.rhs)
-        result = tree_product(lhs, rhs, i, m)
-        print(result.render(lambda t: t.encode()))
-    elif args.model == "paths":
-        lhs, rhs = parse_path(m, args.lhs), parse_path(m, args.rhs)
-        result = path_product(lhs, rhs, i)
-        print(result.render(lambda p: p.encode()))
-    else:
-        family = posets.TamariBinaryFamily()
-        xbar = _parse_simplex(family, args.lhs)
-        ybar = _parse_simplex(family, args.rhs)
-        if len(xbar) != m or len(ybar) != m:
-            raise ValueError(f"simplices must have {m} coordinates")
-        result = posets.ordm_product(family, xbar, ybar, i)
-        print(result.render(lambda c: ";".join(posets.pt_encode(t) for t in c)))
+    # parsing, multiplying and printing all recurse on the tree literals
+    try:
+        text = _product_text(args)
+    except RecursionError:
+        raise ValueError("tree literal nested too deeply") from None
+    print(text)
     return 0
 
 
 def _hasse(args) -> int:
-    if args.format != "dot":
-        raise ValueError("only DOT output is supported")
     lattice = tamari.build_lattice(args.m, args.n, cap=args.cap)
     sys.stdout.write(tamari.hasse_dot(lattice))
     return 0

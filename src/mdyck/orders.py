@@ -56,21 +56,6 @@ def closure_masks(count: int, covers: Iterable[tuple[int, int]]):
     return up, down
 
 
-def closure_from_pairs(count: int, pairs: Iterable[tuple[int, int]]):
-    """Closure of an arbitrary (not necessarily covering) relation.
-
-    Pairs (lo, hi) assert lo <= hi; a relation whose closure would violate
-    antisymmetry shows up as a cycle and raises.
-    """
-    above: list[set[int]] = [set() for _ in range(count)]
-    for lo, hi in pairs:
-        if lo != hi:
-            above[lo].add(hi)
-    return closure_masks(
-        count, ((lo, hi) for lo in range(count) for hi in above[lo])
-    )
-
-
 def mask_indices(mask: int):
     while mask:
         low = mask & -mask

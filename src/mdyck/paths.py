@@ -317,9 +317,6 @@ class PathOracle:
     def __init__(self, m: int):
         self.m = m
 
-    def degree(self, key: DyckPath) -> int:
-        return key.size
-
     def basis(self, n: int) -> list[DyckPath]:
         return enumerate_paths(self.m, n)
 

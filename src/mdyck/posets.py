@@ -23,95 +23,122 @@ import itertools
 from functools import lru_cache
 
 from .exactlin import LinComb
-from .orders import closure_from_pairs, closure_masks, mask_indices
+from .orders import closure_masks, mask_indices
 from .reporting import CheckReport
-from .trees import Bracketings, dyck_relations
+from .trees import Bracketings, _degree_triples, dyck_relations
 
 SLASH = "/"
 PERP = "bot"
 TOP = "top"
 BACKSLASH = "\\"
 OPS = (SLASH, PERP, TOP, BACKSLASH)
+# positions of the three interval masks in PosetFamily.split()
+_WHOLE, _SUCC, _PREC = 1, 2, 3
 
 
 class PosetFamily:
-    """Graded poset with four graded products; orders are materialized."""
+    """Graded poset with four graded products; orders are materialized.
+
+    A family supplies the elements of each degree, their degree, the
+    relations x < y that generate the order, and the four products.  Each
+    degree is materialized once: the sorted elements, their up/down
+    bitmasks and the (degree, index) of every element.
+    """
 
     name = "family"
 
     def __init__(self):
         self._elements: dict[int, tuple] = {}
-        self._index: dict[int, dict] = {}
         self._up: dict[int, list[int]] = {}
         self._down: dict[int, list[int]] = {}
+        self._where: dict = {}  # element -> (degree, index)
 
     # subclass hooks -------------------------------------------------------
     def _build_elements(self, n: int) -> list:
         raise NotImplementedError
 
-    def _build_order(self, n: int, elements: list):
-        """Return (up, down) bitmask lists for the given element list."""
+    def _above(self, x):
+        """Elements y with x < y that generate the order by closure."""
         raise NotImplementedError
 
     def _product(self, op: str, x, y):
         raise NotImplementedError
 
+    def degree(self, x) -> int:
+        raise NotImplementedError
+
     # public API -----------------------------------------------------------
     def elements(self, n: int) -> list:
         if n not in self._elements:
-            elems = sorted(self._build_elements(n), key=self._sort_key)
-            self._elements[n] = tuple(elems)
-            self._index[n] = {x: i for i, x in enumerate(elems)}
-            up, down = self._build_order(n, elems)
-            self._up[n] = up
-            self._down[n] = down
+            elems = tuple(sorted(self._build_elements(n), key=self._sort_key))
+            for i, x in enumerate(elems):
+                self._where[x] = (n, i)
+            pairs = [
+                (i, self._where[y][1]) for i, x in enumerate(elems) for y in self._above(x)
+            ]
+            self._up[n], self._down[n] = closure_masks(len(elems), pairs)
+            self._elements[n] = elems
         return list(self._elements[n])
 
     @staticmethod
     def _sort_key(x):
         return x
 
-    def degree(self, x) -> int:
-        raise NotImplementedError
+    def _locate(self, x) -> tuple[int, int]:
+        where = self._where.get(x)
+        if where is None:
+            self.elements(self.degree(x))
+            where = self._where[x]
+        return where
 
-    def index(self, n: int, x) -> int:
-        self.elements(n)
-        return self._index[n][x]
-
-    def leq(self, x, y) -> bool:
-        n = self.degree(x)
-        if n != self.degree(y):
-            raise ValueError("comparing elements of different degrees")
-        self.elements(n)
-        return bool(self._up[n][self._index[n][x]] >> self._index[n][y] & 1)
-
-    def interval(self, lo, hi) -> list:
-        n = self.degree(lo)
-        self.elements(n)
-        idx = self._index[n]
-        mask = self._up[n][idx[lo]] & self._down[n][idx[hi]]
+    def members(self, n: int, mask: int) -> list:
+        """The degree-n elements whose indices are the bits of ``mask``."""
         elems = self._elements[n]
         return [elems[i] for i in mask_indices(mask)]
+
+    def _interval_mask(self, lo, hi) -> tuple[int, int]:
+        n, i = self._locate(lo)
+        n2, j = self._locate(hi)
+        if n != n2:
+            raise ValueError("comparing elements of different degrees")
+        return n, self._up[n][i] & self._down[n][j]
+
+    def leq(self, x, y) -> bool:
+        return self._interval_mask(x, y)[1] != 0
+
+    def interval(self, lo, hi) -> list:
+        return self.members(*self._interval_mask(lo, hi))
 
     def prod(self, op: str, x, y):
         if op not in OPS:
             raise ValueError(f"unknown product {op!r}")
         result = self._product(op, x, y)
-        if self.degree(result) != self.degree(x) + self.degree(y):
+        if self._locate(result)[0] != self._locate(x)[0] + self._locate(y)[0]:
             raise ValueError(f"product {op} is not degree-additive")
         return result
 
+    def split(self, x, y) -> tuple[int, int, int, int]:
+        """The interval [x/y, x\\y] and its two parts, as index bitmasks.
+
+        Returns ``(degree, whole, succ, prec)``: the degree of the products
+        and the masks of [x/y, x\\y], of its succ part [x/y, x bot y] and of
+        its prec part [x top y, x\\y].  A mask is empty when its bounds are
+        not ordered.
+        """
+        (n, lo), (_, perp), (_, top), (_, hi) = (
+            self._locate(self.prod(op, x, y)) for op in OPS
+        )
+        up, down = self._up[n], self._down[n]
+        return n, up[lo] & down[hi], up[lo] & down[perp], up[top] & down[hi]
+
     # induced dendriform structure ------------------------------------------
     def succ(self, x, y) -> LinComb:
-        return LinComb(
-            (u, 1) for u in self.interval(self.prod(SLASH, x, y), self.prod(PERP, x, y))
-        )
+        n, _, part, _ = self.split(x, y)
+        return LinComb((u, 1) for u in self.members(n, part))
 
     def prec(self, x, y) -> LinComb:
-        return LinComb(
-            (u, 1)
-            for u in self.interval(self.prod(TOP, x, y), self.prod(BACKSLASH, x, y))
-        )
+        n, _, _, part = self.split(x, y)
+        return LinComb((u, 1) for u in self.members(n, part))
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +247,10 @@ class TamariBinaryFamily(PosetFamily):
         return pt_size(x)
 
     def _build_elements(self, n: int) -> list:
-        return [t for t in _binary_trees(n + 1)]
+        return list(_binary_trees(n + 1))
 
-    def _build_order(self, n: int, elements: list):
-        index = {t: i for i, t in enumerate(elements)}
-        pairs = []
-        for t in elements:
-            for t2 in _binary_rotations(t):
-                pairs.append((index[t], index[t2]))
-        return closure_masks(len(elements), pairs)
+    def _above(self, x):
+        return _binary_rotations(x)
 
     def _product(self, op, x, y):
         if op == SLASH:
@@ -273,13 +295,8 @@ class PlanarTreeFamily(PosetFamily):
     def _build_elements(self, n: int) -> list:
         return [t for t in _planar_trees(n + 1) if t != ()]
 
-    def _build_order(self, n: int, elements: list):
-        index = {t: i for i, t in enumerate(elements)}
-        pairs = []
-        for t in elements:
-            for t2 in _planar_upsteps(t):
-                pairs.append((index[t], index[t2]))
-        return closure_from_pairs(len(elements), pairs)
+    def _above(self, x):
+        return _planar_upsteps(x)
 
     def _product(self, op, x, y):
         if op == SLASH:
@@ -439,13 +456,8 @@ class SurjectionFamily(PosetFamily):
                 out.append(word)
         return out
 
-    def _build_order(self, n: int, elements: list):
-        index = {x: i for i, x in enumerate(elements)}
-        pairs = []
-        for f in elements:
-            for g in facial_covers(f):
-                pairs.append((index[f], index[g]))
-        return closure_masks(len(elements), pairs)
+    def _above(self, x):
+        return facial_covers(x)
 
     def _product(self, op, x, y):
         return surj_products(x, y, op, self.top_variant)
@@ -474,21 +486,15 @@ class PermutationFamily(PosetFamily):
     def _build_elements(self, n: int) -> list:
         return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
-    def _build_order(self, n: int, elements: list):
-        inv = [perm_inversions(p) for p in elements]
-        count = len(elements)
-        up = [0] * count
-        for i in range(count):
-            mask = 0
-            for j in range(count):
-                if inv[i] <= inv[j]:
-                    mask |= 1 << j
-            up[i] = mask
-        down = [0] * count
-        for i in range(count):
-            for j in mask_indices(up[i]):
-                down[j] |= 1 << i
-        return up, down
+    def _above(self, x):
+        # covers: swap the values v and v+1 when v comes first
+        pos = {v: i for i, v in enumerate(x)}
+        for v in range(1, len(x)):
+            i, j = pos[v], pos[v + 1]
+            if i < j:
+                y = list(x)
+                y[i], y[j] = v + 1, v
+                yield tuple(y)
 
     def _product(self, op, x, y):
         n, r = len(x), len(y)
@@ -501,20 +507,6 @@ class PermutationFamily(PosetFamily):
                 v if v < r else n + r for v in y
             )
         return tuple(v if v < n else n + r for v in x) + tuple(v + n - 1 for v in y)
-
-
-def bruhat_restriction() -> PermutationFamily:
-    """The permutation dendriform poset (the facial order restricted).
-
-    The order is computed from inversion sets; agreement with the literal
-    restriction of the facial order is verified by
-    :func:`facial_restriction_agrees`.
-    """
-    return PermutationFamily()
-
-
-def planar_tree_order() -> PlanarTreeFamily:
-    return PlanarTreeFamily()
 
 
 def facial_restriction_agrees(n: int) -> bool:
@@ -572,13 +564,8 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
             for x in xs:
                 for y in ys:
                     report.checks += 1
-                    lo = family.prod(SLASH, x, y)
-                    hi = family.prod(BACKSLASH, x, y)
-                    if not (
-                        family.leq(lo, family.prod(PERP, x, y))
-                        and family.leq(family.prod(TOP, x, y), hi)
-                        and family.leq(lo, hi)
-                    ):
+                    # a mask is empty exactly when its bounds are not ordered
+                    if not all(family.split(x, y)[1:]):
                         report.fail(
                             f"condition 1 at degrees ({n},{r}): bounds of "
                             f"{x!r}, {y!r} are not ordered"
@@ -591,10 +578,8 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
             for x in family.elements(n):
                 for y in family.elements(r):
                     report.checks += 1
-                    big = set(family.interval(family.prod(SLASH, x, y), family.prod(BACKSLASH, x, y)))
-                    lower = set(family.interval(family.prod(SLASH, x, y), family.prod(PERP, x, y)))
-                    upper = set(family.interval(family.prod(TOP, x, y), family.prod(BACKSLASH, x, y)))
-                    if lower & upper or lower | upper != big:
+                    _, whole, lower, upper = family.split(x, y)
+                    if lower & upper or lower | upper != whole:
                         report.fail(
                             f"condition 2 at degrees ({n},{r}): interval of "
                             f"{x!r}, {y!r} does not split"
@@ -602,25 +587,23 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
                         return report
 
     # (3) cardinality matches and induced dendriform axioms
-    for n in range(1, max_degree - 1):
-        for r in range(1, max_degree - n):
-            for s in range(1, max_degree - n - r + 1):
-                for x in family.elements(n):
-                    for y in family.elements(r):
-                        for z in family.elements(s):
-                            report.checks += 1
-                            if not _condition3_cardinalities(family, x, y, z):
-                                report.fail(
-                                    f"condition 3 cardinalities fail at "
-                                    f"{x!r}, {y!r}, {z!r}"
-                                )
-                                return report
-                            if not _dendriform_axioms(family, x, y, z):
-                                report.fail(
-                                    f"condition 3 dendriform axioms fail at "
-                                    f"{x!r}, {y!r}, {z!r}"
-                                )
-                                return report
+    for n, r, s in _degree_triples(max_degree):
+        for x in family.elements(n):
+            for y in family.elements(r):
+                for z in family.elements(s):
+                    report.checks += 1
+                    if not _condition3_cardinalities(family, x, y, z):
+                        report.fail(
+                            f"condition 3 cardinalities fail at "
+                            f"{x!r}, {y!r}, {z!r}"
+                        )
+                        return report
+                    if not _dendriform_axioms(family, x, y, z):
+                        report.fail(
+                            f"condition 3 dendriform axioms fail at "
+                            f"{x!r}, {y!r}, {z!r}"
+                        )
+                        return report
 
     # (4) decompositions are monotone
     for total, splits in sorted(grades.items()):
@@ -628,7 +611,7 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
             members: dict = {}
             for x in family.elements(n):
                 for y in family.elements(r):
-                    for u in family.interval(family.prod(SLASH, x, y), family.prod(BACKSLASH, x, y)):
+                    for u in family.members(total, family.split(x, y)[_WHOLE]):
                         members.setdefault(u, []).append((x, y))
             elems = family.elements(total)
             for u in elems:
@@ -645,21 +628,19 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
                                 )
                                 return report
 
-    # (5) prec-type intervals never sit below succ-type intervals
+    # (5) prec-type intervals never sit below succ-type intervals; both
+    # sides are walked in element order
     for total, splits in sorted(grades.items()):
         for n, r in splits:
-            succ_side: set = set()
-            prec_side: set = set()
+            succ_side = prec_side = 0
             for x in family.elements(n):
                 for y in family.elements(r):
-                    succ_side.update(
-                        family.interval(family.prod(SLASH, x, y), family.prod(PERP, x, y))
-                    )
-                    prec_side.update(
-                        family.interval(family.prod(TOP, x, y), family.prod(BACKSLASH, x, y))
-                    )
-            for u in succ_side:
-                for v in prec_side:
+                    _, _, succ, prec = family.split(x, y)
+                    succ_side |= succ
+                    prec_side |= prec
+            prec_elems = family.members(total, prec_side)
+            for u in family.members(total, succ_side):
+                for v in prec_elems:
                     report.checks += 1
                     if family.leq(v, u):
                         report.fail(
@@ -669,50 +650,25 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
     return report
 
 
-def _condition3_cardinalities(family: PosetFamily, x, y, z) -> bool:
-    def pairs(first_lo, first_hi, second):
-        out = []
-        for u in family.interval(first_lo, first_hi):
-            lo, hi = second(u)
-            for v in family.interval(lo, hi):
-                out.append((u, v))
-        return out
+# Condition 3's re-association counts, one row per restriction (full, succ,
+# prec): the part of (x, y) that u runs over, the part of (u, z) counted,
+# the part of (y, z) that u runs over and the part of (x, u) counted
+_CONDITION3_ROWS = (
+    (_WHOLE, _WHOLE, _WHOLE, _WHOLE),
+    (_WHOLE, _SUCC, _SUCC, _SUCC),
+    (_PREC, _PREC, _WHOLE, _PREC),
+)
 
-    left = pairs(
-        family.prod(SLASH, x, y),
-        family.prod(BACKSLASH, x, y),
-        lambda u: (family.prod(SLASH, u, z), family.prod(BACKSLASH, u, z)),
+
+def _condition3_cardinalities(family: PosetFamily, x, y, z) -> bool:
+    xy, yz = family.split(x, y), family.split(y, z)
+    uz = {u: family.split(u, z) for u in family.members(xy[0], xy[_WHOLE])}
+    xu = {u: family.split(x, u) for u in family.members(yz[0], yz[_WHOLE])}
+    return all(
+        sum(uz[u][left].bit_count() for u in family.members(xy[0], xy[left_outer]))
+        == sum(xu[u][right].bit_count() for u in family.members(yz[0], yz[right_outer]))
+        for left_outer, left, right_outer, right in _CONDITION3_ROWS
     )
-    right = pairs(
-        family.prod(SLASH, y, z),
-        family.prod(BACKSLASH, y, z),
-        lambda u: (family.prod(SLASH, x, u), family.prod(BACKSLASH, x, u)),
-    )
-    if len(left) != len(right):
-        return False
-    left_succ = pairs(
-        family.prod(SLASH, x, y),
-        family.prod(BACKSLASH, x, y),
-        lambda u: (family.prod(SLASH, u, z), family.prod(PERP, u, z)),
-    )
-    right_succ = pairs(
-        family.prod(SLASH, y, z),
-        family.prod(PERP, y, z),
-        lambda u: (family.prod(SLASH, x, u), family.prod(PERP, x, u)),
-    )
-    if len(left_succ) != len(right_succ):
-        return False
-    left_prec = pairs(
-        family.prod(TOP, x, y),
-        family.prod(BACKSLASH, x, y),
-        lambda u: (family.prod(TOP, u, z), family.prod(BACKSLASH, u, z)),
-    )
-    right_prec = pairs(
-        family.prod(SLASH, y, z),
-        family.prod(BACKSLASH, y, z),
-        lambda u: (family.prod(TOP, x, u), family.prod(BACKSLASH, x, u)),
-    )
-    return len(left_prec) == len(right_prec)
 
 
 # the dendriform axioms are the m = 1 Dyck relations with (succ, prec) as
@@ -766,16 +722,9 @@ def ordm_product(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> LinCo
     if not 0 <= i <= m:
         raise ValueError("product index out of range")
     ranges = []
-    for j in range(m):
-        x, y = xbar[j], ybar[j]
-        if j < m - i:
-            lo, hi = family.prod(SLASH, x, y), family.prod(PERP, x, y)
-        else:
-            lo, hi = family.prod(TOP, x, y), family.prod(BACKSLASH, x, y)
-        if family.leq(lo, hi):
-            ranges.append(family.interval(lo, hi))
-        else:
-            ranges.append([])
+    for j, (x, y) in enumerate(zip(xbar, ybar)):
+        n, _, succ, prec = family.split(x, y)
+        ranges.append(family.members(n, succ if j < m - i else prec))
     out = []
 
     def extend(chain: tuple, j: int):
@@ -797,9 +746,6 @@ class OrdmOracle:
         self.family = family
         self.m = m
 
-    def degree(self, key: tuple) -> int:
-        return self.family.degree(key[0])
-
     def basis(self, n: int) -> list[tuple]:
         return ordm_simplices(self.family, n, self.m)
 
@@ -820,13 +766,16 @@ class DeclaredFamily(PosetFamily):
         super().__init__()
         self._degree_of = {}
         self._declared = degrees
-        self._covers = covers
         self._products = products
         self._position = {}
+        self._covered_by: dict = {}
         for n, elems in degrees.items():
             for pos, e in enumerate(elems):
                 self._degree_of[e] = n
                 self._position[e] = pos
+        for pairs in covers.values():
+            for a, b in pairs:
+                self._covered_by.setdefault(a, []).append(b)
 
     def declared_degrees(self) -> list[int]:
         return sorted(self._declared)
@@ -843,13 +792,8 @@ class DeclaredFamily(PosetFamily):
         # declaration order is the canonical order
         return self._position[x]
 
-    def _build_order(self, n: int, elements: list):
-        index = {x: i for i, x in enumerate(elements)}
-        pairs = [
-            (index[a], index[b])
-            for a, b in self._covers.get(n, [])
-        ]
-        return closure_masks(len(elements), pairs)
+    def _above(self, x):
+        return self._covered_by.get(x, ())
 
     def _product(self, op, x, y):
         try:

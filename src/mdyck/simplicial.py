@@ -75,9 +75,6 @@ class SlotTransformedOracle:
         self.slots = slots
         self.m = len(slots) - 1
 
-    def degree(self, key) -> int:
-        return self.base.degree(key)
-
     def basis(self, n: int):
         return self.base.basis(n)
 
@@ -355,19 +352,6 @@ def little_theta_inverse(u: ColoredTree, m: int, k: int) -> ColoredTree:
     return from_right_comb(db.colors + ds.colors, db.subtrees + ds.subtrees)
 
 
-def merged_product(oracle: TreeOracle, k: int) -> Callable:
-    """The degeneracy products: slot k and k+1 merged, later slots shifted."""
-
-    def product(x, y, j: int) -> LinComb:
-        if j < k:
-            return oracle.product(x, y, j)
-        if j == k:
-            return oracle.product(x, y, k) + oracle.product(x, y, k + 1)
-        return oracle.product(x, y, j + 1)
-
-    return product
-
-
 def verify_Sk_freeness(
     m: int,
     k: int,
@@ -385,8 +369,7 @@ def verify_Sk_freeness(
     if not 0 <= k < m:
         raise ValueError("need 0 <= k < m")
     report = CheckReport(name=f"freeness of merged products m={m} k={k}")
-    oracle = TreeOracle(m)
-    product = merged_product(oracle, k)
+    product = degeneracy_oracle(TreeOracle(m), k).product
     for n in range(1, max_degree + 1):
         dim = fuss_catalan(m, n)
         basis = enumerate_Bm(m, n)

@@ -325,9 +325,6 @@ class LabeledTreeOracle:
         self.m = m
         self.alphabet = alphabet
 
-    def degree(self, key) -> int:
-        return key[0].degree
-
     def basis(self, n: int) -> list:
         return [
             (t, letters)
@@ -389,9 +386,6 @@ class TreeOracle:
 
     def __init__(self, m: int):
         self.m = m
-
-    def degree(self, key: ColoredTree) -> int:
-        return key.degree
 
     def basis(self, n: int) -> list[ColoredTree]:
         return enumerate_Bm(self.m, n)

@@ -1,10 +1,18 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from mdyck.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+# literals nested beyond the interpreter's default recursion limit
+DEEP_TREE = "(0 " * 1500 + "|" + " |)" * 1500
+DEEP_PLANAR = "( " * 1500 + "|" + " |)" * 1500
 
 
 def run(argv):
@@ -83,6 +91,8 @@ def _usage_error(argv):
         ["mul", "--model", "ordm", "--m", "2", "--i", "0", "(| | |);(| | |)", "(| |);(| |)"],
         ["dims", "--m", "2", "--max-n", "-3"],
         ["verify", "--suite", "poset", "--file", "/nonexistent/family.poset"],
+        ["mul", "--model", "trees", "--m", "1", "--i", "0", DEEP_TREE, "|"],
+        ["mul", "--model", "ordm", "--m", "1", "--i", "0", DEEP_PLANAR, "(| |)"],
     ],
     ids=[
         "tree-unclosed",
@@ -95,6 +105,8 @@ def _usage_error(argv):
         "ordm-ternary-simplex",
         "dims-negative",
         "missing-file",
+        "tree-deep",
+        "ordm-deep",
     ],
 )
 def test_malformed_input_is_usage_error(argv):
@@ -206,6 +218,22 @@ def test_verify_poset_file(tmp_path):
         ["verify", "--suite", "poset", "--file", str(path), "--max-degree", "2"]
     )
     assert code == 0
+
+
+def test_condition5_report_is_independent_of_hash_seed():
+    # the failing pair is found walking both sides in element order, so
+    # string-token families report the same pair and count under any seed
+    poset = ROOT / "tests" / "data" / "condition5_order.poset"
+    argv = [sys.executable, "-m", "mdyck.cli", "verify", "--suite", "poset"]
+    argv += ["--file", str(poset)]
+    for seed in ("1", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == (
+            "dendriform poset declared degree<=2: FAILED (63 checks)\n"
+            "  condition 5 at degrees (1,1): 'b' <= 'p1'\n"
+        )
 
 
 def test_verify_unknown_suite_usage_error():

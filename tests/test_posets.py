@@ -14,13 +14,12 @@ from mdyck.posets import (
     PlanarTreeFamily,
     SurjectionFamily,
     TamariBinaryFamily,
-    bruhat_restriction,
     facial_covers,
     facial_restriction_agrees,
     ordm_product,
     ordm_simplices,
     parse_poset_file,
-    planar_tree_order,
+    perm_inversions,
     pt_encode,
     pt_parse,
     standardize,
@@ -68,12 +67,46 @@ def test_surj_products_always_surjective():
 
 
 def test_bruhat_order():
-    perms = bruhat_restriction()
+    perms = PermutationFamily()
     assert perms.leq((1, 2), (2, 1))
     assert not perms.leq((2, 1), (1, 2))
     assert len(perms.elements(4)) == 24
     assert perms.succ((1,), (1,)) == LinComb.single((1, 2))
     assert perms.prec((1,), (1,)) == LinComb.single((2, 1))
+
+
+def test_permutation_order_is_inversion_containment():
+    # the order generated by adjacent-value swaps is the left weak order
+    perms = PermutationFamily()
+    for n in range(1, 6):
+        elems = perms.elements(n)
+        inv = {p: perm_inversions(p) for p in elems}
+        for p in elems:
+            for q in elems:
+                assert perms.leq(p, q) == (inv[p] <= inv[q])
+
+
+def test_split_masks_are_the_product_intervals():
+    cases = (
+        (TamariBinaryFamily(), 4),
+        (PermutationFamily(), 4),
+        (SurjectionFamily(), 3),
+        (PlanarTreeFamily(), 4),
+    )
+    for family, bound in cases:
+        for n in range(1, bound):
+            for r in range(1, bound - n + 1):
+                for x in family.elements(n):
+                    for y in family.elements(r):
+                        degree, whole, succ, prec = family.split(x, y)
+                        assert degree == n + r
+                        lo, perp, top, hi = (family.prod(op, x, y) for op in OPS)
+                        for mask, interval in (
+                            (whole, family.interval(lo, hi)),
+                            (succ, family.interval(lo, perp)),
+                            (prec, family.interval(top, hi)),
+                        ):
+                            assert family.members(degree, mask) == interval
 
 
 def test_facial_restriction_is_weak_order():
@@ -82,7 +115,7 @@ def test_facial_restriction_is_weak_order():
 
 
 def test_planar_tree_counts():
-    fam = planar_tree_order()
+    fam = PlanarTreeFamily()
     # little Schroeder numbers by their recurrence, as an independent count:
     # (n+1) a(n) = (6n-3) a(n-1) - (n-2) a(n-2)
     schroeder = [1, 1]
