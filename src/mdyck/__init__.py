@@ -6,7 +6,7 @@ coefficients are exact rationals; every structural statement ships with an
 exhaustive finite verification.
 """
 
-from .exactlin import ExactMatrix, LinComb, Rational, matrix_rank, span_contains
+from .exactlin import LinComb, Rational, matrix_rank, span_contains
 from .paths import DyckPath, enumerate_paths, path_product, phi
 from .series import TruncatedSeries, fuss_catalan, series_solve_free
 from .tamari import TamariLattice, build_lattice
@@ -15,7 +15,6 @@ from .trees import ColoredTree, enumerate_Bm, graft, tree_product
 __all__ = [
     "ColoredTree",
     "DyckPath",
-    "ExactMatrix",
     "LinComb",
     "Rational",
     "TamariLattice",

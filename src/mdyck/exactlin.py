@@ -15,8 +15,8 @@ workhorses shared by all the combinatorial models:
   with :func:`linear_sum`, the one accumulator behind every linear
   extension of a basis product, and
 * one exact rank routine on sparse integer rows ``{column: entry}``, built
-  straight from the terms of a :class:`LinComb` (or from the rows of an
-  :class:`ExactMatrix`) by clearing denominators.  Elimination modulo a
+  straight from the terms of a :class:`LinComb` (or from a plain list of
+  equally long rows) by clearing denominators.  Elimination modulo a
   large prime, always on a row's largest column, comes first: its rank is a
   lower bound for the rational rank, so reaching ``min(rows, cols)``
   certifies the answer.  Vectors with distinct leading columns, such as the
@@ -24,14 +24,14 @@ workhorses shared by all the combinatorial models:
   no fill-in.  Only when that certificate is deficient does fraction-free
   Bareiss elimination decide.  :func:`rank_of_lincombs`,
   :func:`span_contains`, :func:`matrix_rank` and :func:`has_full_rank` are
-  entry points onto it, used for change-of-basis and generation checks.
+  entry points onto it, used for change-of-basis and generation checks;
+  the last two take row lists.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 Rational = Fraction
@@ -200,31 +200,6 @@ def bilinear(a: LinComb, b: LinComb, product: Callable) -> LinComb:
     )
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix with exact rational entries."""
-
-    rows: int
-    cols: int
-    entries: tuple = field(default=())
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "ExactMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        nrows = len(data)
-        ncols = len(data[0]) if data else 0
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged matrix")
-        return cls(nrows, ncols, data)
-
-    def transpose(self) -> "ExactMatrix":
-        data = tuple(
-            tuple(self.entries[r][c] for r in range(self.rows))
-            for c in range(self.cols)
-        )
-        return ExactMatrix(self.cols, self.rows, data)
-
-
 def _integer_row(terms) -> dict[int, int]:
     # scale the (column, value) pairs by the lcm of their denominators;
     # the rank is unchanged and no zero value is kept
@@ -313,15 +288,19 @@ def _sparse_rank(rows: list[dict[int, int]], cols: int) -> int:
     return target
 
 
-def matrix_rank(matrix: ExactMatrix) -> int:
-    """Exact rank over the rationals of a dense matrix."""
-    rows = [_integer_row(list(enumerate(row))) for row in matrix.entries]
-    return _sparse_rank(rows, matrix.cols)
+def matrix_rank(rows: Iterable[Iterable]) -> int:
+    """Exact rank over the rationals of equally long rows of rationals."""
+    data = [[_exact(x) for x in row] for row in rows]
+    cols = len(data[0]) if data else 0
+    if any(len(row) != cols for row in data):
+        raise ValueError("ragged rows")
+    return _sparse_rank([_integer_row(list(enumerate(row))) for row in data], cols)
 
 
-def has_full_rank(matrix: ExactMatrix) -> bool:
-    """True iff rank equals ``min(rows, cols)``."""
-    return matrix_rank(matrix) == min(matrix.rows, matrix.cols)
+def has_full_rank(rows: list[list]) -> bool:
+    """True iff the rank of ``rows`` equals ``min(len(rows), len(rows[0]))``."""
+    rank = matrix_rank(rows)
+    return rank == min(len(rows), len(rows[0]) if rows else 0)
 
 
 def _key_universe(vectors: Iterable[LinComb]) -> list:
@@ -331,11 +310,11 @@ def _key_universe(vectors: Iterable[LinComb]) -> list:
     return sorted(keys, key=sort_key)
 
 
-def lincombs_to_matrix(vectors: list[LinComb], keys: list | None = None) -> ExactMatrix:
+def lincombs_to_matrix(vectors: list[LinComb], keys: list | None = None) -> list[list]:
+    """The coefficient rows of ``vectors`` over ``keys`` (default: their support)."""
     if keys is None:
         keys = _key_universe(vectors)
-    data = tuple(tuple(v[k] for k in keys) for v in vectors)
-    return ExactMatrix(len(vectors), len(keys), data)
+    return [[v[k] for k in keys] for v in vectors]
 
 
 def rank_of_lincombs(vectors: list[LinComb], keys: list | None = None) -> int:

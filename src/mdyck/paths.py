@@ -237,16 +237,24 @@ def _weak_compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _suffix_max_multiplicity(omega: tuple[int, ...]) -> list[int]:
-    # value at l = maximal letter multiplicity among the last l letters
+def _multiplicity_class(P: DyckPath, i: int) -> list[int]:
+    """The suffix lengths of the top word whose maximal letter multiplicity is i.
+
+    The lengths come in increasing order; the class may be empty.
+    """
+    if not 0 <= i <= P.m:
+        raise ValueError("class index out of range")
     counts: dict[int, int] = {}
-    out = [0]
+    lengths = [0] if i == 0 else []
     best = 0
-    for letter in reversed(omega):
+    for length, letter in enumerate(reversed(top_word(P)), start=1):
         counts[letter] = counts.get(letter, 0) + 1
         best = max(best, counts[letter])
-        out.append(best)
-    return out
+        if best > i:
+            break
+        if best == i:
+            lengths.append(length)
+    return lengths
 
 
 def lambda_sets(P: DyckPath, r: int, i: int) -> list[WeakComposition]:
@@ -256,16 +264,12 @@ def lambda_sets(P: DyckPath, r: int, i: int) -> list[WeakComposition]:
     appears at most i times and some color exactly i times; i = 0 forces
     the empty suffix.
     """
-    if not 0 <= i <= P.m:
-        raise ValueError("class index out of range")
+    lengths = _multiplicity_class(P, i)
     if r < 0:
         raise ValueError("need r >= 0")
     L = P.last_level
-    mult = _suffix_max_multiplicity(top_word(P))
     out = []
-    for last in range(L + 1):
-        if mult[last] != i:
-            continue
+    for last in lengths:
         for prefix in _weak_compositions(L - last, r):
             out.append(prefix + (last,))
     out.sort()

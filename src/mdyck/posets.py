@@ -535,6 +535,8 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
     the simplex construction: no element of a prec-type interval is below
     an element of a succ-type interval of the same bidegree.
     """
+    if max_degree < 2:
+        raise ValueError("need max_degree >= 2")
     report = CheckReport(name=f"dendriform poset {family.name} degree<={max_degree}")
     grades = {}
     for n in range(1, max_degree):

@@ -83,19 +83,15 @@ class SlotTransformedOracle:
 
 
 def face_oracle(base, i: int) -> SlotTransformedOracle:
-    m = base.m
-    slots = tuple((j,) for j in range(i)) + ((),) + tuple((j,) for j in range(i, m + 1))
-    return SlotTransformedOracle(base, slots)
+    """``base`` with the zero product inserted at slot i."""
+    identity = tuple((j,) for j in range(base.m + 1))
+    return SlotTransformedOracle(base, face_transform(identity, i))
 
 
 def degeneracy_oracle(base, i: int) -> SlotTransformedOracle:
-    m = base.m
-    slots = (
-        tuple((j,) for j in range(i))
-        + ((i, i + 1),)
-        + tuple((j,) for j in range(i + 2, m + 1))
-    )
-    return SlotTransformedOracle(base, slots)
+    """``base`` with slots i and i+1 merged into their sum."""
+    identity = tuple((j,) for j in range(base.m + 1))
+    return SlotTransformedOracle(base, degeneracy_transform(identity, i))
 
 
 def verify_simplicial_identities(max_m: int) -> CheckReport:
@@ -368,6 +364,8 @@ def verify_Sk_freeness(
     """
     if not 0 <= k < m:
         raise ValueError("need 0 <= k < m")
+    if max_degree < 1:
+        raise ValueError("need max_degree >= 1")
     report = CheckReport(name=f"freeness of merged products m={m} k={k}")
     product = degeneracy_oracle(TreeOracle(m), k).product
     for n in range(1, max_degree + 1):

@@ -16,14 +16,13 @@ from .paths import (
     DOWN,
     UP,
     DyckPath,
+    _multiplicity_class,
     _path_from_steps,
-    _suffix_max_multiplicity,
     concat_i,
     enumerate_paths,
     path_product,
     prime_factors,
     standard_coloring,
-    top_word,
 )
 from .reporting import CheckReport
 from .series import fuss_catalan
@@ -137,12 +136,8 @@ def build_lattice(m: int, n: int, cap: int = DEFAULT_CAP) -> TamariLattice:
     return lattice
 
 
-def _multiplicity_class(P: DyckPath, i: int) -> list[int]:
-    # suffix lengths l of the top word whose maximal letter multiplicity is i
-    if not 0 <= i <= P.m:
-        raise ValueError("index out of range")
-    mult = _suffix_max_multiplicity(top_word(P))
-    lengths = [length for length, best in enumerate(mult) if best == i]
+def _class_lengths(P: DyckPath, i: int) -> list[int]:
+    lengths = _multiplicity_class(P, i)
     if not lengths:
         raise ValueError(f"no suffix of multiplicity {i}")
     return lengths
@@ -150,12 +145,12 @@ def _multiplicity_class(P: DyckPath, i: int) -> list[int]:
 
 def c_bound(P: DyckPath, i: int) -> int:
     """Minimal suffix length of the top word with maximal multiplicity i."""
-    return _multiplicity_class(P, i)[0]
+    return _class_lengths(P, i)[0]
 
 
 def C_bound(P: DyckPath, i: int) -> int:
     """Maximal suffix length of the top word with maximal multiplicity i."""
-    return _multiplicity_class(P, i)[-1]
+    return _class_lengths(P, i)[-1]
 
 
 def slash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
@@ -177,12 +172,12 @@ def backslash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     return concat_i(result, factors[-1], depth)
 
 
-def verify_interval_product(m: int, max_size: int, cap: int = DEFAULT_CAP) -> CheckReport:
+def verify_interval_product(m: int, max_size: int) -> CheckReport:
     """Products are exactly interval sums, and the classes tile the big interval."""
+    if max_size < 2:
+        raise ValueError("need max_size >= 2")
     report = CheckReport(name=f"interval products m={m} size<={max_size}")
-    lattices = {
-        total: build_lattice(m, total, cap) for total in range(2, max_size + 1)
-    }
+    lattices = {total: build_lattice(m, total) for total in range(2, max_size + 1)}
     for total in range(2, max_size + 1):
         lattice = lattices[total]
         for n1 in range(1, total):

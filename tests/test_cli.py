@@ -157,6 +157,10 @@ def test_verify_negative():
         ["verify", "--suite", "negative", "--m", "0"],
         ["verify", "--suite", "simplicial", "--max-m", "0"],
         ["verify", "--suite", "series", "--max-m", "-1"],
+        # bounds at which the suite would check nothing
+        ["verify", "--suite", "freeness", "--max-degree", "0"],
+        ["verify", "--suite", "poset", "--max-degree", "1"],
+        ["verify", "--suite", "tamari-interval", "--max-size", "1"],
     ],
 )
 def test_verify_rejects_m_below_one(argv):

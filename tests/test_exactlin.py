@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from mdyck import exactlin
 from mdyck.exactlin import (
     _CERT_PRIME,
-    ExactMatrix,
     LinComb,
     _bareiss_rank,
     bilinear,
@@ -162,18 +162,20 @@ def test_linear_sum_matches_scale_and_add(pairs):
 
 
 def test_matrix_rank_examples():
-    identity = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert matrix_rank(identity) == 3
-    zero = ExactMatrix.from_rows([[0] * 4, [0] * 4])
+    zero = [[0] * 4, [0] * 4]
     assert matrix_rank(zero) == 0
-    proportional = ExactMatrix.from_rows([[1, 2], [2, 4]])
+    proportional = [[1, 2], [2, 4]]
     assert matrix_rank(proportional) == 1
+    # entries are read as exact rationals, whatever Fraction() accepts
+    assert matrix_rank([["1/2", Decimal("0.5")], [1, Fraction(1)]]) == 1
     # the zero entry under the first pivot leaves row 2 unscaled; the
     # elimination must still divide it exactly at the second pivot
-    skipped = ExactMatrix.from_rows(
-        [[0] * 8, [0, -1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 1], [-2] + [0] * 7]
-    )
-    assert matrix_rank(skipped) == 3 == matrix_rank(skipped.transpose())
+    skipped = [
+        [0] * 8, [0, -1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 1], [-2] + [0] * 7
+    ]
+    assert matrix_rank(skipped) == 3 == matrix_rank(list(zip(*skipped)))
 
 
 matrices = st.integers(1, 12).flatmap(
@@ -184,13 +186,13 @@ matrices = st.integers(1, 12).flatmap(
             max_size=rows,
         )
     )
-).map(ExactMatrix.from_rows)
+)
 
 
 @given(matrices)
 @settings(max_examples=60, deadline=None)
-def test_rank_equals_rank_of_transpose(matrix):
-    assert matrix_rank(matrix) == matrix_rank(matrix.transpose())
+def test_rank_equals_rank_of_transpose(rows):
+    assert matrix_rank(rows) == matrix_rank(list(zip(*rows)))
 
 
 @st.composite
@@ -217,7 +219,7 @@ def test_sparse_rank_agrees_with_bareiss(rows):
     for row in rows:
         scale = math.lcm(*(x.denominator for x in row))
         integer_rows.append([int(x * scale) for x in row])
-    assert matrix_rank(ExactMatrix.from_rows(rows)) == _bareiss_rank(integer_rows, cols)
+    assert matrix_rank(rows) == _bareiss_rank(integer_rows, cols)
 
 
 @given(st.lists(lincombs, max_size=5), st.lists(keys, unique=True))
@@ -235,9 +237,9 @@ def test_rank_of_lincombs_matches_dense_matrix(vectors, key_list):
 
 def test_rank_falls_back_to_exact_elimination():
     # the only entry vanishes modulo the certificate prime
-    matrix = ExactMatrix.from_rows([[_CERT_PRIME]])
-    assert matrix_rank(matrix) == 1
-    assert has_full_rank(matrix)
+    rows = [[_CERT_PRIME]]
+    assert matrix_rank(rows) == 1
+    assert has_full_rank(rows)
 
 
 def test_full_certificate_skips_exact_elimination(monkeypatch):
@@ -245,8 +247,9 @@ def test_full_certificate_skips_exact_elimination(monkeypatch):
         raise AssertionError("Bareiss ran on a certified rank")
 
     monkeypatch.setattr(exactlin, "_bareiss_rank", refuse)
-    tall = ExactMatrix.from_rows([[1, 2], [0, Fraction(1, 3)], [5, 7], [0, 0]])
+    tall = [[1, 2], [0, Fraction(1, 3)], [5, 7], [0, 0]]
     assert matrix_rank(tall) == 2
+    assert has_full_rank(tall)
     assert rank_of_lincombs([lc(x=1), lc(x=1, y=Fraction(1, 2))]) == 2
 
 
@@ -266,6 +269,8 @@ def test_span_agrees_with_rank(vectors, target):
     assert span_contains(vectors, target) == (base == extended)
 
 
-def test_from_rows_rejects_ragged():
+def test_rank_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[1, 2], [3]])
+        matrix_rank([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        has_full_rank([[1, 2], [3]])

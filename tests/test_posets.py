@@ -308,6 +308,9 @@ def test_declared_family():
     assert family.leq("a", "c")
     report = verify_dendriform_poset(family, 2)
     assert report.ok, report.failures
+    # degree 1 has no product to check
+    with pytest.raises(ValueError):
+        verify_dendriform_poset(family, 1)
     assert family.succ("e", "e") == LinComb.single("a")
     assert family.prec("e", "e") == LinComb((("b", 1), ("c", 1)))
 

@@ -80,6 +80,16 @@ def test_face_of_dendriform_is_order_two():
         assert report.ok, report.failures
 
 
+@pytest.mark.parametrize(
+    "oracle_fn, bad", [(face_oracle, (-1, 3, 5)), (degeneracy_oracle, (-1, 1))]
+)
+def test_slot_oracles_reject_out_of_range_indices(oracle_fn, bad):
+    # m = 1 has face indices 0..2 and the one degeneracy index 0
+    for i in bad:
+        with pytest.raises(ValueError):
+            oracle_fn(TreeOracle(1), i)
+
+
 def test_is_basis_Bmk():
     for m in (1, 2):
         for n in range(1, 5):
@@ -223,6 +233,9 @@ def test_freeness():
         for k in range(m):
             report = verify_Sk_freeness(m, k, 4)
             assert report.ok, report.failures
+    # no degree to check is a usage error, not a pass
+    with pytest.raises(ValueError):
+        verify_Sk_freeness(2, 0, 0)
 
 
 @pytest.mark.parametrize("k", [0, 1])

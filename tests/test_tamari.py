@@ -134,6 +134,9 @@ def test_interval_product_theorem():
     for m, size in ((1, 6), (2, 6), (3, 4)):
         report = verify_interval_product(m, size)
         assert report.ok, report.failures
+    # size 1 has no product to check
+    with pytest.raises(ValueError):
+        verify_interval_product(2, 1)
 
 
 def test_partition_example():
