@@ -41,6 +41,11 @@ def clear_caches() -> None:
     m-Tamari lattices are memoised for the life of the process, so a
     long-running process grows without bound.  Clearing frees that memory;
     later calls recompute the same results.
+
+    The intern tables of ``ColoredTree`` and ``DyckPath`` are not cleared:
+    keys compare by identity, so a live tree would no longer equal its
+    rebuilt twin.  Path products are memoised per ``PathOracle`` and freed
+    with it.
     """
     from . import paths, posets, simplicial, tamari, trees
 

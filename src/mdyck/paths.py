@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactlin import LinComb, bilinear
-from .trees import ColoredTree, enumerate_Bm
+from .trees import ColoredTree, _immutable, enumerate_Bm
 
 UP = "u"
 DOWN = "d"
@@ -26,35 +26,51 @@ DOWN = "d"
 WeakComposition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+# (m, levels) -> the one path with that level sequence; never cleared, like
+# the tree intern table
+_PATHS: dict[tuple[int, tuple[int, ...]], "DyckPath"] = {}
+
+
 class DyckPath:
     """Level-sequence encoding of an m-Dyck path.
 
     Invariants: prefix sums never exceed m*j (the path stays above the
-    axis) and the total equals m*n (it ends on the axis).
+    axis) and the total equals m*n (it ends on the axis).  Paths are
+    interned like trees and compare by identity; a level sequence is
+    validated once, when its path is first built.
     """
 
-    m: int
-    levels: tuple[int, ...]
+    __slots__ = ("m", "levels")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, levels: tuple[int, ...]):
+        key = (m, levels)
+        path = _PATHS.get(key)
+        if path is not None:
+            return path
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if not self.levels:
+        if not levels:
             raise ValueError("empty level sequence")
         total = 0
-        for j, lv in enumerate(self.levels, start=1):
+        for j, lv in enumerate(levels, start=1):
             if lv < 0:
                 raise ValueError("negative level count")
             total += lv
-            if total > self.m * j:
+            if total > m * j:
                 raise ValueError(
-                    f"prefix sum {total} exceeds {self.m}*{j}: path dips below the axis"
+                    f"prefix sum {total} exceeds {m}*{j}: path dips below the axis"
                 )
-        if total != self.m * len(self.levels):
-            raise ValueError(
-                f"levels sum to {total}, expected {self.m * len(self.levels)}"
-            )
+        if total != m * len(levels):
+            raise ValueError(f"levels sum to {total}, expected {m * len(levels)}")
+        path = object.__new__(cls)
+        object.__setattr__(path, "m", m)
+        object.__setattr__(path, "levels", levels)
+        return _PATHS.setdefault(key, path)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return (DyckPath, (self.m, self.levels))
 
     @property
     def size(self) -> int:
@@ -316,16 +332,21 @@ def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
 
 
 class PathOracle:
-    """The path model as a product oracle."""
+    """The path model as a product oracle; its product memo is freed with it."""
 
     def __init__(self, m: int):
         self.m = m
+        self._memo: dict[tuple[DyckPath, DyckPath, int], LinComb] = {}
 
     def basis(self, n: int) -> list[DyckPath]:
         return enumerate_paths(self.m, n)
 
     def product(self, x: DyckPath, y: DyckPath, i: int) -> LinComb:
-        return path_product(x, y, i)
+        key = (x, y, i)
+        result = self._memo.get(key)
+        if result is None:
+            result = self._memo[key] = path_product(x, y, i)
+        return result
 
 
 # pure function of the key; same cache contract as the tree products

@@ -35,41 +35,63 @@ LEFT = "L"
 RIGHT = "R"
 
 
+# (color, left, right) -> the one tree with that structure; never cleared,
+# since a rebuilt twin of a live tree must be the same object
+_TREES: dict[tuple, "ColoredTree"] = {}
+
+
+def _immutable(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
 class ColoredTree:
-    """Immutable planar binary rooted tree; internal vertices carry colors."""
+    """Immutable planar binary rooted tree; internal vertices carry colors.
 
-    __slots__ = ("color", "left", "right", "degree", "serial", "_hash")
+    Trees are interned: each structure exists as exactly one object, so
+    equality and hashing are the default identity ones.
+    """
 
-    def __init__(self, color=None, left=None, right=None):
-        self.color = color
-        self.left = left
-        self.right = right
-        if color is None:
-            self.degree = 1
-            self.serial = (0,)
-        else:
-            if color < 0:
-                raise ValueError("negative color")
-            self.degree = left.degree + right.degree
-            self.serial = (1 + color,) + left.serial + right.serial
-        self._hash = hash(self.serial)
+    __slots__ = ("color", "left", "right", "degree")
+
+    def __new__(cls, color=None, left=None, right=None):
+        key = (color, left, right)
+        tree = _TREES.get(key)
+        if tree is not None:
+            return tree
+        if color is not None and color < 0:
+            raise ValueError("negative color")
+        tree = object.__new__(cls)
+        init = object.__setattr__
+        init(tree, "color", color)
+        init(tree, "left", left)
+        init(tree, "right", right)
+        init(tree, "degree", 1 if color is None else left.degree + right.degree)
+        # setdefault is atomic under the GIL: concurrent builders get one object
+        return _TREES.setdefault(key, tree)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        if self.color is None:
+            return (ColoredTree, ())
+        return (ColoredTree, (self.color, self.left, self.right))
 
     @property
     def is_leaf(self) -> bool:
         return self.color is None
 
     def sort_key(self):
-        return (self.degree, self.serial)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ColoredTree):
-            return NotImplemented
-        return self.serial == other.serial
+        """(degree, prefix word): a leaf reads 0, a vertex of color c reads 1 + c."""
+        word = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if t.color is None:
+                word.append(0)
+            else:
+                word.append(1 + t.color)
+                stack += (t.right, t.left)
+        return (self.degree, tuple(word))
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()

@@ -1,3 +1,12 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
+import pytest
+
 import mdyck
 from mdyck import paths, posets, simplicial, tamari, trees
 
@@ -41,3 +50,103 @@ def test_clear_caches_empties_memos_and_keeps_results():
     assert not any(MEMOS)
     assert all(cache.cache_info().currsize == 0 for cache in _lru_caches())
     assert _results() == before
+
+
+def _rebuild(tree, shift=0):
+    # the same structure, built node by node through the constructor; a
+    # shift of the colors gives trees that no other test builds
+    if tree.is_leaf:
+        return trees.ColoredTree()
+    left, right = _rebuild(tree.left, shift), _rebuild(tree.right, shift)
+    return trees.ColoredTree(tree.color + shift, left, right)
+
+
+def test_concurrent_builders_get_identical_keys():
+    basis = trees.enumerate_Bm(2, 5)
+    levels = paths._enumerate_levels(9, 3, 0)
+    barrier = threading.Barrier(4, timeout=30)
+    results = [None] * 4
+
+    def build(slot):
+        barrier.wait()
+        results[slot] = (
+            [_rebuild(t) for t in basis],
+            [_rebuild(t, 100) for t in basis],
+            [paths.DyckPath(9, lv) for lv in levels],
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    first = results[0]
+    assert all(a is b for a, b in zip(first[0], basis))
+    for other in results[1:]:
+        for built, again in zip(first, other):
+            assert len(built) == len(again)
+            assert all(a is b for a, b in zip(built, again))
+
+
+def test_keys_survive_clear_caches():
+    tree = trees.parse_tree("(0 (2 | |) (1 | |))")
+    path = paths.parse_path(2, "1,0,5")
+    mdyck.clear_caches()
+    assert trees.parse_tree("(0 (2 | |) (1 | |))") is tree
+    assert paths.parse_path(2, "1,0,5") is path
+    assert trees.enumerate_Bm(2, 3)[0] is _rebuild(trees.enumerate_Bm(2, 3)[0])
+
+
+def test_path_memo_is_freed_with_its_oracle():
+    oracle = paths.PathOracle(2)
+    assert trees.verify_dyck_axioms(2, 5, oracle.product, oracle.basis).ok
+    assert oracle._memo
+    ref = weakref.ref(oracle)
+    del oracle
+    gc.collect()
+    assert ref() is None
+    assert not paths.PathOracle(2)._memo
+
+
+KEYS = (
+    trees.LEAF,
+    trees.parse_tree("(0 (2 | |) (1 | (0 | |)))"),
+    paths.parse_path(2, "1,3"),
+)
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda key: pickle.loads(pickle.dumps(key))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("key", KEYS, ids=repr)
+def test_copies_of_interned_keys_are_the_key(key, copier):
+    assert copier(key) is key
+    assert trees.ColoredTree() is trees.LEAF
+    assert trees.LEAF.color is None and trees.LEAF.degree == 1
+
+
+@pytest.mark.parametrize(
+    "key, attr",
+    [
+        (trees.LEAF, "color"),
+        (KEYS[1], "left"),
+        (KEYS[1], "degree"),
+        (KEYS[2], "levels"),
+        (KEYS[2], "m"),
+    ],
+)
+def test_interned_keys_are_immutable(key, attr):
+    before = getattr(key, attr)
+    with pytest.raises(AttributeError):
+        setattr(key, attr, None)
+    with pytest.raises(AttributeError):
+        delattr(key, attr)
+    assert getattr(key, attr) is before

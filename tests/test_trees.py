@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdyck.exactlin import LinComb
 from mdyck.series import fuss_catalan
@@ -7,6 +9,7 @@ from mdyck.trees import (
     LEFT,
     RIGHT,
     App,
+    ColoredTree,
     Gen,
     TreeOracle,
     circ_basis_convert,
@@ -87,6 +90,40 @@ def test_enumerate_counts():
     for m in (1, 2, 3, 4):
         for n in range(1, 7):
             assert len(enumerate_Bm(m, n)) == fuss_catalan(m, n)
+
+
+def _reference_sort_key(tree):
+    # the order every printed output rests on: (degree, serial), with serial
+    # (0,) for the leaf and (1 + color,) + left serial + right serial otherwise
+    def serial(t):
+        if t.is_leaf:
+            return (0,)
+        return (1 + t.color,) + serial(t.left) + serial(t.right)
+
+    return (tree.degree, serial(tree))
+
+
+def test_sort_key_matches_reference_on_basis_trees():
+    for m in (1, 2, 3):
+        for n in range(1, 6):
+            basis = enumerate_Bm(m, n)
+            assert [t.sort_key() for t in basis] == [_reference_sort_key(t) for t in basis]
+            assert basis == sorted(basis, key=_reference_sort_key)
+            assert sorted(basis[::-1]) == basis
+
+
+colored_trees = st.recursive(
+    st.just(LEAF),
+    lambda sub: st.builds(ColoredTree, st.integers(0, 4), sub, sub),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_trees, colored_trees)
+def test_sort_key_matches_reference_on_colored_trees(a, b):
+    assert a.sort_key() == _reference_sort_key(a)
+    assert (a < b) == (_reference_sort_key(a) < _reference_sort_key(b))
 
 
 def test_product_examples():
