@@ -35,34 +35,30 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Empty every memo table and ``lru_cache`` of the library.
+    """Empty every process-wide cache of the library.
 
-    Products, ``phi``, the change of basis, the basis enumerations and the
-    m-Tamari lattices are memoised for the life of the process, so a
-    long-running process grows without bound.  Clearing frees that memory;
-    later calls recompute the same results.
+    The basis enumerations, ``phi``, the change of basis, the colorings and
+    the m-Tamari lattices are pure functions memoised by ``functools.cache``
+    for the life of the process, so a long-running process grows without
+    bound.  Clearing frees that memory; later calls recompute the same
+    results.
 
-    The intern tables of ``ColoredTree`` and ``DyckPath`` are not cleared:
-    keys compare by identity, so a live tree would no longer equal its
-    rebuilt twin.  Path products are memoised per ``PathOracle`` and freed
-    with it.
+    Basis products are memoised by the ``TreeOracle`` or ``PathOracle`` that
+    computes them and freed with it.  The intern tables of ``ColoredTree``
+    and ``DyckPath`` are not cleared: keys compare by identity, so a live
+    tree would no longer equal its rebuilt twin.
     """
     from . import paths, posets, simplicial, tamari, trees
 
-    for memo in (
-        trees._PRODUCT_MEMO,
-        trees._BM_CACHE,
-        paths._PHI_MEMO,
-        simplicial._THETA_MEMO,
-        tamari._LATTICE_CACHE,
-    ):
-        memo.clear()
     for cached in (
+        trees._basis,
         paths._enumerate_levels,
         paths.standard_coloring,
+        paths.phi,
         posets._binary_trees,
         posets._planar_trees,
         simplicial._all_colored_trees,
+        simplicial._theta,
+        tamari._lattice,
     ):
         cached.cache_clear()
-

@@ -13,8 +13,7 @@ path of size one, which is the bridge to the colored-tree model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .exactlin import LinComb, bilinear
 from .trees import ColoredTree, _immutable, enumerate_Bm
@@ -126,7 +125,7 @@ def parse_path(m: int, text: str) -> DyckPath:
     return validate_path(m, tokens)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _enumerate_levels(m: int, n: int, remaining_slack: int) -> tuple[tuple[int, ...], ...]:
     # sequences of n further levels given current height remaining_slack = m*j - sum
     if n == 0:
@@ -178,13 +177,6 @@ def prime_factors(P: DyckPath) -> list[DyckPath]:
     return [DyckPath(P.m, block) for block in _prime_blocks(P)]
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Colors of the down steps, left to right; each color occurs m times."""
-
-    colors: tuple[int, ...]
-
-
 def _color_steps(steps: tuple[str, ...], m: int) -> list[int]:
     # Peel the first up step; its m matching down steps (the first steps to
     # reach heights m-1, ..., 0 relative to the start) get color 1, and the
@@ -231,14 +223,15 @@ def _color_steps(steps: tuple[str, ...], m: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def standard_coloring(P: DyckPath) -> Coloring:
-    return Coloring(tuple(_color_steps(P.steps(), P.m)))
+@cache
+def standard_coloring(P: DyckPath) -> tuple[int, ...]:
+    """Colors of the down steps, left to right; each color occurs m times."""
+    return tuple(_color_steps(P.steps(), P.m))
 
 
 def top_word(P: DyckPath) -> tuple[int, ...]:
     """Colors of the top-level block (the trailing run of down steps)."""
-    colors = standard_coloring(P).colors
+    colors = standard_coloring(P)
     L = P.last_level
     return colors[len(colors) - L:]
 
@@ -349,10 +342,7 @@ class PathOracle:
         return result
 
 
-# pure function of the key; same cache contract as the tree products
-_PHI_MEMO: dict[tuple[ColoredTree, int], LinComb] = {}
-
-
+@cache
 def phi(t: ColoredTree, m: int) -> LinComb:
     """The canonical isomorphism from basis trees to the path model.
 
@@ -360,18 +350,9 @@ def phi(t: ColoredTree, m: int) -> LinComb:
     Accepts any colored tree (not only basis trees), which is how elements
     written in the alternative bases are compared across models.
     """
-    key = (t, m)
-    hit = _PHI_MEMO.get(key)
-    if hit is not None:
-        return hit
     if t.is_leaf:
-        result = LinComb.single(rho(m))
-    else:
-        result = bilinear(
-            phi(t.left, m), phi(t.right, m), lambda a, b: path_product(a, b, t.color)
-        )
-    _PHI_MEMO[key] = result
-    return result
+        return LinComb.single(rho(m))
+    return bilinear(phi(t.left, m), phi(t.right, m), lambda a, b: path_product(a, b, t.color))
 
 
 def phi_matrix_full_rank(m: int, n: int) -> bool:
@@ -402,7 +383,7 @@ def decompose_smaller(P: DyckPath) -> tuple[DyckPath, DyckPath, int]:
         for f in factors[1:-1]:
             R1 = concat_i(R1, f, 0)
         return R1, factors[-1], 0
-    colors = standard_coloring(P).colors
+    colors = standard_coloring(P)
     steps = P.steps()
     down_positions = [idx for idx, s in enumerate(steps) if s == DOWN]
     one_downs = [idx for idx, c in enumerate(colors) if c == 1]

@@ -20,7 +20,7 @@ declarative file format allows user-supplied families to be verified.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache
 
 from .exactlin import LinComb
 from .orders import closure_masks, mask_indices
@@ -205,7 +205,7 @@ def graft_rightmost(t, w):
     return t[:-1] + (graft_rightmost(t[-1], w),)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _binary_trees(leaves: int) -> tuple:
     if leaves == 1:
         return ((),)
@@ -217,7 +217,7 @@ def _binary_trees(leaves: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _planar_trees(leaves: int) -> tuple:
     # all planar rooted trees, every internal vertex of arity >= 2
     if leaves == 1:

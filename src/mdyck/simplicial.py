@@ -13,7 +13,7 @@ those generators.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 from .exactlin import LinComb, linear_sum, rank_of_lincombs
@@ -183,7 +183,7 @@ def is_basis_Bmk(t: ColoredTree, m: int, k: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def _all_colored_trees(m: int, n: int) -> tuple[ColoredTree, ...]:
     if n == 1:
         return (LEAF,)
@@ -202,9 +202,6 @@ def enumerate_Bmk(m: int, k: int, n: int) -> list[ColoredTree]:
     return out
 
 
-_THETA_MEMO: dict = {}
-
-
 def theta_basis(t: ColoredTree, m: int, k: int) -> ColoredTree:
     """The change-of-basis bijection from B(m) onto B(m, k).
 
@@ -217,40 +214,33 @@ def theta_basis(t: ColoredTree, m: int, k: int) -> ColoredTree:
     return _theta(t, m, k)
 
 
+@cache
 def _theta(t: ColoredTree, m: int, k: int) -> ColoredTree:
     if t.is_leaf:
         return t
-    key = (t, m, k)
-    hit = _THETA_MEMO.get(key)
-    if hit is not None:
-        return hit
     color = t.color
     if color != k:
-        result = ColoredTree(color, _theta(t.left, m, k), _theta(t.right, m, k))
-    else:
-        spine = comb_decompose(t, RIGHT)
-        jcolors, jhangs = spine.colors, spine.subtrees  # jcolors[0] == k
-        bad = [idx for idx in range(1, len(jcolors)) if jcolors[idx] > k]
-        if not bad:
-            result = ColoredTree(k, _theta(t.left, m, k), _theta(t.right, m, k))
-        else:
-            # slide the k-node past the first larger right-spine color: the
-            # left comb of that node absorbs the skipped prefix and the old
-            # left child, preserving the algebra element
-            l0 = bad[0]
-            upper = comb_decompose(jhangs[l0], LEFT)
-            skipped = from_right_comb(jcolors[1:l0], jhangs[1:l0])
-            lower = comb_decompose(t.left, LEFT)
-            big = from_left_comb(
-                upper.colors + (k,) + lower.colors,
-                tuple(_theta(x, m, k) for x in upper.subtrees)
-                + (_theta(skipped, m, k),)
-                + tuple(_theta(x, m, k) for x in lower.subtrees),
-            )
-            rest = from_right_comb(jcolors[l0 + 1 :], jhangs[l0 + 1 :])
-            result = ColoredTree(jcolors[l0], big, _theta(rest, m, k))
-    _THETA_MEMO[key] = result
-    return result
+        return ColoredTree(color, _theta(t.left, m, k), _theta(t.right, m, k))
+    spine = comb_decompose(t, RIGHT)
+    jcolors, jhangs = spine.colors, spine.subtrees  # jcolors[0] == k
+    bad = [idx for idx in range(1, len(jcolors)) if jcolors[idx] > k]
+    if not bad:
+        return ColoredTree(k, _theta(t.left, m, k), _theta(t.right, m, k))
+    # slide the k-node past the first larger right-spine color: the left comb
+    # of that node absorbs the skipped prefix and the old left child,
+    # preserving the algebra element
+    l0 = bad[0]
+    upper = comb_decompose(jhangs[l0], LEFT)
+    skipped = from_right_comb(jcolors[1:l0], jhangs[1:l0])
+    lower = comb_decompose(t.left, LEFT)
+    big = from_left_comb(
+        upper.colors + (k,) + lower.colors,
+        tuple(_theta(x, m, k) for x in upper.subtrees)
+        + (_theta(skipped, m, k),)
+        + tuple(_theta(x, m, k) for x in lower.subtrees),
+    )
+    rest = from_right_comb(jcolors[l0 + 1 :], jhangs[l0 + 1 :])
+    return ColoredTree(jcolors[l0], big, _theta(rest, m, k))
 
 
 def theta_basis_inverse(t: ColoredTree, m: int, k: int) -> ColoredTree:

@@ -10,6 +10,7 @@ statistics of the top color word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .orders import closure_masks, mask_indices
 from .paths import (
@@ -112,18 +113,17 @@ class TamariLattice:
         return self.elements[best[0]]
 
 
-_LATTICE_CACHE: dict[tuple[int, int], TamariLattice] = {}
-
 DEFAULT_CAP = 20000
 
 
 def build_lattice(m: int, n: int, cap: int = DEFAULT_CAP) -> TamariLattice:
     if fuss_catalan(m, n) > cap:
         raise ValueError(f"d({m},{n}) = {fuss_catalan(m, n)} exceeds cap {cap}")
-    key = (m, n)
-    hit = _LATTICE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _lattice(m, n)
+
+
+@cache
+def _lattice(m: int, n: int) -> TamariLattice:
     elements = tuple(enumerate_paths(m, n))
     index = {p: i for i, p in enumerate(elements)}
     pairs = []
@@ -131,9 +131,7 @@ def build_lattice(m: int, n: int, cap: int = DEFAULT_CAP) -> TamariLattice:
         for q in covers(p):
             pairs.append((i, index[q]))
     up, down = closure_masks(len(elements), pairs)
-    lattice = TamariLattice(m, n, elements, index, tuple(up), tuple(down), tuple(pairs))
-    _LATTICE_CACHE[key] = lattice
-    return lattice
+    return TamariLattice(m, n, elements, index, tuple(up), tuple(down), tuple(pairs))
 
 
 def _class_lengths(P: DyckPath, i: int) -> list[int]:
@@ -239,9 +237,9 @@ def rotation_preserves_colors(m: int, n: int) -> bool:
     """Down-step colors are invariant along covering rotations."""
     for P in enumerate_paths(m, n):
         steps = P.steps()
-        colors = standard_coloring(P).colors
+        colors = standard_coloring(P)
         for pos, end, rotated_steps in _rotations(P):
-            rotated_colors = standard_coloring(_path_from_steps(m, rotated_steps)).colors
+            rotated_colors = standard_coloring(_path_from_steps(m, rotated_steps))
             # the moved step was down #k; it becomes down #k' where k' counts
             # downs among steps[:end+1] minus the removed one
             k = sum(1 for s in steps[:pos] if s == DOWN)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .exactlin import LinComb, bilinear, linear_sum
@@ -232,34 +233,26 @@ def is_basis_Bm(t: ColoredTree, m: int) -> bool:
     return True
 
 
-_BM_CACHE: dict[tuple[int, int], tuple[ColoredTree, ...]] = {}
-
-
 def enumerate_Bm(m: int, n: int) -> list[ColoredTree]:
     """All basis trees of degree n, canonically ordered; |result| = d(m, n)."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    key = (m, n)
-    cached = _BM_CACHE.get(key)
-    if cached is None:
-        if n == 1:
-            cached = (LEAF,)
-        else:
-            out = []
-            for n_left in range(1, n):
-                for t_left in enumerate_Bm(m, n_left):
-                    top = m if t_left.is_leaf else t_left.color - 1
-                    for t_right in enumerate_Bm(m, n - n_left):
-                        for i in range(top + 1):
-                            out.append(ColoredTree(i, t_left, t_right))
-            out.sort(key=ColoredTree.sort_key)
-            cached = tuple(out)
-        _BM_CACHE[key] = cached
-    return list(cached)
+    return list(_basis(m, n))
 
 
-# pure function of the key, so concurrent writers always agree
-_PRODUCT_MEMO: dict[tuple, LinComb] = {}
+@cache
+def _basis(m: int, n: int) -> tuple[ColoredTree, ...]:
+    if n == 1:
+        return (LEAF,)
+    out = []
+    for n_left in range(1, n):
+        for t_left in _basis(m, n_left):
+            top = m if t_left.is_leaf else t_left.color - 1
+            for t_right in _basis(m, n - n_left):
+                for i in range(top + 1):
+                    out.append(ColoredTree(i, t_left, t_right))
+    out.sort(key=ColoredTree.sort_key)
+    return tuple(out)
 
 
 def _graft_left(t_left: ColoredTree, color: int, lc: LinComb) -> LinComb:
@@ -270,27 +263,43 @@ def _graft_right(lc: LinComb, color: int, w: ColoredTree) -> LinComb:
     return LinComb((ColoredTree(color, u, w), c) for u, c in lc.items())
 
 
-def _tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
-    key = (t, w, i, m)
-    hit = _PRODUCT_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if t.is_leaf or i < t.color:
-        result = LinComb.single(ColoredTree(i, t, w))
-    elif t.color < i:
-        result = _graft_left(t.left, t.color, _tree_product(t.right, w, i, m))
-    else:
-        # (x *_i y) *_i z rewritten through the mixed-associativity relation
-        terms = [
-            (_graft_left(t.left, i, _tree_product(t.right, w, k, m)), 1) for k in range(i + 1)
-        ]
-        terms += [
-            (_graft_right(_tree_product(t.left, t.right, k, m), i, w), -1)
-            for k in range(i + 1, m + 1)
-        ]
-        result = linear_sum(terms)
-    _PRODUCT_MEMO[key] = result
-    return result
+class TreeOracle:
+    """The free algebra on one generator over the basis B(m).
+
+    Products are memoised per oracle, so they are freed with it.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self._memo: dict[tuple[ColoredTree, ColoredTree, int], LinComb] = {}
+
+    def basis(self, n: int) -> list[ColoredTree]:
+        return enumerate_Bm(self.m, n)
+
+    def product(self, x: ColoredTree, y: ColoredTree, i: int) -> LinComb:
+        return self._product(x, y, i)
+
+    def _product(self, t: ColoredTree, w: ColoredTree, i: int) -> LinComb:
+        key = (t, w, i)
+        result = self._memo.get(key)
+        if result is not None:
+            return result
+        if t.is_leaf or i < t.color:
+            result = LinComb.single(ColoredTree(i, t, w))
+        elif t.color < i:
+            result = _graft_left(t.left, t.color, self._product(t.right, w, i))
+        else:
+            # (x *_i y) *_i z rewritten through the mixed-associativity relation
+            terms = [
+                (_graft_left(t.left, i, self._product(t.right, w, k)), 1) for k in range(i + 1)
+            ]
+            terms += [
+                (_graft_right(self._product(t.left, t.right, k), i, w), -1)
+                for k in range(i + 1, self.m + 1)
+            ]
+            result = linear_sum(terms)
+        self._memo[key] = result
+        return result
 
 
 def tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
@@ -303,7 +312,7 @@ def tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
         raise ValueError(f"product index {i} out of range [0, {m}]")
     if not is_basis_Bm(t, m) or not is_basis_Bm(w, m):
         raise ValueError("operands must be basis trees")
-    return _tree_product(t, w, i, m)
+    return TreeOracle(m).product(t, w, i)
 
 
 def tree_normal_form(t: ColoredTree, m: int) -> LinComb:
@@ -312,13 +321,16 @@ def tree_normal_form(t: ColoredTree, m: int) -> LinComb:
     Leaves map to the degree-1 basis tree and every vertex of color i to the
     product *_i; the result is the expansion of t in the basis B(m).
     """
-    if t.is_leaf:
-        return LinComb.single(LEAF)
     if t.max_color() > m:
         raise ValueError("color exceeds m")
-    left = tree_normal_form(t.left, m)
-    right = tree_normal_form(t.right, m)
-    return bilinear(left, right, lambda a, b: _tree_product(a, b, t.color, m))
+    product = TreeOracle(m).product
+
+    def walk(u: ColoredTree) -> LinComb:
+        if u.is_leaf:
+            return LinComb.single(LEAF)
+        return bilinear(walk(u.left), walk(u.right), lambda a, b: product(a, b, u.color))
+
+    return walk(t)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +358,7 @@ class LabeledTreeOracle:
     def __init__(self, m: int, alphabet: tuple[str, ...] = ("x",)):
         self.m = m
         self.alphabet = alphabet
+        self._trees = TreeOracle(m)
 
     def basis(self, n: int) -> list:
         return [
@@ -360,7 +373,7 @@ class LabeledTreeOracle:
     def product(self, x, y, i: int) -> LinComb:
         t, a = x
         w, b = y
-        return LinComb(((u, a + b), c) for u, c in _tree_product(t, w, i, self.m).items())
+        return LinComb(((u, a + b), c) for u, c in self._trees.product(t, w, i).items())
 
 
 def evaluate_expression(expr: Expression, m: int, multiplier=None, generators=None) -> LinComb:
@@ -397,23 +410,6 @@ def _expression_gens(expr: Expression):
     else:
         yield from _expression_gens(expr.left)
         yield from _expression_gens(expr.right)
-
-
-# ---------------------------------------------------------------------------
-# Product oracles and the axiom checker
-
-
-class TreeOracle:
-    """The free algebra on one generator over the basis B(m)."""
-
-    def __init__(self, m: int):
-        self.m = m
-
-    def basis(self, n: int) -> list[ColoredTree]:
-        return enumerate_Bm(self.m, n)
-
-    def product(self, x: ColoredTree, y: ColoredTree, i: int) -> LinComb:
-        return _tree_product(x, y, i, self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +557,6 @@ def verify_dyck_axioms(
         raise ValueError("need max_total_degree >= 3")
     name = f"axioms m={m} degree<={max_total_degree}"
     return _sweep(name, dyck_relations(m), m, max_total_degree, multiplier, basis_enumerator)
-
-
-def circ_basis_convert(products: list[Callable]) -> list[Callable]:
-    """Partial-sum change of products: o_i = p_0 + ... + p_i."""
-
-    def make(i: int):
-        def circ(x, y):
-            return linear_sum((products[j](x, y), 1) for j in range(i + 1))
-
-        return circ
-
-    return [make(i) for i in range(len(products))]
 
 
 def verify_circ_relations(

@@ -10,26 +10,18 @@ import pytest
 import mdyck
 from mdyck import paths, posets, simplicial, tamari, trees
 
-MEMOS = (
-    trees._PRODUCT_MEMO,
-    trees._BM_CACHE,
-    paths._PHI_MEMO,
-    simplicial._THETA_MEMO,
-    tamari._LATTICE_CACHE,
-)
 
-
-def _lru_caches():
+def _caches():
     return [
         value
-        for module in (paths, posets, simplicial)
+        for module in (trees, paths, posets, simplicial, tamari)
         for value in vars(module).values()
         if hasattr(value, "cache_clear")
     ]
 
 
 def _results():
-    # one call into every memo and lru_cache that clear_caches empties
+    # one call into every cache that clear_caches empties
     basis = trees.enumerate_Bm(2, 3)
     return (
         [trees.tree_product(t, w, i, 2) for t in basis for w in basis[:3] for i in range(3)],
@@ -44,11 +36,9 @@ def _results():
 
 def test_clear_caches_empties_memos_and_keeps_results():
     before = _results()
-    assert all(MEMOS)
-    assert all(cache.cache_info().currsize for cache in _lru_caches())
+    assert all(cache.cache_info().currsize for cache in _caches())
     mdyck.clear_caches()
-    assert not any(MEMOS)
-    assert all(cache.cache_info().currsize == 0 for cache in _lru_caches())
+    assert all(cache.cache_info().currsize == 0 for cache in _caches())
     assert _results() == before
 
 
@@ -112,6 +102,25 @@ def test_path_memo_is_freed_with_its_oracle():
     gc.collect()
     assert ref() is None
     assert not paths.PathOracle(2)._memo
+
+
+def test_tree_memo_is_freed_with_its_oracle():
+    oracle = trees.TreeOracle(3)
+    assert trees.verify_dyck_axioms(3, 6, oracle.product, oracle.basis).ok
+    assert oracle._memo
+    ref = weakref.ref(oracle)
+    del oracle
+    gc.collect()
+    assert ref() is None
+
+
+def test_fresh_tree_oracle_recomputes_the_same_products():
+    swept = trees.TreeOracle(2)
+    assert trees.verify_dyck_axioms(2, 5, swept.product, swept.basis).ok
+    fresh = trees.TreeOracle(2)
+    assert not fresh._memo
+    for key, product in swept._memo.items():
+        assert fresh.product(*key) == product
 
 
 KEYS = (

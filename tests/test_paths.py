@@ -74,18 +74,18 @@ def test_prime_factorization():
 
 def test_coloring():
     for m in (1, 2, 3):
-        assert standard_coloring(rho(m)).colors == (1,) * m
-    assert standard_coloring(P(2, "1,3")).colors == (1, 2, 2, 1)
+        assert standard_coloring(rho(m)) == (1,) * m
+    assert standard_coloring(P(2, "1,3")) == (1, 2, 2, 1)
     # every color appears exactly m times
     for n in range(1, 5):
         for path in enumerate_paths(2, n):
-            colors = standard_coloring(path).colors
+            colors = standard_coloring(path)
             assert sorted(colors) == sorted(
                 itertools.chain.from_iterable([c] * 2 for c in range(1, n + 1))
             )
     # per-level blocks are weakly decreasing
     for path in enumerate_paths(2, 4):
-        colors = standard_coloring(path).colors
+        colors = standard_coloring(path)
         pos = 0
         for level in path.levels:
             block = colors[pos : pos + level]

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from mdyck.exactlin import LinComb
 from mdyck.series import fuss_catalan
+from mdyck.simplicial import SlotTransformedOracle
 from mdyck.trees import (
     LEAF,
     LEFT,
@@ -12,7 +13,6 @@ from mdyck.trees import (
     ColoredTree,
     Gen,
     TreeOracle,
-    circ_basis_convert,
     comb_decompose,
     comb_reassemble,
     enumerate_Bm,
@@ -249,14 +249,12 @@ def test_normal_form():
 
 def test_circ_convert():
     oracle = TreeOracle(2)
-    products = [
-        (lambda i: (lambda x, y: oracle.product(x, y, i)))(i) for i in range(3)
-    ]
-    circ = circ_basis_convert(products)
+    # partial sums o_i = *_0 + ... + *_i
+    circ = SlotTransformedOracle(oracle, ((0,), (0, 1), (0, 1, 2)))
     a, b = t("(2 | |)"), LEAF
-    assert circ[0](a, b) == products[0](a, b)
-    full = products[0](a, b) + products[1](a, b) + products[2](a, b)
-    assert circ[2](a, b) == full
+    assert circ.product(a, b, 0) == oracle.product(a, b, 0)
+    full = oracle.product(a, b, 0) + oracle.product(a, b, 1) + oracle.product(a, b, 2)
+    assert circ.product(a, b, 2) == full
 
 
 def test_circ_relations():
