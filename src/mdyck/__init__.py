@@ -37,11 +37,13 @@ __all__ = [
 def clear_caches() -> None:
     """Empty every process-wide cache of the library.
 
-    The basis enumerations, ``phi``, the change of basis, the colorings and
-    the m-Tamari lattices are pure functions memoised by ``functools.cache``
-    for the life of the process, so a long-running process grows without
-    bound.  Clearing frees that memory; later calls recompute the same
-    results.
+    The basis enumerations, ``phi``, the change of basis, the colorings, the
+    per-path statistics behind ``path_product`` and the interval bounds (the
+    multiplicity classes of the top word and the prime blocks), the weak
+    compositions and the m-Tamari lattices are pure functions memoised by
+    ``functools.cache`` for the life of the process, so a long-running
+    process grows without bound.  Clearing frees that memory; later calls
+    recompute the same results.
 
     Basis products are memoised by the ``TreeOracle`` or ``PathOracle`` that
     computes them and freed with it.  The intern tables of ``ColoredTree``
@@ -54,6 +56,9 @@ def clear_caches() -> None:
         trees._basis,
         paths._enumerate_levels,
         paths.standard_coloring,
+        paths._classes,
+        paths._prime_blocks,
+        paths._weak_compositions,
         paths.phi,
         posets._binary_trees,
         posets._planar_trees,

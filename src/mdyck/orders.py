@@ -16,13 +16,22 @@ def closure_masks(count: int, covers: Iterable[tuple[int, int]]):
     ``covers`` holds index pairs (lo, hi).  Returns ``(up, down)`` where
     ``up[i]`` is the bitmask of indices j with i <= j and ``down`` the
     converse.  Raises on a cycle.
+
+    A depth-first search along the covers builds each up-set from the
+    up-sets of the elements above it when it finishes an element.  The
+    reverse of that finishing order lists every element after all elements
+    below it, so one pass in that order builds the down-sets the same way:
+    one OR per cover on each side.
     """
     above: list[list[int]] = [[] for _ in range(count)]
+    below: list[list[int]] = [[] for _ in range(count)]
     for lo, hi in covers:
         above[lo].append(hi)
+        below[hi].append(lo)
 
     up = [0] * count
     state = [0] * count  # 0 new, 1 active, 2 done
+    finished: list[int] = []
     for start in range(count):
         if state[start]:
             continue
@@ -45,14 +54,14 @@ def closure_masks(count: int, covers: Iterable[tuple[int, int]]):
                     mask |= up[nxt]
                 up[node] = mask
                 state[node] = 2
+                finished.append(node)
                 stack.pop()
     down = [0] * count
-    for i in range(count):
-        mask = up[i]
-        while mask:
-            low = mask & -mask
-            down[low.bit_length() - 1] |= 1 << i
-            mask ^= low
+    for node in reversed(finished):
+        mask = 1 << node
+        for lower in below[node]:
+            mask |= down[lower]
+        down[node] = mask
     return up, down
 
 

@@ -159,7 +159,8 @@ def concat_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     return DyckPath(P.m, levels)
 
 
-def _prime_blocks(P: DyckPath) -> list[tuple[int, ...]]:
+@cache
+def _prime_blocks(P: DyckPath) -> tuple[tuple[int, ...], ...]:
     # level sequences of the prime factors: cut after every return to the axis
     out = []
     total = 0
@@ -169,7 +170,7 @@ def _prime_blocks(P: DyckPath) -> list[tuple[int, ...]]:
         if total == P.m * j:
             out.append(P.levels[start:j])
             start = j
-    return out
+    return tuple(out)
 
 
 def prime_factors(P: DyckPath) -> list[DyckPath]:
@@ -236,34 +237,45 @@ def top_word(P: DyckPath) -> tuple[int, ...]:
     return colors[len(colors) - L:]
 
 
-def _weak_compositions(total: int, parts: int):
+@cache
+def _weak_compositions(total: int, parts: int) -> tuple[WeakComposition, ...]:
+    # in lexicographic order
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((),) if total == 0 else ()
+    return tuple(
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in _weak_compositions(total - first, parts - 1)
+    )
 
 
-def _multiplicity_class(P: DyckPath, i: int) -> list[int]:
+@cache
+def _classes(P: DyckPath) -> tuple[tuple[int, ...], ...]:
+    """All m+1 multiplicity classes of the top word, from one scan.
+
+    Entry i holds the suffix lengths whose maximal letter multiplicity is i,
+    in increasing order; the maximum only grows with the suffix, so each
+    length falls in exactly one class.
+    """
+    classes: list[list[int]] = [[0]] + [[] for _ in range(P.m)]
+    counts: dict[int, int] = {}
+    best = 0
+    for length, letter in enumerate(reversed(top_word(P)), start=1):
+        count = counts[letter] = counts.get(letter, 0) + 1
+        if count > best:
+            best = count
+        classes[best].append(length)
+    return tuple(tuple(lengths) for lengths in classes)
+
+
+def _multiplicity_class(P: DyckPath, i: int) -> tuple[int, ...]:
     """The suffix lengths of the top word whose maximal letter multiplicity is i.
 
     The lengths come in increasing order; the class may be empty.
     """
     if not 0 <= i <= P.m:
         raise ValueError("class index out of range")
-    counts: dict[int, int] = {}
-    lengths = [0] if i == 0 else []
-    best = 0
-    for length, letter in enumerate(reversed(top_word(P)), start=1):
-        counts[letter] = counts.get(letter, 0) + 1
-        best = max(best, counts[letter])
-        if best > i:
-            break
-        if best == i:
-            lengths.append(length)
-    return lengths
+    return _classes(P)[i]
 
 
 def lambda_sets(P: DyckPath, r: int, i: int) -> list[WeakComposition]:
@@ -277,10 +289,9 @@ def lambda_sets(P: DyckPath, r: int, i: int) -> list[WeakComposition]:
     if r < 0:
         raise ValueError("need r >= 0")
     L = P.last_level
-    out = []
-    for last in lengths:
-        for prefix in _weak_compositions(L - last, r):
-            out.append(prefix + (last,))
+    out = [
+        prefix + (last,) for last in lengths for prefix in _weak_compositions(L - last, r)
+    ]
     out.sort()
     return out
 

@@ -357,11 +357,13 @@ def verify_Sk_freeness(
     if max_degree < 1:
         raise ValueError("need max_degree >= 1")
     report = CheckReport(name=f"freeness of merged products m={m} k={k}")
-    product = degeneracy_oracle(TreeOracle(m), k).product
+    oracle = TreeOracle(m)
+    product = degeneracy_oracle(oracle, k).product
     for n in range(1, max_degree + 1):
         dim = fuss_catalan(m, n)
         basis = enumerate_Bm(m, n)
-        vectors = [tree_normal_form(t, m) for t in generators_fn(m, k, n)]
+        generators = generators_fn(m, k, n)
+        vectors = [oracle.normal_form(t) for t in generators]
         for n1 in range(1, n):
             for t in enumerate_Bm(m, n1):
                 for w in enumerate_Bm(m, n - n1):
@@ -374,7 +376,7 @@ def verify_Sk_freeness(
                 f"degree {n}: generated subspace has rank {rank}, expected {dim}"
             )
             return report
-        count = len(generators_fn(m, k, n))
+        count = len(generators)
         expected = 1 if n == 1 else fuss_catalan(m, n - 1)
         report.checks += 1
         if count != expected:

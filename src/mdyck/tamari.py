@@ -52,8 +52,28 @@ def _rotations(P: DyckPath):
 
 
 def covers(P: DyckPath) -> list[DyckPath]:
-    """All rotations P -> P_(d): move a pre-up down step past the excursion."""
-    out = [_path_from_steps(P.m, rotated) for _, _, rotated in _rotations(P)]
+    """All rotations P -> P_(d): move a pre-up down step past the excursion.
+
+    On level sequences: the last down step of level k (L_k >= 1, k < n)
+    precedes up step k+1, whose excursion closes in the first level j > k
+    with sum_{t=k+1..j} (m - L_t) <= 0.  The rotation moves that down step
+    from level k to level j; :func:`_rotations` is the same walk on steps.
+    """
+    m, levels = P.m, P.levels
+    n = len(levels)
+    out = []
+    for k in range(n - 1):
+        if not levels[k]:
+            continue
+        rise = 0
+        for j in range(k + 1, n):
+            rise += m - levels[j]
+            if rise <= 0:
+                break
+        rotated = list(levels)
+        rotated[k] -= 1
+        rotated[j] += 1
+        out.append(DyckPath(m, tuple(rotated)))
     out.sort(key=DyckPath.sort_key)
     return out
 
@@ -170,8 +190,33 @@ def backslash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     return concat_i(result, factors[-1], depth)
 
 
+def _interval_mask(lattice: TamariLattice, lo: DyckPath, hi: DyckPath) -> int | None:
+    """Bitmask of [lo, hi]; None when a bound is outside the lattice or lo is
+    not below hi (the interval is empty exactly then)."""
+    a, b = lattice.index.get(lo), lattice.index.get(hi)
+    if a is None or b is None:
+        return None
+    return lattice.up[a] & lattice.down[b] or None
+
+
+def _support_mask(lattice: TamariLattice, paths) -> int | None:
+    """Bitmask of a set of paths; None when one is outside the lattice."""
+    mask = 0
+    for path in paths:
+        k = lattice.index.get(path)
+        if k is None:
+            return None
+        mask |= 1 << k
+    return mask
+
+
 def verify_interval_product(m: int, max_size: int) -> CheckReport:
-    """Products are exactly interval sums, and the classes tile the big interval."""
+    """Products are exactly interval sums, and the classes tile the big interval.
+
+    Supports and intervals are compared as bitmasks over the lattice index.
+    A support path outside the lattice or an unordered bound pair is a
+    failed check, never an exception.
+    """
     if max_size < 2:
         raise ValueError("need max_size >= 2")
     report = CheckReport(name=f"interval products m={m} size<={max_size}")
@@ -182,9 +227,9 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
             n2 = total - n1
             for P in enumerate_paths(m, n1):
                 for Q in enumerate_paths(m, n2):
-                    union: set[DyckPath] = set()
-                    expected_union = set(
-                        lattice.interval(slash_i(P, Q, 0), backslash_i(P, Q, m))
+                    union = 0
+                    expected_union = _interval_mask(
+                        lattice, slash_i(P, Q, 0), backslash_i(P, Q, m)
                     )
                     for i in range(m + 1):
                         product = path_product(P, Q, i)
@@ -192,14 +237,13 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
                         if any(c != 1 for _, c in product.items()):
                             report.fail(f"non-unit coefficient in {P!r}*_{i}{Q!r}")
                             return report
-                        support = product.support()
-                        expected = set(
-                            lattice.interval(slash_i(P, Q, i), backslash_i(P, Q, i))
-                        )
-                        if support != expected:
+                        support = _support_mask(lattice, product)
+                        lo, hi = slash_i(P, Q, i), backslash_i(P, Q, i)
+                        expected = _interval_mask(lattice, lo, hi)
+                        if support is None or support != expected:
                             report.fail(
                                 f"support of {P!r} *_{i} {Q!r} is not the interval "
-                                f"[{slash_i(P, Q, i)!r}, {backslash_i(P, Q, i)!r}]"
+                                f"[{lo!r}, {hi!r}]"
                             )
                             return report
                         if support & union:

@@ -301,6 +301,23 @@ class TreeOracle:
         self._memo[key] = result
         return result
 
+    def normal_form(self, t: ColoredTree) -> LinComb:
+        """Evaluate the grafting structure of an arbitrary colored tree.
+
+        Leaves map to the degree-1 basis tree and every vertex of color i to
+        the product *_i; the result is the expansion of t in the basis B(m).
+        """
+        if t.max_color() > self.m:
+            raise ValueError("color exceeds m")
+        product = self.product
+
+        def walk(u: ColoredTree) -> LinComb:
+            if u.is_leaf:
+                return LinComb.single(LEAF)
+            return bilinear(walk(u.left), walk(u.right), lambda a, b: product(a, b, u.color))
+
+        return walk(t)
+
 
 def tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
     """Expansion of t *_i w in the basis B(m).
@@ -316,21 +333,12 @@ def tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
 
 
 def tree_normal_form(t: ColoredTree, m: int) -> LinComb:
-    """Evaluate the grafting structure of an arbitrary colored tree.
+    """Expansion of an arbitrary colored tree in the basis B(m).
 
-    Leaves map to the degree-1 basis tree and every vertex of color i to the
-    product *_i; the result is the expansion of t in the basis B(m).
+    :meth:`TreeOracle.normal_form` on a fresh oracle; a color above m
+    raises ``ValueError``.
     """
-    if t.max_color() > m:
-        raise ValueError("color exceeds m")
-    product = TreeOracle(m).product
-
-    def walk(u: ColoredTree) -> LinComb:
-        if u.is_leaf:
-            return LinComb.single(LEAF)
-        return bilinear(walk(u.left), walk(u.right), lambda a, b: product(a, b, u.color))
-
-    return walk(t)
+    return TreeOracle(m).normal_form(t)
 
 
 # ---------------------------------------------------------------------------

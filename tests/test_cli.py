@@ -126,6 +126,32 @@ def test_truncated_poset_line_is_usage_error(tmp_path, line):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cyclic_poset_file_is_usage_error(tmp_path):
+    path = tmp_path / "cycle.poset"
+    path.write_text(
+        "\n".join(
+            [
+                "degree 1",
+                "elem e",
+                "degree 2",
+                "elem a",
+                "elem b",
+                "cover a b",
+                "cover b a",
+                "prod / e e -> a",
+                "prod bot e e -> a",
+                "prod top e e -> b",
+                "prod \\ e e -> b",
+            ]
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = _usage_error(["verify", "--suite", "poset", "--file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: cycle in cover relation (not a partial order)\n"
+
+
 def test_hasse():
     code, out = run(["hasse", "--m", "2", "--n", "1"])
     assert code == 0

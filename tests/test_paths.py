@@ -5,6 +5,7 @@ import pytest
 
 from mdyck.exactlin import LinComb, bilinear
 from mdyck.series import fuss_catalan
+from mdyck.tamari import C_bound, c_bound
 from mdyck.trees import LEAF, TreeOracle, enumerate_Bm, node, verify_dyck_axioms
 from mdyck.paths import (
     DyckPath,
@@ -103,6 +104,68 @@ def test_top_word():
         omega = top_word(path)
         if path.last_level >= 2:
             assert omega[:2] == (3, 3)
+
+
+def _scan_class(path, i):
+    # one class per scan of the top word, stopping once the multiplicity
+    # passes i
+    if not 0 <= i <= path.m:
+        raise ValueError("class index out of range")
+    counts = {}
+    lengths = [0] if i == 0 else []
+    best = 0
+    for length, letter in enumerate(reversed(top_word(path)), start=1):
+        counts[letter] = counts.get(letter, 0) + 1
+        best = max(best, counts[letter])
+        if best > i:
+            break
+        if best == i:
+            lengths.append(length)
+    return lengths
+
+
+def _scan_lambda_sets(path, r, i):
+    lengths = _scan_class(path, i)
+    if r < 0:
+        raise ValueError("need r >= 0")
+    L = path.last_level
+    return sorted(
+        prefix + (last,)
+        for last in lengths
+        for prefix in itertools.product(range(L + 1), repeat=r)
+        if sum(prefix) == L - last
+    )
+
+
+def _scan_bound(path, i, pick):
+    lengths = _scan_class(path, i)
+    if not lengths:
+        raise ValueError(f"no suffix of multiplicity {i}")
+    return pick(lengths)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "raises", str(exc)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_class_statistics_match_per_class_scan(m):
+    for n in range(1, 6):
+        for path in enumerate_paths(m, n):
+            for i in range(-1, m + 2):
+                assert _outcome(c_bound, path, i) == _outcome(
+                    _scan_bound, path, i, lambda lengths: lengths[0]
+                )
+                assert _outcome(C_bound, path, i) == _outcome(
+                    _scan_bound, path, i, lambda lengths: lengths[-1]
+                )
+                for r in range(-1, 3):
+                    assert _outcome(lambda_sets, path, r, i) == _outcome(
+                        _scan_lambda_sets, path, r, i
+                    )
 
 
 def test_lambda_sets():

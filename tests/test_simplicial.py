@@ -245,6 +245,19 @@ def test_freeness_degree_six(k):
     assert report.checks == 22
 
 
+def test_freeness_builds_each_generator_set_once():
+    degrees = []
+
+    def counted(m, k, n):
+        degrees.append(n)
+        return generators_Amk(m, k, n)
+
+    report = verify_Sk_freeness(2, 1, 5, generators_fn=counted)
+    assert report.ok, report.failures
+    assert report.checks == verify_Sk_freeness(2, 1, 5).checks
+    assert degrees == [1, 2, 3, 4, 5]
+
+
 def test_freeness_fault_injection():
     def dropped(m, k, n):
         gens = generators_Amk(m, k, n)

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from mdyck import tamari
+from mdyck.cli import main
+from mdyck.exactlin import LinComb
 from mdyck.paths import (
     DyckPath,
+    _path_from_steps,
     concat_i,
     enumerate_paths,
     lambda_sets,
@@ -15,6 +19,7 @@ from mdyck.paths import (
 )
 from mdyck.tamari import (
     C_bound,
+    _rotations,
     build_lattice,
     c_bound,
     covers,
@@ -34,6 +39,16 @@ def test_covers_examples():
     assert covers(P(2, "2,2")) == [P(2, "1,3")]
     assert covers(P(2, "0,4")) == []
     assert covers(P(2, "1,3")) == [P(2, "0,4")]
+
+
+@pytest.mark.parametrize("m, max_n", [(1, 6), (2, 6), (3, 5)])
+def test_covers_match_rotations_on_steps(m, max_n):
+    # the level-sequence rotation against the walk on the step word
+    for n in range(1, max_n + 1):
+        for path in enumerate_paths(m, n):
+            expected = [_path_from_steps(m, steps) for _, _, steps in _rotations(path)]
+            expected.sort(key=DyckPath.sort_key)
+            assert covers(path) == expected
 
 
 def test_build_lattice_small():
@@ -137,6 +152,60 @@ def test_interval_product_theorem():
     # size 1 has no product to check
     with pytest.raises(ValueError):
         verify_interval_product(2, 1)
+
+
+REAL_PRODUCT, REAL_SLASH, REAL_BACKSLASH = tamari.path_product, tamari.slash_i, tamari.backslash_i
+
+
+def _only_class_m_upper_bound(P, Q, i):
+    # class m shrinks to its upper bound, so the classes miss part of the
+    # full interval while each class still matches its own bounds
+    if i == P.m:
+        return LinComb.single(REAL_BACKSLASH(P, Q, i))
+    return REAL_PRODUCT(P, Q, i)
+
+
+BROKEN_THEOREMS = {
+    "non-unit coefficient": (
+        dict(path_product=lambda P, Q, i: REAL_PRODUCT(P, Q, i).scale(2)),
+        "non-unit coefficient in ((1))*_0((1))",
+    ),
+    "support outside the lattice": (
+        dict(path_product=lambda P, Q, i: REAL_PRODUCT(P, Q, i) + LinComb.single(rho(P.m))),
+        "support of ((1)) *_0 ((1)) is not the interval [((1,1)), ((1,1))]",
+    ),
+    "overlapping classes": (
+        dict(
+            path_product=lambda P, Q, i: REAL_PRODUCT(P, Q, 0),
+            slash_i=lambda P, Q, i: REAL_SLASH(P, Q, 0),
+            backslash_i=lambda P, Q, i: REAL_BACKSLASH(P, Q, 0),
+        ),
+        "overlapping classes at ((1)), ((1)), i=1",
+    ),
+    "classes do not tile": (
+        dict(
+            path_product=_only_class_m_upper_bound,
+            slash_i=lambda P, Q, i: (REAL_BACKSLASH if i == P.m else REAL_SLASH)(P, Q, i),
+        ),
+        "classes of ((0,2)) * ((1)) do not tile the full interval",
+    ),
+    "unordered bounds": (
+        dict(slash_i=REAL_BACKSLASH, backslash_i=REAL_SLASH),
+        "support of ((1)) *_0 ((1,1)) is not the interval [((0,2,1)), ((1,1,1))]",
+    ),
+}
+
+
+@pytest.mark.parametrize("patches, message", BROKEN_THEOREMS.values(), ids=BROKEN_THEOREMS)
+def test_broken_interval_theorem_is_a_failed_report(monkeypatch, capsys, patches, message):
+    for name, fn in patches.items():
+        monkeypatch.setattr(tamari, name, fn)
+    report = verify_interval_product(1, 4)
+    assert report.ok is False
+    assert report.failures == [message]
+    # a failed theorem exits 1, never 2 (the usage-error code)
+    assert main(["verify", "--suite", "tamari-interval", "--m", "1", "--max-size", "4"]) == 1
+    assert capsys.readouterr().out.endswith(f"\n  {message}\n")
 
 
 def test_partition_example():

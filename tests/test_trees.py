@@ -245,6 +245,13 @@ def test_normal_form():
     # a non-basis tree expands through the product recursion
     bad = t("(1 (0 | |) |)")
     assert tree_normal_form(bad, 1) == tree_product(t("(0 | |)"), LEAF, 1, 1)
+    # an oracle's normal form shares its product memo and agrees with it
+    oracle = TreeOracle(1)
+    assert oracle.normal_form(bad) == tree_normal_form(bad, 1)
+    assert oracle._memo
+    for normalize in (oracle.normal_form, lambda tree: tree_normal_form(tree, 1)):
+        with pytest.raises(ValueError, match="color exceeds m"):
+            normalize(t("(2 | |)"))
 
 
 def test_circ_convert():
