@@ -166,15 +166,15 @@ def _only_class_m_upper_bound(P, Q, i):
 
 
 BROKEN_THEOREMS = {
-    "non-unit coefficient": (
+    "non-unit-coefficient": (
         dict(path_product=lambda P, Q, i: REAL_PRODUCT(P, Q, i).scale(2)),
         "non-unit coefficient in ((1))*_0((1))",
     ),
-    "support outside the lattice": (
+    "support-outside-the-lattice": (
         dict(path_product=lambda P, Q, i: REAL_PRODUCT(P, Q, i) + LinComb.single(rho(P.m))),
         "support of ((1)) *_0 ((1)) is not the interval [((1,1)), ((1,1))]",
     ),
-    "overlapping classes": (
+    "overlapping-classes": (
         dict(
             path_product=lambda P, Q, i: REAL_PRODUCT(P, Q, 0),
             slash_i=lambda P, Q, i: REAL_SLASH(P, Q, 0),
@@ -182,21 +182,21 @@ BROKEN_THEOREMS = {
         ),
         "overlapping classes at ((1)), ((1)), i=1",
     ),
-    "classes do not tile": (
+    "classes-do-not-tile": (
         dict(
             path_product=_only_class_m_upper_bound,
             slash_i=lambda P, Q, i: (REAL_BACKSLASH if i == P.m else REAL_SLASH)(P, Q, i),
         ),
         "classes of ((0,2)) * ((1)) do not tile the full interval",
     ),
-    "unordered bounds": (
+    "unordered-bounds": (
         dict(slash_i=REAL_BACKSLASH, backslash_i=REAL_SLASH),
         "support of ((1)) *_0 ((1,1)) is not the interval [((0,2,1)), ((1,1,1))]",
     ),
 }
 
 
-@pytest.mark.parametrize("patches, message", BROKEN_THEOREMS.values(), ids=BROKEN_THEOREMS)
+@pytest.mark.parametrize("patches, message", BROKEN_THEOREMS.values(), ids=list(BROKEN_THEOREMS))
 def test_broken_interval_theorem_is_a_failed_report(monkeypatch, capsys, patches, message):
     for name, fn in patches.items():
         monkeypatch.setattr(tamari, name, fn)
