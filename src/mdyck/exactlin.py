@@ -128,32 +128,18 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        data = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = data.get(key, 0) + coeff
-            if acc:
-                if type(acc) is not int and acc.denominator == 1:
-                    acc = acc.numerator
-                data[key] = acc
-            else:
-                data.pop(key, None)
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return linear_sum(((self, 1), (other, 1)))
 
     def __neg__(self) -> "LinComb":
-        out = LinComb.__new__(LinComb)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return linear_sum(((self, -1),))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-other)
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        return linear_sum(((self, 1), (other, -1)))
 
     def scale(self, c) -> "LinComb":
-        c = _exact(c)
-        out = LinComb.__new__(LinComb)
-        out._terms = {} if not c else {k: _exact(c * v) for k, v in self._terms.items()}
-        return out
+        return linear_sum(((self, c),))
 
     def __mul__(self, c) -> "LinComb":
         return self.scale(c)

@@ -1,13 +1,17 @@
-"""Finite poset utilities: closures of cover relations, intervals.
+"""Finite posets materialized on an indexed element tuple.
 
-Posets are materialized on an indexed element list; the order relation is
-stored as one up-set bitmask per element, which makes interval enumeration
-a single AND.
+:class:`FinitePoset` is the one finite-poset type of the package: the
+m-Tamari lattices and every degree of a dendriform-poset family are
+instances.  The order is stored as one up-set and one down-set bitmask per
+element index, built once from the covers by :func:`closure_masks`, so an
+interval is a single AND and a chain extends by masking with an up-set.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
+
+from .trees import _immutable
 
 
 def closure_masks(count: int, covers: Iterable[tuple[int, int]]):
@@ -71,3 +75,59 @@ def mask_indices(mask: int):
         yield low.bit_length() - 1
         mask ^= low
 
+
+class FinitePoset:
+    """A finite poset on an element tuple; immutable after construction.
+
+    ``above(x)`` gives the elements y > x that generate the order; the
+    reflexive-transitive closure is taken once.  ``index`` maps each element
+    to its position in ``elements``, ``cover_pairs`` holds the generating
+    index pairs (lo, hi), and ``up[i]`` / ``down[i]`` are the bitmasks of
+    the indices above / below index i.
+    """
+
+    __slots__ = ("elements", "index", "cover_pairs", "up", "down")
+
+    def __init__(self, elements: Iterable, above: Callable[[object], Iterable]):
+        elements = tuple(elements)
+        index = {x: i for i, x in enumerate(elements)}
+        pairs = tuple((i, index[y]) for i, x in enumerate(elements) for y in above(x))
+        up, down = closure_masks(len(elements), pairs)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "cover_pairs", pairs)
+        object.__setattr__(self, "up", tuple(up))
+        object.__setattr__(self, "down", tuple(down))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def interval_mask(self, lo, hi) -> int:
+        """Bitmask of [lo, hi]; 0 exactly when lo is not below hi."""
+        return self.up[self.index[lo]] & self.down[self.index[hi]]
+
+    def leq(self, x, y) -> bool:
+        return bool(self.up[self.index[x]] >> self.index[y] & 1)
+
+    def members(self, mask: int) -> list:
+        """The elements whose indices are the bits of ``mask``, in order."""
+        elements = self.elements
+        return [elements[i] for i in mask_indices(mask)]
+
+    def chains(self, masks) -> list[tuple]:
+        """Weakly increasing chains (u_1, ..., u_k), u_j among the bits of masks[j].
+
+        Chains come in lexicographic index order.
+        """
+        elements, up, depth = self.elements, self.up, len(masks)
+        out: list[tuple] = []
+
+        def extend(chain: tuple, allowed: int) -> None:
+            j = len(chain)
+            if j == depth:
+                out.append(tuple(elements[i] for i in chain))
+                return
+            for i in mask_indices(masks[j] & allowed):
+                extend(chain + (i,), up[i])
+
+        extend((), -1)
+        return out

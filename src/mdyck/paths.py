@@ -160,22 +160,23 @@ def concat_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
 
 
 @cache
-def _prime_blocks(P: DyckPath) -> tuple[tuple[int, ...], ...]:
-    # level sequences of the prime factors: cut after every return to the axis
+def _prime_blocks(P: DyckPath) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # the prime factors, cut after every return to the axis, each as
+    # (its levels before the last, its last level)
     out = []
     total = 0
     start = 0
     for j, lv in enumerate(P.levels, start=1):
         total += lv
         if total == P.m * j:
-            out.append(P.levels[start:j])
+            out.append((P.levels[start : j - 1], lv))
             start = j
     return tuple(out)
 
 
 def prime_factors(P: DyckPath) -> list[DyckPath]:
     """The unique factorization P = P_1 x_0 ... x_0 P_r into prime paths."""
-    return [DyckPath(P.m, block) for block in _prime_blocks(P)]
+    return [DyckPath(P.m, body + (last,)) for body, last in _prime_blocks(P)]
 
 
 def _color_steps(steps: tuple[str, ...], m: int) -> list[int]:
@@ -313,26 +314,34 @@ def star_lambda(P: DyckPath, Q: DyckPath, lam: WeakComposition) -> DyckPath:
     return result
 
 
-def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
-    """P *_i Q: the sum of P *_lam Q over the class-i compositions.
+def _star_paths(P: DyckPath, blocks, lams) -> list[DyckPath]:
+    """P *_lam Q for each lam in ``lams``, where ``blocks`` is ``_prime_blocks(Q)``.
 
-    Q is factored once per call.  Unrolling the nested ``concat_i`` chain of
-    :func:`star_lambda` gives each P *_lam Q directly on level sequences:
-    the levels of P with L(P) replaced by lam_0, then for each prime factor
-    of Q its levels with lam_k added to the last one.  Only the finished
-    path is validated.
+    Unrolling the nested ``concat_i`` chain of :func:`star_lambda` gives
+    P *_lam Q directly on level sequences: the levels of P with L(P)
+    replaced by lam_0, then for each prime factor of Q its levels with
+    lam_k added to the last one.  Only the finished path is validated.
     """
-    if P.m != Q.m:
-        raise ValueError("mixed m")
-    blocks = [(block[:-1], block[-1]) for block in _prime_blocks(Q)]
     head = P.levels[:-1]
     out = []
-    for lam in lambda_sets(P, len(blocks), i):
+    for lam in lams:
         levels = head + lam[:1]
         for (body, last), part in zip(blocks, lam[1:]):
             levels += body + (last + part,)
-        out.append((DyckPath(P.m, levels), 1))
-    return LinComb(out)
+        out.append(DyckPath(P.m, levels))
+    return out
+
+
+def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
+    """P *_i Q: the sum of P *_lam Q over the class-i compositions.
+
+    Q is factored once per call and each term is built by :func:`_star_paths`.
+    """
+    if P.m != Q.m:
+        raise ValueError("mixed m")
+    blocks = _prime_blocks(Q)
+    terms = _star_paths(P, blocks, lambda_sets(P, len(blocks), i))
+    return LinComb([(path, 1) for path in terms])
 
 
 class PathOracle:
@@ -388,12 +397,11 @@ def decompose_smaller(P: DyckPath) -> tuple[DyckPath, DyckPath, int]:
     """
     if P.size < 2:
         raise ValueError("size-1 path cannot be decomposed")
-    factors = prime_factors(P)
-    if len(factors) > 1:
-        R1 = factors[0]
-        for f in factors[1:-1]:
-            R1 = concat_i(R1, f, 0)
-        return R1, factors[-1], 0
+    blocks = _prime_blocks(P)
+    if len(blocks) > 1:
+        body, last = blocks[-1]
+        head = P.levels[: P.size - len(body) - 1]
+        return DyckPath(P.m, head), DyckPath(P.m, body + (last,)), 0
     colors = standard_coloring(P)
     steps = P.steps()
     down_positions = [idx for idx, s in enumerate(steps) if s == DOWN]

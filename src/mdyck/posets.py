@@ -23,7 +23,7 @@ import itertools
 from functools import cache
 
 from .exactlin import LinComb
-from .orders import closure_masks, mask_indices
+from .orders import FinitePoset
 from .reporting import CheckReport
 from .trees import Bracketings, _degree_triples, dyck_relations
 
@@ -41,17 +41,15 @@ class PosetFamily:
 
     A family supplies the elements of each degree, their degree, the
     relations x < y that generate the order, and the four products.  Each
-    degree is materialized once: the sorted elements, their up/down
-    bitmasks and the (degree, index) of every element.
+    degree is materialized once as a :class:`FinitePoset` on the sorted
+    elements, and one map gives the degree of every materialized element.
     """
 
     name = "family"
 
     def __init__(self):
-        self._elements: dict[int, tuple] = {}
-        self._up: dict[int, list[int]] = {}
-        self._down: dict[int, list[int]] = {}
-        self._where: dict = {}  # element -> (degree, index)
+        self._posets: dict[int, FinitePoset] = {}
+        self._degrees: dict = {}  # element -> degree
 
     # subclass hooks -------------------------------------------------------
     def _build_elements(self, n: int) -> list:
@@ -68,52 +66,50 @@ class PosetFamily:
         raise NotImplementedError
 
     # public API -----------------------------------------------------------
+    def _poset(self, n: int) -> FinitePoset:
+        poset = self._posets.get(n)
+        if poset is None:
+            elems = sorted(self._build_elements(n), key=self._sort_key)
+            poset = self._posets[n] = FinitePoset(elems, self._above)
+            self._degrees.update(dict.fromkeys(poset.elements, n))
+        return poset
+
     def elements(self, n: int) -> list:
-        if n not in self._elements:
-            elems = tuple(sorted(self._build_elements(n), key=self._sort_key))
-            for i, x in enumerate(elems):
-                self._where[x] = (n, i)
-            pairs = [
-                (i, self._where[y][1]) for i, x in enumerate(elems) for y in self._above(x)
-            ]
-            self._up[n], self._down[n] = closure_masks(len(elems), pairs)
-            self._elements[n] = elems
-        return list(self._elements[n])
+        return list(self._poset(n).elements)
 
     @staticmethod
     def _sort_key(x):
         return x
 
-    def _locate(self, x) -> tuple[int, int]:
-        where = self._where.get(x)
-        if where is None:
-            self.elements(self.degree(x))
-            where = self._where[x]
-        return where
+    def _degree(self, x) -> int:
+        n = self._degrees.get(x)
+        if n is None:
+            self._poset(self.degree(x))
+            n = self._degrees[x]
+        return n
 
     def members(self, n: int, mask: int) -> list:
         """The degree-n elements whose indices are the bits of ``mask``."""
-        elems = self._elements[n]
-        return [elems[i] for i in mask_indices(mask)]
+        return self._posets[n].members(mask)
 
-    def _interval_mask(self, lo, hi) -> tuple[int, int]:
-        n, i = self._locate(lo)
-        n2, j = self._locate(hi)
-        if n != n2:
+    def _common_poset(self, x, y) -> FinitePoset:
+        n = self._degree(x)
+        if self._degree(y) != n:
             raise ValueError("comparing elements of different degrees")
-        return n, self._up[n][i] & self._down[n][j]
+        return self._posets[n]
 
     def leq(self, x, y) -> bool:
-        return self._interval_mask(x, y)[1] != 0
+        return self._common_poset(x, y).leq(x, y)
 
     def interval(self, lo, hi) -> list:
-        return self.members(*self._interval_mask(lo, hi))
+        poset = self._common_poset(lo, hi)
+        return poset.members(poset.interval_mask(lo, hi))
 
     def prod(self, op: str, x, y):
         if op not in OPS:
             raise ValueError(f"unknown product {op!r}")
         result = self._product(op, x, y)
-        if self._locate(result)[0] != self._locate(x)[0] + self._locate(y)[0]:
+        if self._degree(result) != self._degree(x) + self._degree(y):
             raise ValueError(f"product {op} is not degree-additive")
         return result
 
@@ -125,11 +121,14 @@ class PosetFamily:
         its prec part [x top y, x\\y].  A mask is empty when its bounds are
         not ordered.
         """
-        (n, lo), (_, perp), (_, top), (_, hi) = (
-            self._locate(self.prod(op, x, y)) for op in OPS
-        )
-        up, down = self._up[n], self._down[n]
-        return n, up[lo] & down[hi], up[lo] & down[perp], up[top] & down[hi]
+        n = self._degree(x) + self._degree(y)
+        poset = self._poset(n)
+        lo, perp, top, hi = products = [self._product(op, x, y) for op in OPS]
+        for op, product in zip(OPS, products):
+            if product not in poset.index:
+                raise ValueError(f"product {op} is not degree-additive")
+        mask = poset.interval_mask
+        return n, mask(lo, hi), mask(lo, perp), mask(top, hi)
 
     # induced dendriform structure ------------------------------------------
     def succ(self, x, y) -> LinComb:
@@ -403,12 +402,11 @@ def facial_covers(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(set(out))
 
 
-def surj_products(f: tuple[int, ...], g: tuple[int, ...], op: str, top_variant: str = "merged"):
+def surj_products(f: tuple[int, ...], g: tuple[int, ...], op: str):
     """The four graded products on surjections.
 
     The middle product ``top`` merges the two maximal values to the common
-    top s+h-1 (default), or applies the raw shift formula followed by
-    standardization (``top_variant="standardized"``).
+    top s+h-1.
     """
     s, h = max(f), max(g)
     if op == SLASH:
@@ -420,16 +418,9 @@ def surj_products(f: tuple[int, ...], g: tuple[int, ...], op: str, top_variant: 
             v if v < h else s + h for v in g
         )
     elif op == TOP:
-        if top_variant == "merged":
-            word = tuple(v if v < s else s + h - 1 for v in f) + tuple(
-                v + s - 1 if v < h else s + h - 1 for v in g
-            )
-        elif top_variant == "standardized":
-            word = standardize(
-                tuple(v if v < s else s + h for v in f) + tuple(v + h for v in g)
-            )
-        else:
-            raise ValueError(f"unknown top variant {top_variant!r}")
+        word = tuple(v if v < s else s + h - 1 for v in f) + tuple(
+            v + s - 1 if v < h else s + h - 1 for v in g
+        )
     else:
         raise ValueError(f"unknown product {op!r}")
     if not is_surjection(word):
@@ -441,10 +432,6 @@ class SurjectionFamily(PosetFamily):
     """All surjective words with the facial order."""
 
     name = "surjections"
-
-    def __init__(self, top_variant: str = "merged"):
-        super().__init__()
-        self.top_variant = top_variant
 
     def degree(self, x) -> int:
         return len(x)
@@ -460,7 +447,7 @@ class SurjectionFamily(PosetFamily):
         return facial_covers(x)
 
     def _product(self, op, x, y):
-        return surj_products(x, y, op, self.top_variant)
+        return surj_products(x, y, op)
 
 
 def perm_inversions(p: tuple[int, ...]) -> frozenset:
@@ -538,55 +525,54 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
     if max_degree < 2:
         raise ValueError("need max_degree >= 2")
     report = CheckReport(name=f"dendriform poset {family.name} degree<={max_degree}")
-    grades = {}
-    for n in range(1, max_degree):
-        for r in range(1, max_degree - n + 1):
-            grades.setdefault(n + r, []).append((n, r))
+    # the bidegrees (n, r) with n + r <= max_degree, by total degree
+    degree_pairs = sorted(
+        ((n, r) for n in range(1, max_degree) for r in range(1, max_degree - n + 1)),
+        key=sum,
+    )
 
     # (1) order compatibility: the outer products are poset morphisms and
     # the four interval bounds are consistently ordered for every pair.
     # (The middle products are not monotone maps even on the classical
     # instances, so no stronger monotonicity can be required of them.)
-    for total, splits in sorted(grades.items()):
-        for n, r in splits:
-            xs = family.elements(n)
-            ys = family.elements(r)
-            x_pairs = [(x, x2) for x in xs for x2 in xs if family.leq(x, x2)]
-            y_pairs = [(y, y2) for y in ys for y2 in ys if family.leq(y, y2)]
-            for op in (SLASH, BACKSLASH):
-                for x, x2 in x_pairs:
-                    for y, y2 in y_pairs:
-                        report.checks += 1
-                        if not family.leq(family.prod(op, x, y), family.prod(op, x2, y2)):
-                            report.fail(
-                                f"condition 1 at degrees ({n},{r}): {op} not monotone "
-                                f"on {x!r}<={x2!r}, {y!r}<={y2!r}"
-                            )
-                            return report
-            for x in xs:
-                for y in ys:
+    for n, r in degree_pairs:
+        X, Y = family._poset(n), family._poset(r)
+        xs, ys = X.elements, Y.elements
+        x_pairs = [(x, x2) for x in xs for x2 in xs if X.leq(x, x2)]
+        y_pairs = [(y, y2) for y in ys for y2 in ys if Y.leq(y, y2)]
+        for op in (SLASH, BACKSLASH):
+            for x, x2 in x_pairs:
+                for y, y2 in y_pairs:
                     report.checks += 1
-                    # a mask is empty exactly when its bounds are not ordered
-                    if not all(family.split(x, y)[1:]):
+                    if not family.leq(family.prod(op, x, y), family.prod(op, x2, y2)):
                         report.fail(
-                            f"condition 1 at degrees ({n},{r}): bounds of "
-                            f"{x!r}, {y!r} are not ordered"
+                            f"condition 1 at degrees ({n},{r}): {op} not monotone "
+                            f"on {x!r}<={x2!r}, {y!r}<={y2!r}"
                         )
                         return report
+        for x in xs:
+            for y in ys:
+                report.checks += 1
+                # a mask is empty exactly when its bounds are not ordered
+                if not all(family.split(x, y)[1:]):
+                    report.fail(
+                        f"condition 1 at degrees ({n},{r}): bounds of "
+                        f"{x!r}, {y!r} are not ordered"
+                    )
+                    return report
 
     # (2) interval splitting
-    for total, splits in sorted(grades.items()):
-        for n, r in splits:
-            for x in family.elements(n):
-                for y in family.elements(r):
-                    report.checks += 1
-                    _, whole, lower, upper = family.split(x, y)
-                    if lower & upper or lower | upper != whole:
-                        report.fail(
-                            f"condition 2 at degrees ({n},{r}): interval of "
-                            f"{x!r}, {y!r} does not split"
-                        )
-                        return report
+    for n, r in degree_pairs:
+        for x in family.elements(n):
+            for y in family.elements(r):
+                report.checks += 1
+                _, whole, lower, upper = family.split(x, y)
+                if lower & upper or lower | upper != whole:
+                    report.fail(
+                        f"condition 2 at degrees ({n},{r}): interval of "
+                        f"{x!r}, {y!r} does not split"
+                    )
+                    return report
 
     # (3) cardinality matches and induced dendriform axioms
     for n, r, s in _degree_triples(max_degree):
@@ -608,47 +594,44 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
                         return report
 
     # (4) decompositions are monotone
-    for total, splits in sorted(grades.items()):
-        for n, r in splits:
-            members: dict = {}
-            for x in family.elements(n):
-                for y in family.elements(r):
-                    for u in family.members(total, family.split(x, y)[_WHOLE]):
-                        members.setdefault(u, []).append((x, y))
-            elems = family.elements(total)
-            for u in elems:
-                for v in elems:
-                    if u not in members or v not in members or not family.leq(u, v):
-                        continue
-                    for x1, y1 in members[u]:
-                        for x2, y2 in members[v]:
-                            report.checks += 1
-                            if not (family.leq(x1, x2) and family.leq(y1, y2)):
-                                report.fail(
-                                    f"condition 4 at degrees ({n},{r}): {u!r}<={v!r} "
-                                    f"but ({x1!r},{y1!r}) !<= ({x2!r},{y2!r})"
-                                )
-                                return report
+    for n, r in degree_pairs:
+        X, Y, U = family._poset(n), family._poset(r), family._poset(n + r)
+        members: dict = {}
+        for x in X.elements:
+            for y in Y.elements:
+                for u in U.members(family.split(x, y)[_WHOLE]):
+                    members.setdefault(u, []).append((x, y))
+        for u in U.elements:
+            for v in U.elements:
+                if u not in members or v not in members or not U.leq(u, v):
+                    continue
+                for x1, y1 in members[u]:
+                    for x2, y2 in members[v]:
+                        report.checks += 1
+                        if not (X.leq(x1, x2) and Y.leq(y1, y2)):
+                            report.fail(
+                                f"condition 4 at degrees ({n},{r}): {u!r}<={v!r} "
+                                f"but ({x1!r},{y1!r}) !<= ({x2!r},{y2!r})"
+                            )
+                            return report
 
     # (5) prec-type intervals never sit below succ-type intervals; both
     # sides are walked in element order
-    for total, splits in sorted(grades.items()):
-        for n, r in splits:
-            succ_side = prec_side = 0
-            for x in family.elements(n):
-                for y in family.elements(r):
-                    _, _, succ, prec = family.split(x, y)
-                    succ_side |= succ
-                    prec_side |= prec
-            prec_elems = family.members(total, prec_side)
-            for u in family.members(total, succ_side):
-                for v in prec_elems:
-                    report.checks += 1
-                    if family.leq(v, u):
-                        report.fail(
-                            f"condition 5 at degrees ({n},{r}): {v!r} <= {u!r}"
-                        )
-                        return report
+    for n, r in degree_pairs:
+        U = family._poset(n + r)
+        succ_side = prec_side = 0
+        for x in family.elements(n):
+            for y in family.elements(r):
+                _, _, succ, prec = family.split(x, y)
+                succ_side |= succ
+                prec_side |= prec
+        prec_elems = U.members(prec_side)
+        for u in U.members(succ_side):
+            for v in prec_elems:
+                report.checks += 1
+                if U.leq(v, u):
+                    report.fail(f"condition 5 at degrees ({n},{r}): {v!r} <= {u!r}")
+                    return report
     return report
 
 
@@ -695,20 +678,8 @@ def ordm_simplices(family: PosetFamily, n: int, m: int) -> list[tuple]:
     """All weakly increasing m-chains in the degree-n poset."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    elems = family.elements(n)
-    out: list[tuple] = []
-
-    def extend(chain: tuple):
-        if len(chain) == m:
-            out.append(chain)
-            return
-        for x in elems:
-            if family.leq(chain[-1], x):
-                extend(chain + (x,))
-
-    for x in elems:
-        extend((x,))
-    return out
+    poset = family._poset(n)
+    return poset.chains([(1 << len(poset.elements)) - 1] * m)
 
 
 def ordm_product(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> LinComb:
@@ -719,26 +690,16 @@ def ordm_product(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> LinCo
     prec-type interval [x_j top y_j, x_j \\ y_j] for j > m-i.
     """
     m = len(xbar)
-    if len(ybar) != m:
-        raise ValueError("chain lengths differ")
+    if m < 1 or len(ybar) != m:
+        raise ValueError("need two chains of the same length m >= 1")
     if not 0 <= i <= m:
         raise ValueError("product index out of range")
-    ranges = []
-    for j, (x, y) in enumerate(zip(xbar, ybar)):
-        n, _, succ, prec = family.split(x, y)
-        ranges.append(family.members(n, succ if j < m - i else prec))
-    out = []
-
-    def extend(chain: tuple, j: int):
-        if j == m:
-            out.append((chain, 1))
-            return
-        for u in ranges[j]:
-            if not chain or family.leq(chain[-1], u):
-                extend(chain + (u,), j + 1)
-
-    extend((), 0)
-    return LinComb(out)
+    splits = [family.split(x, y) for x, y in zip(xbar, ybar)]
+    n = splits[0][0]
+    if any(split[0] != n for split in splits):
+        raise ValueError("comparing elements of different degrees")
+    masks = [split[_SUCC if j < m - i else _PREC] for j, split in enumerate(splits)]
+    return LinComb([(chain, 1) for chain in family._posets[n].chains(masks)])
 
 
 class OrdmOracle:

@@ -166,6 +166,8 @@ def check_lemform(m: int, k: int, order: int) -> CheckReport:
 
 def check_series_identities(max_m: int, order: int = 10) -> CheckReport:
     """All series-level identities: fixed point, substitution, inverses."""
+    if max_m < 1:
+        raise ValueError("need max_m >= 1")
     report = CheckReport(name=f"series identities m<={max_m} order={order}")
     one = TruncatedSeries.one(order)
     x = TruncatedSeries.x(order)

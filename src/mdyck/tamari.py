@@ -9,20 +9,19 @@ statistics of the top color word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .orders import closure_masks, mask_indices
+from .orders import FinitePoset, mask_indices
 from .paths import (
     DOWN,
     UP,
     DyckPath,
     _multiplicity_class,
     _path_from_steps,
-    concat_i,
+    _prime_blocks,
+    _star_paths,
     enumerate_paths,
     path_product,
-    prime_factors,
     standard_coloring,
 )
 from .reporting import CheckReport
@@ -78,26 +77,21 @@ def covers(P: DyckPath) -> list[DyckPath]:
     return out
 
 
-@dataclass(frozen=True)
-class TamariLattice:
-    """Materialized m-Tamari order on the paths of one size."""
+class TamariLattice(FinitePoset):
+    """Materialized m-Tamari order on the m-Dyck paths of size n."""
 
-    m: int
-    n: int
-    elements: tuple[DyckPath, ...]
-    index: dict
-    up: tuple[int, ...]
-    down: tuple[int, ...]
-    cover_pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("m", "n")
 
-    def leq(self, P: DyckPath, Q: DyckPath) -> bool:
-        return bool(self.up[self.index[P]] >> self.index[Q] & 1)
+    def __init__(self, m: int, n: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        super().__init__(enumerate_paths(m, n), covers)
 
     def interval(self, P: DyckPath, Q: DyckPath) -> list[DyckPath]:
-        if not self.leq(P, Q):
+        mask = self.interval_mask(P, Q)
+        if not mask:
             raise ValueError(f"{P!r} is not below {Q!r}")
-        mask = self.up[self.index[P]] & self.down[self.index[Q]]
-        return [self.elements[i] for i in mask_indices(mask)]
+        return self.members(mask)
 
     def interval_count(self) -> int:
         return sum(self.up[i].bit_count() for i in range(len(self.elements)))
@@ -142,16 +136,7 @@ def build_lattice(m: int, n: int, cap: int = DEFAULT_CAP) -> TamariLattice:
     return _lattice(m, n)
 
 
-@cache
-def _lattice(m: int, n: int) -> TamariLattice:
-    elements = tuple(enumerate_paths(m, n))
-    index = {p: i for i, p in enumerate(elements)}
-    pairs = []
-    for i, p in enumerate(elements):
-        for q in covers(p):
-            pairs.append((i, index[q]))
-    up, down = closure_masks(len(elements), pairs)
-    return TamariLattice(m, n, elements, index, tuple(up), tuple(down), tuple(pairs))
+_lattice = cache(TamariLattice)
 
 
 def _class_lengths(P: DyckPath, i: int) -> list[int]:
@@ -172,31 +157,28 @@ def C_bound(P: DyckPath, i: int) -> int:
 
 
 def slash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
-    """Lower interval bound: P x_{c_i(P)} Q."""
-    return concat_i(P, Q, c_bound(P, i))
+    """Lower interval bound P x_{c_i(P)} Q: P *_lam Q with
+    lam = (L - c_i(P), 0, ..., 0, c_i(P)), L = L(P)."""
+    blocks = _prime_blocks(Q)
+    c = c_bound(P, i)
+    return _star_paths(P, blocks, [(P.last_level - c,) + (0,) * (len(blocks) - 1) + (c,)])[0]
 
 
 def backslash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     """Upper interval bound: all but the last prime factor of Q are pushed
-    to the very top of P, and the last one is attached at depth C_i(P)."""
-    factors = prime_factors(Q)
-    depth = C_bound(P, i)
-    result = P
-    if len(factors) > 1:
-        head = factors[0]
-        for factor in factors[1:-1]:
-            head = concat_i(head, factor, 0)
-        result = concat_i(result, head, result.last_level)
-    return concat_i(result, factors[-1], depth)
+    to the very top of P, and the last one is attached at depth C_i(P):
+    P *_lam Q with lam = (0, ..., 0, L - C_i(P), C_i(P))."""
+    blocks = _prime_blocks(Q)
+    C = C_bound(P, i)
+    return _star_paths(P, blocks, [(0,) * (len(blocks) - 1) + (P.last_level - C, C)])[0]
 
 
 def _interval_mask(lattice: TamariLattice, lo: DyckPath, hi: DyckPath) -> int | None:
     """Bitmask of [lo, hi]; None when a bound is outside the lattice or lo is
     not below hi (the interval is empty exactly then)."""
-    a, b = lattice.index.get(lo), lattice.index.get(hi)
-    if a is None or b is None:
+    if lo not in lattice.index or hi not in lattice.index:
         return None
-    return lattice.up[a] & lattice.down[b] or None
+    return lattice.interval_mask(lo, hi) or None
 
 
 def _support_mask(lattice: TamariLattice, paths) -> int | None:
@@ -227,18 +209,16 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
             n2 = total - n1
             for P in enumerate_paths(m, n1):
                 for Q in enumerate_paths(m, n2):
+                    bounds = [(slash_i(P, Q, i), backslash_i(P, Q, i)) for i in range(m + 1)]
                     union = 0
-                    expected_union = _interval_mask(
-                        lattice, slash_i(P, Q, 0), backslash_i(P, Q, m)
-                    )
-                    for i in range(m + 1):
+                    expected_union = _interval_mask(lattice, bounds[0][0], bounds[m][1])
+                    for i, (lo, hi) in enumerate(bounds):
                         product = path_product(P, Q, i)
                         report.checks += 1
                         if any(c != 1 for _, c in product.items()):
                             report.fail(f"non-unit coefficient in {P!r}*_{i}{Q!r}")
                             return report
                         support = _support_mask(lattice, product)
-                        lo, hi = slash_i(P, Q, i), backslash_i(P, Q, i)
                         expected = _interval_mask(lattice, lo, hi)
                         if support is None or support != expected:
                             report.fail(

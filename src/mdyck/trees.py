@@ -531,7 +531,13 @@ def _sweep(
     multiplier: Callable,
     basis_enumerator: Callable[[int], Iterable],
 ) -> CheckReport:
-    """Check every relation on every basis triple; stop at the first failure."""
+    """Check every relation on every basis triple; stop at the first failure.
+
+    A degree bound below 3 admits no triple, so it is rejected rather than
+    reported as a vacuous success.
+    """
+    if max_total_degree < 3:
+        raise ValueError("need max_total_degree >= 3")
     report = CheckReport(name=name)
     bases = {n: list(basis_enumerator(n)) for n in range(1, max_total_degree - 1)}
     for n1, n2, n3 in _degree_triples(max_total_degree):
@@ -561,8 +567,6 @@ def verify_dyck_axioms(
     whose degrees sum to at most ``max_total_degree``.  Stops at the first
     counterexample.
     """
-    if max_total_degree < 3:
-        raise ValueError("need max_total_degree >= 3")
     name = f"axioms m={m} degree<={max_total_degree}"
     return _sweep(name, dyck_relations(m), m, max_total_degree, multiplier, basis_enumerator)
 

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdyck.orders import closure_masks, mask_indices
+from mdyck.orders import FinitePoset, closure_masks, mask_indices
+from mdyck.tamari import build_lattice
 
 
 @st.composite
@@ -57,3 +60,55 @@ def test_closure_masks_of_nothing():
 def test_closure_masks_reject_cycles(covers):
     with pytest.raises(ValueError, match="cycle in cover relation"):
         closure_masks(3, covers)
+
+
+def _poset(count, covers):
+    # elements are labels, not indices, so a mix-up of the two shows
+    names = [f"e{i}" for i in range(count)]
+    above = {x: [names[b] for a, b in covers if a == i] for i, x in enumerate(names)}
+    return names, FinitePoset(names, above.__getitem__)
+
+
+@given(dags())
+@settings(max_examples=200, deadline=None)
+def test_finite_poset_matches_reachability(dag):
+    count, covers = dag
+    names, poset = _poset(count, covers)
+    reach = _reachable(count, covers)
+    assert poset.elements == tuple(names)
+    assert poset.index == {x: i for i, x in enumerate(names)}
+    for a, b in itertools.product(range(count), repeat=2):
+        between = [names[k] for k in range(count) if k in reach[a] and b in reach[k]]
+        assert poset.leq(names[a], names[b]) == (b in reach[a])
+        assert poset.members(poset.interval_mask(names[a], names[b])) == between
+        if b not in reach[a]:
+            assert poset.interval_mask(names[a], names[b]) == 0
+
+
+@given(dags(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_finite_poset_chains_match_brute_force(dag, data):
+    count, covers = dag
+    names, poset = _poset(count, covers)
+    reach = _reachable(count, covers)
+    masks = data.draw(st.lists(st.integers(0, (1 << count) - 1), min_size=1, max_size=3))
+    expected = [
+        tuple(names[k] for k in chain)
+        for chain in itertools.product(range(count), repeat=len(masks))
+        if all(masks[j] >> k & 1 for j, k in enumerate(chain))
+        and all(b in reach[a] for a, b in zip(chain, chain[1:]))
+    ]
+    assert poset.chains(masks) == expected
+
+
+@pytest.mark.parametrize("name", ["elements", "index", "up", "down", "cover_pairs", "m"])
+def test_finite_posets_are_immutable(name):
+    # one lattice per (m, n) is shared by every caller
+    _, poset = _poset(2, [(0, 1)])
+    lattice = build_lattice(1, 3)
+    for target in (poset, lattice):
+        with pytest.raises(AttributeError):
+            setattr(target, name, None)
+        with pytest.raises(AttributeError):
+            delattr(target, name)
+    assert lattice.interval_count() == 13

@@ -33,6 +33,17 @@ LEAF = ()
 BUD = ((), ())  # the unique binary tree of degree 1
 
 
+class StandardizedTop(SurjectionFamily):
+    """Surjections whose top product shifts and then standardizes, in place
+    of merging the two maximal values: a negative control."""
+
+    def _product(self, op, x, y):
+        if op != TOP:
+            return super()._product(op, x, y)
+        s, h = max(x), max(y)
+        return standardize(tuple(v if v < s else s + h for v in x) + tuple(v + h for v in y))
+
+
 def test_standardize():
     assert standardize((2, 2)) == (1, 1)
     assert standardize((1, 2, 4, 2)) == (1, 2, 3, 2)
@@ -52,7 +63,7 @@ def test_surj_products_degree_one():
     assert surj_products((1,), (1,), BACKSLASH) == (2, 1)
     assert surj_products((1,), (1,), PERP) == (1, 2)
     assert surj_products((1,), (1,), TOP) == (1, 1)
-    assert surj_products((1,), (1,), TOP, "standardized") == (1, 1)
+    assert StandardizedTop()._product(TOP, (1,), (1,)) == (1, 1)
 
 
 def test_surj_products_always_surjective():
@@ -61,9 +72,8 @@ def test_surj_products_always_surjective():
         for f in surj.elements(n):
             for g in surj.elements(r):
                 for op in OPS:
-                    for variant in ("merged", "standardized"):
-                        word = surj_products(f, g, op, variant)
-                        assert len(word) == n + r
+                    assert len(surj_products(f, g, op)) == n + r
+                    assert len(StandardizedTop()._product(op, f, g)) == n + r
 
 
 def test_bruhat_order():
@@ -191,8 +201,8 @@ def test_dendriform_poset_instances():
 def test_top_variant_choice_is_confirmed_by_verifier():
     # the merged-max middle product passes; the standardize-after-shift
     # variant breaks interval splitting, and the verifier surfaces where
-    assert verify_dendriform_poset(SurjectionFamily("merged"), 3).ok
-    report = verify_dendriform_poset(SurjectionFamily("standardized"), 3)
+    assert verify_dendriform_poset(SurjectionFamily(), 3).ok
+    report = verify_dendriform_poset(StandardizedTop(), 3)
     assert not report.ok
     assert any("condition 2" in msg for msg in report.failures)
 
@@ -328,3 +338,14 @@ def test_pt_encode_parse():
     fam = PlanarTreeFamily()
     for t in fam.elements(3):
         assert pt_parse(pt_encode(t)) == t
+
+
+def test_ordm_product_rejects_mixed_degrees():
+    # the coordinates of a simplex live in one degree; a mixed pair is refused
+    # instead of reading one degree's masks in another degree's poset
+    fam = TamariBinaryFamily()
+    x2 = fam.elements(2)[0]
+    with pytest.raises(ValueError, match="different degrees"):
+        ordm_product(fam, (BUD, x2), (BUD, BUD), 0)
+    with pytest.raises(ValueError, match="same length"):
+        ordm_product(fam, (), (), 0)

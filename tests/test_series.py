@@ -80,3 +80,9 @@ def test_geometric_inverse_relations():
 def test_all_series_identities():
     report = check_series_identities(4, 10)
     assert report.ok, report.failures
+
+
+def test_series_identities_reject_an_empty_range():
+    # max_m = 0 checks no m: no vacuous "ok (0 checks)"
+    with pytest.raises(ValueError, match="need max_m >= 1"):
+        check_series_identities(0)

@@ -128,21 +128,22 @@ def test_slash_backslash_examples():
 
 
 def test_slash_is_extreme_composition():
-    for n1 in (1, 2):
-        for n2 in (1, 2, 3):
-            for path in enumerate_paths(2, n1):
-                for Q in enumerate_paths(2, n2):
-                    r = len(prime_factors(Q))
-                    L = path.last_level
-                    for i in range(3):
-                        c = c_bound(path, i)
-                        lam = (L - c,) + (0,) * (r - 1) + (c,)
-                        assert slash_i(path, Q, i) == star_lambda(path, Q, lam)
-                        C = C_bound(path, i)
-                        lam = (0,) * (r - 1) + (L - C, C)
-                        if r == 1:
-                            lam = (L - C, C)
-                        assert backslash_i(path, Q, i) == star_lambda(path, Q, lam)
+    # both bounds are built on level sequences; star_lambda is the nested
+    # concat_i reference
+    for m in (1, 2, 3):
+        for n1 in range(1, 5):
+            for n2 in range(1, 5):
+                for path in enumerate_paths(m, n1):
+                    for Q in enumerate_paths(m, n2):
+                        r = len(prime_factors(Q))
+                        L = path.last_level
+                        for i in range(m + 1):
+                            c = c_bound(path, i)
+                            lam = (L - c,) + (0,) * (r - 1) + (c,)
+                            assert slash_i(path, Q, i) == star_lambda(path, Q, lam)
+                            C = C_bound(path, i)
+                            lam = (0,) * (r - 1) + (L - C, C)
+                            assert backslash_i(path, Q, i) == star_lambda(path, Q, lam)
 
 
 def test_interval_product_theorem():

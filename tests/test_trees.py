@@ -273,6 +273,14 @@ def test_circ_relations():
     assert report.ok, report.failures
 
 
+@pytest.mark.parametrize("verifier", [verify_dyck_axioms, verify_circ_relations])
+def test_sweeps_reject_a_bound_without_triples(verifier):
+    # below total degree 3 there is no basis triple: no vacuous "ok (0 checks)"
+    oracle = TreeOracle(2)
+    with pytest.raises(ValueError, match="need max_total_degree >= 3"):
+        verifier(2, 2, oracle.product, oracle.basis)
+
+
 def test_evaluate_expression_examples():
     x = Gen("x")
     assert evaluate_expression(x, 1) == LinComb.single((LEAF, ("x",)))
