@@ -37,8 +37,8 @@ __all__ = [
 def clear_caches() -> None:
     """Empty every process-wide cache of the library.
 
-    The basis enumerations, ``phi``, the change of basis, the colorings, the
-    per-path statistics behind ``path_product`` and the interval bounds (the
+    The basis enumerations, ``phi``, the change of basis, the per-path
+    statistics behind ``path_product`` and the interval bounds (the
     multiplicity classes of the top word and the prime blocks), the weak
     compositions and the m-Tamari lattices are pure functions memoised by
     ``functools.cache`` for the life of the process, so a long-running
@@ -55,7 +55,6 @@ def clear_caches() -> None:
     for cached in (
         trees._basis,
         paths._enumerate_levels,
-        paths.standard_coloring,
         paths._classes,
         paths._prime_blocks,
         paths._weak_compositions,

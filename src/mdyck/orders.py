@@ -81,21 +81,19 @@ class FinitePoset:
 
     ``above(x)`` gives the elements y > x that generate the order; the
     reflexive-transitive closure is taken once.  ``index`` maps each element
-    to its position in ``elements``, ``cover_pairs`` holds the generating
-    index pairs (lo, hi), and ``up[i]`` / ``down[i]`` are the bitmasks of
-    the indices above / below index i.
+    to its position in ``elements``, and ``up[i]`` / ``down[i]`` are the
+    bitmasks of the indices above / below index i.
     """
 
-    __slots__ = ("elements", "index", "cover_pairs", "up", "down")
+    __slots__ = ("elements", "index", "up", "down")
 
     def __init__(self, elements: Iterable, above: Callable[[object], Iterable]):
         elements = tuple(elements)
         index = {x: i for i, x in enumerate(elements)}
-        pairs = tuple((i, index[y]) for i, x in enumerate(elements) for y in above(x))
+        pairs = [(i, index[y]) for i, x in enumerate(elements) for y in above(x)]
         up, down = closure_masks(len(elements), pairs)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "cover_pairs", pairs)
         object.__setattr__(self, "up", tuple(up))
         object.__setattr__(self, "down", tuple(down))
 

@@ -179,56 +179,22 @@ def prime_factors(P: DyckPath) -> list[DyckPath]:
     return [DyckPath(P.m, body + (last,)) for body, last in _prime_blocks(P)]
 
 
-def _color_steps(steps: tuple[str, ...], m: int) -> list[int]:
-    # Peel the first up step; its m matching down steps (the first steps to
-    # reach heights m-1, ..., 0 relative to the start) get color 1, and the
-    # m+1 sub-paths they delimit are colored recursively and shifted.
-    if not steps:
-        return []
-    assert steps[0] == UP
-    segments: list[list[str]] = []
-    current: list[str] = []
-    order: list[int] = []  # -1 for a matching step, else segment index
-    height = m
-    matched = 0
-    for step in steps[1:]:
-        if step == UP:
-            height += m
-            current.append(step)
-        else:
-            height -= 1
-            if matched < m and height == m - matched - 1:
-                segments.append(current)
-                current = []
-                matched += 1
-                order.append(-1)
-            else:
-                current.append(step)
-                order.append(len(segments))
-    segments.append(current)
-    assert matched == m
-    seg_colors = [_color_steps(tuple(seg), m) for seg in segments]
-    seg_sizes = [sum(1 for s in seg if s == UP) for seg in segments]
-    offsets = []
-    acc = 1
-    for size in seg_sizes:
-        offsets.append(acc)
-        acc += size
-    out = []
-    positions = [0] * len(segments)
-    for tag in order:
-        if tag == -1:
-            out.append(1)
-        else:
-            out.append(seg_colors[tag][positions[tag]] + offsets[tag])
-            positions[tag] += 1
-    return out
-
-
-@cache
 def standard_coloring(P: DyckPath) -> tuple[int, ...]:
-    """Colors of the down steps, left to right; each color occurs m times."""
-    return tuple(_color_steps(P.steps(), P.m))
+    """Colors of the down steps, left to right; each color occurs m times.
+
+    The m down steps of color k are the ones matched with up step k: the
+    first steps after it to come back to heights h+m-1, ..., h, where h is
+    the height before it.  A stack finds them: up step k pushes m copies of
+    k and each down step pops the top copy.
+    """
+    stack: list[int] = []
+    out: list[int] = []
+    for k, lv in enumerate(P.levels, start=1):
+        stack += [k] * P.m
+        cut = len(stack) - lv
+        out += reversed(stack[cut:])
+        del stack[cut:]
+    return tuple(out)
 
 
 def top_word(P: DyckPath) -> tuple[int, ...]:

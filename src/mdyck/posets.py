@@ -41,8 +41,10 @@ class PosetFamily:
 
     A family supplies the elements of each degree, their degree, the
     relations x < y that generate the order, and the four products.  Each
-    degree is materialized once as a :class:`FinitePoset` on the sorted
-    elements, and one map gives the degree of every materialized element.
+    degree is materialized once as a :class:`FinitePoset` on the elements
+    in the order ``_build_elements`` returns, which is the canonical order
+    of the family, and one map gives the degree of every materialized
+    element.
     """
 
     name = "family"
@@ -53,6 +55,7 @@ class PosetFamily:
 
     # subclass hooks -------------------------------------------------------
     def _build_elements(self, n: int) -> list:
+        """The elements of degree n in canonical order."""
         raise NotImplementedError
 
     def _above(self, x):
@@ -69,17 +72,12 @@ class PosetFamily:
     def _poset(self, n: int) -> FinitePoset:
         poset = self._posets.get(n)
         if poset is None:
-            elems = sorted(self._build_elements(n), key=self._sort_key)
-            poset = self._posets[n] = FinitePoset(elems, self._above)
+            poset = self._posets[n] = FinitePoset(self._build_elements(n), self._above)
             self._degrees.update(dict.fromkeys(poset.elements, n))
         return poset
 
     def elements(self, n: int) -> list:
         return list(self._poset(n).elements)
-
-    @staticmethod
-    def _sort_key(x):
-        return x
 
     def _degree(self, x) -> int:
         n = self._degrees.get(x)
@@ -246,7 +244,7 @@ class TamariBinaryFamily(PosetFamily):
         return pt_size(x)
 
     def _build_elements(self, n: int) -> list:
-        return list(_binary_trees(n + 1))
+        return sorted(_binary_trees(n + 1))
 
     def _above(self, x):
         return _binary_rotations(x)
@@ -292,7 +290,7 @@ class PlanarTreeFamily(PosetFamily):
         return pt_size(x)
 
     def _build_elements(self, n: int) -> list:
-        return [t for t in _planar_trees(n + 1) if t != ()]
+        return sorted(t for t in _planar_trees(n + 1) if t != ())
 
     def _above(self, x):
         return _planar_upsteps(x)
@@ -725,20 +723,12 @@ class DeclaredFamily(PosetFamily):
 
     name = "declared"
 
-    def __init__(self, degrees, covers, products):
+    def __init__(self, degrees, degree_of, covered_by, products):
         super().__init__()
-        self._degree_of = {}
-        self._declared = degrees
+        self._declared = degrees  # degree -> tokens in declaration order
+        self._degree_of = degree_of
+        self._covered_by = covered_by
         self._products = products
-        self._position = {}
-        self._covered_by: dict = {}
-        for n, elems in degrees.items():
-            for pos, e in enumerate(elems):
-                self._degree_of[e] = n
-                self._position[e] = pos
-        for pairs in covers.values():
-            for a, b in pairs:
-                self._covered_by.setdefault(a, []).append(b)
 
     def declared_degrees(self) -> list[int]:
         return sorted(self._declared)
@@ -750,10 +740,6 @@ class DeclaredFamily(PosetFamily):
         if n not in self._declared:
             raise ValueError(f"degree {n} not declared")
         return list(self._declared[n])
-
-    def _sort_key(self, x):
-        # declaration order is the canonical order
-        return self._position[x]
 
     def _above(self, x):
         return self._covered_by.get(x, ())
@@ -778,7 +764,7 @@ def parse_poset_file(text: str) -> DeclaredFamily:
     unique.
     """
     degrees: dict[int, list] = {}
-    covers: dict[int, list] = {}
+    covered_by: dict = {}
     products: dict = {}
     degree_of: dict = {}
     current: int | None = None
@@ -804,7 +790,7 @@ def parse_poset_file(text: str) -> DeclaredFamily:
             a, b = parts[1], parts[2]
             if degree_of.get(a) != degree_of.get(b) or a not in degree_of:
                 raise ValueError(f"cover {a} {b}: unknown tokens or mixed degrees")
-            covers.setdefault(degree_of[a], []).append((a, b))
+            covered_by.setdefault(a, []).append(b)
         elif parts[0] == "prod":
             if parts[4] != "->":
                 raise ValueError(f"malformed product line: {raw!r}")
@@ -819,4 +805,4 @@ def parse_poset_file(text: str) -> DeclaredFamily:
             products[(op, a, b)] = c
         else:
             raise ValueError(f"unrecognized line: {raw!r}")
-    return DeclaredFamily(degrees, covers, products)
+    return DeclaredFamily(degrees, degree_of, covered_by, products)

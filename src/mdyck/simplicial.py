@@ -14,7 +14,6 @@ those generators.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable
 
 from .exactlin import LinComb, linear_sum, rank_of_lincombs
 from .reporting import CheckReport
@@ -338,12 +337,7 @@ def little_theta_inverse(u: ColoredTree, m: int, k: int) -> ColoredTree:
     return from_right_comb(db.colors + ds.colors, db.subtrees + ds.subtrees)
 
 
-def verify_Sk_freeness(
-    m: int,
-    k: int,
-    max_degree: int,
-    generators_fn: Callable = generators_Amk,
-) -> CheckReport:
+def verify_Sk_freeness(m: int, k: int, max_degree: int) -> CheckReport:
     """The merged products are freely generated by the root-k generators.
 
     Checks (a) generation: the subalgebra generated by the graded generator
@@ -362,7 +356,7 @@ def verify_Sk_freeness(
     for n in range(1, max_degree + 1):
         dim = fuss_catalan(m, n)
         basis = enumerate_Bm(m, n)
-        generators = generators_fn(m, k, n)
+        generators = generators_Amk(m, k, n)
         vectors = [oracle.normal_form(t) for t in generators]
         for n1 in range(1, n):
             for t in enumerate_Bm(m, n1):

@@ -247,10 +247,7 @@ def hasse_dot(lattice: TamariLattice) -> str:
     ]
     for p in lattice.elements:
         lines.append(f'  "{p.encode()}";')
-    edges = sorted(
-        (lattice.elements[a].encode(), lattice.elements[b].encode())
-        for a, b in lattice.cover_pairs
-    )
+    edges = sorted((p.encode(), q.encode()) for p in lattice.elements for q in covers(p))
     for a, b in edges:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")

@@ -24,7 +24,6 @@ linear extension goes through :func:`mdyck.exactlin.linear_sum`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Sequence
@@ -339,85 +338,6 @@ def tree_normal_form(t: ColoredTree, m: int) -> LinComb:
     raises ``ValueError``.
     """
     return TreeOracle(m).normal_form(t)
-
-
-# ---------------------------------------------------------------------------
-# Expressions over generators
-
-
-@dataclass(frozen=True)
-class Gen:
-    name: str
-
-
-@dataclass(frozen=True)
-class App:
-    index: int
-    left: "Expression"
-    right: "Expression"
-
-
-Expression = Gen | App
-
-
-class LabeledTreeOracle:
-    """Free algebra over an alphabet: basis keys are (tree, letter tuple)."""
-
-    def __init__(self, m: int, alphabet: tuple[str, ...] = ("x",)):
-        self.m = m
-        self.alphabet = alphabet
-        self._trees = TreeOracle(m)
-
-    def basis(self, n: int) -> list:
-        return [
-            (t, letters)
-            for t in enumerate_Bm(self.m, n)
-            for letters in itertools.product(self.alphabet, repeat=n)
-        ]
-
-    def generator(self, name: str):
-        return (LEAF, (name,))
-
-    def product(self, x, y, i: int) -> LinComb:
-        t, a = x
-        w, b = y
-        return LinComb(((u, a + b), c) for u, c in self._trees.product(t, w, i).items())
-
-
-def evaluate_expression(expr: Expression, m: int, multiplier=None, generators=None) -> LinComb:
-    """Bottom-up evaluation of a product word in an arbitrary oracle.
-
-    ``multiplier(x, y, i)`` multiplies basis keys; ``generators`` maps
-    generator names to degree-1 basis keys.  Defaults to the labeled tree
-    model, whose generators are the letters themselves.
-    """
-    default_oracle = None
-    if multiplier is None or generators is None:
-        names = sorted({g.name for g in _expression_gens(expr)})
-        default_oracle = LabeledTreeOracle(m, tuple(names))
-    if multiplier is None:
-        multiplier = default_oracle.product
-    if generators is None:
-        generators = {name: default_oracle.generator(name) for name in default_oracle.alphabet}
-
-    def walk(e: Expression) -> LinComb:
-        if isinstance(e, Gen):
-            if e.name not in generators:
-                raise ValueError(f"unbound generator {e.name!r}")
-            return LinComb.single(generators[e.name])
-        if not 0 <= e.index <= m:
-            raise ValueError(f"product index {e.index} out of range")
-        return bilinear(walk(e.left), walk(e.right), lambda a, b: multiplier(a, b, e.index))
-
-    return walk(expr)
-
-
-def _expression_gens(expr: Expression):
-    if isinstance(expr, Gen):
-        yield expr
-    else:
-        yield from _expression_gens(expr.left)
-        yield from _expression_gens(expr.right)
 
 
 # ---------------------------------------------------------------------------

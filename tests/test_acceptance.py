@@ -42,15 +42,7 @@ from mdyck.simplicial import (
     verify_simplicial_identities,
 )
 from mdyck.tamari import build_lattice, verify_interval_product
-from mdyck.trees import (
-    LEAF,
-    App,
-    Gen,
-    TreeOracle,
-    enumerate_Bm,
-    evaluate_expression,
-    verify_dyck_axioms,
-)
+from mdyck.trees import LEAF, TreeOracle, enumerate_Bm, verify_dyck_axioms
 
 
 def _report(line: str) -> None:
@@ -195,9 +187,16 @@ def test_criterion_9_series_identities():
 
 
 def test_criterion_10_negative_controls():
-    x, y, z = Gen("x"), Gen("y"), Gen("z")
-    left = evaluate_expression(App(1, App(1, x, y), z), 1)
-    right = evaluate_expression(App(1, x, App(1, y, z)), 1)
+    # on one generator x, which is enough: sending every generator to x is a
+    # morphism of algebras
+    dendriform = TreeOracle(1)
+    x = LinComb.single(LEAF)
+
+    def top(a, b):
+        return bilinear(a, b, lambda s, t: dendriform.product(s, t, 1))
+
+    left = top(top(x, x), x)
+    right = top(x, top(x, x))
     assert left != right, "the top product must not be associative"
 
     oracle = TreeOracle(2)

@@ -8,6 +8,8 @@ from mdyck.series import fuss_catalan
 from mdyck.tamari import C_bound, c_bound
 from mdyck.trees import LEAF, TreeOracle, enumerate_Bm, node, verify_dyck_axioms
 from mdyck.paths import (
+    DOWN,
+    UP,
     DyckPath,
     PathOracle,
     concat_i,
@@ -92,6 +94,26 @@ def test_coloring():
             block = colors[pos : pos + level]
             assert all(a >= b for a, b in zip(block, block[1:]))
             pos += level
+
+
+def test_coloring_matches_its_definition():
+    # the m down steps colored k are the first steps after up step k to come
+    # back to heights h+m-1, ..., h, where h is the height before up step k
+    for m in (1, 2, 3):
+        for n in range(1, 7):
+            for path in enumerate_paths(m, n):
+                steps = path.steps()
+                heights = list(itertools.accumulate(m if s == UP else -1 for s in steps))
+                color = {}  # step position -> color
+                ups = [pos for pos, s in enumerate(steps) if s == UP]
+                for k, start in enumerate(ups, start=1):
+                    h = heights[start] - m
+                    for target in range(h + m - 1, h - 1, -1):
+                        pos = heights.index(target, start + 1)
+                        assert steps[pos] == DOWN
+                        color[pos] = k
+                expected = tuple(color[pos] for pos, s in enumerate(steps) if s == DOWN)
+                assert standard_coloring(path) == expected, path
 
 
 def test_top_word():

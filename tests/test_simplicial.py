@@ -1,5 +1,6 @@
 import pytest
 
+from mdyck import simplicial
 from mdyck.paths import phi
 from mdyck.series import fuss_catalan
 from mdyck.simplicial import (
@@ -245,24 +246,27 @@ def test_freeness_degree_six(k):
     assert report.checks == 22
 
 
-def test_freeness_builds_each_generator_set_once():
+def test_freeness_builds_each_generator_set_once(monkeypatch):
     degrees = []
 
     def counted(m, k, n):
         degrees.append(n)
         return generators_Amk(m, k, n)
 
-    report = verify_Sk_freeness(2, 1, 5, generators_fn=counted)
+    expected_checks = verify_Sk_freeness(2, 1, 5).checks
+    monkeypatch.setattr(simplicial, "generators_Amk", counted)
+    report = verify_Sk_freeness(2, 1, 5)
     assert report.ok, report.failures
-    assert report.checks == verify_Sk_freeness(2, 1, 5).checks
+    assert report.checks == expected_checks
     assert degrees == [1, 2, 3, 4, 5]
 
 
-def test_freeness_fault_injection():
+def test_freeness_fault_injection(monkeypatch):
     def dropped(m, k, n):
         gens = generators_Amk(m, k, n)
         return [] if n == 2 else gens
 
-    report = verify_Sk_freeness(2, 0, 3, generators_fn=dropped)
+    monkeypatch.setattr(simplicial, "generators_Amk", dropped)
+    report = verify_Sk_freeness(2, 0, 3)
     assert not report.ok
     assert any("degree 2" in msg for msg in report.failures)

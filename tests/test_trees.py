@@ -9,14 +9,11 @@ from mdyck.trees import (
     LEAF,
     LEFT,
     RIGHT,
-    App,
     ColoredTree,
-    Gen,
     TreeOracle,
     comb_decompose,
     comb_reassemble,
     enumerate_Bm,
-    evaluate_expression,
     graft,
     is_basis_Bm,
     node,
@@ -279,26 +276,3 @@ def test_sweeps_reject_a_bound_without_triples(verifier):
     oracle = TreeOracle(2)
     with pytest.raises(ValueError, match="need max_total_degree >= 3"):
         verifier(2, 2, oracle.product, oracle.basis)
-
-
-def test_evaluate_expression_examples():
-    x = Gen("x")
-    assert evaluate_expression(x, 1) == LinComb.single((LEAF, ("x",)))
-    got = evaluate_expression(App(0, x, x), 1)
-    assert got == LinComb.single((node(0, LEAF, LEAF), ("x", "x")))
-    left = evaluate_expression(App(1, App(1, x, x), x), 1)
-    right = evaluate_expression(App(1, x, App(1, x, x)), 1)
-    assert left != right
-
-
-def test_evaluate_expression_errors():
-    with pytest.raises(ValueError):
-        evaluate_expression(App(5, Gen("x"), Gen("x")), 1)
-    with pytest.raises(ValueError):
-        evaluate_expression(Gen("x"), 1, generators={})
-
-
-def test_multi_generator_letters():
-    x, y = Gen("x"), Gen("y")
-    got = evaluate_expression(App(1, x, y), 1)
-    assert got == LinComb.single((node(1, LEAF, LEAF), ("x", "y")))
