@@ -36,7 +36,7 @@ def _parse_simplex(family, text: str) -> tuple:
     elems = tuple(posets.pt_parse(tok) for tok in text.split(";"))
     for x in elems:
         n = family.degree(x)
-        if n < 1 or x not in family.elements(n):
+        if n < 1 or x not in family.poset(n).index:
             raise ValueError(
                 f"simplex coordinate {posets.pt_encode(x)!r} is not a {family.name} "
                 "tree with at least two leaves"

@@ -81,8 +81,8 @@ def test_bruhat_order():
     assert perms.leq((1, 2), (2, 1))
     assert not perms.leq((2, 1), (1, 2))
     assert len(perms.elements(4)) == 24
-    assert perms.succ((1,), (1,)) == LinComb.single((1, 2))
-    assert perms.prec((1,), (1,)) == LinComb.single((2, 1))
+    assert ordm_product(perms, ((1,),), ((1,),), 0) == LinComb.single(((1, 2),))
+    assert ordm_product(perms, ((1,),), ((1,),), 1) == LinComb.single(((2, 1),))
 
 
 def test_permutation_order_is_inversion_containment():
@@ -110,13 +110,15 @@ def test_split_masks_are_the_product_intervals():
                     for y in family.elements(r):
                         degree, whole, succ, prec = family.split(x, y)
                         assert degree == n + r
+                        poset = family.poset(degree)
                         lo, perp, top, hi = (family.prod(op, x, y) for op in OPS)
-                        for mask, interval in (
-                            (whole, family.interval(lo, hi)),
-                            (succ, family.interval(lo, perp)),
-                            (prec, family.interval(top, hi)),
+                        for mask, (a, b) in (
+                            (whole, (lo, hi)),
+                            (succ, (lo, perp)),
+                            (prec, (top, hi)),
                         ):
-                            assert family.members(degree, mask) == interval
+                            interval = poset.members(poset.interval_mask(a, b))
+                            assert poset.members(mask) == interval
 
 
 def test_facial_restriction_is_weak_order():
@@ -223,6 +225,57 @@ def test_corrupted_instance_fails_splitting():
     assert any("at degrees (1,1)" in msg for msg in report.failures)
 
 
+def test_condition3_failure_names_the_triple():
+    # two products of (| |) and (| (| |)) moved so that conditions 1-2 still
+    # hold up to degree 3 but the interval sums are not dendriform
+    right = pt_parse("(| (| |))")
+    moved = {
+        SLASH: pt_parse("(((| |) |) |)"),
+        TOP: pt_parse("((| (| |)) |)"),
+    }
+
+    class Bent(TamariBinaryFamily):
+        name = "binary-bent"
+
+        def _product(self, op, x, y):
+            if (x, y) == (BUD, right) and op in moved:
+                return moved[op]
+            return super()._product(op, x, y)
+
+    report = verify_dendriform_poset(Bent(), 3)
+    assert report.summary() == (
+        "dendriform poset binary-bent degree<=3: FAILED (25 checks)\n"
+        "  condition 3 dendriform axioms fail at ((), ()), ((), ()), ((), ())"
+    )
+
+
+@pytest.mark.parametrize(
+    "bad", [((), (), ()), ((), (), (), ())], ids=["same-degree", "other-degree"]
+)
+def test_non_element_product_is_a_value_error(bad):
+    # a product outside the poset of degree n + r is refused with one message
+    # by prod, split and the verifier alike
+    class Bad(TamariBinaryFamily):
+        def _product(self, op, x, y):
+            if op == SLASH and (x, y) == (BUD, BUD):
+                return bad
+            return super()._product(op, x, y)
+
+    for call in (
+        lambda: Bad().prod(SLASH, BUD, BUD),
+        lambda: Bad().split(BUD, BUD),
+        lambda: verify_dendriform_poset(Bad(), 4),
+    ):
+        with pytest.raises(ValueError, match="product / is not degree-additive"):
+            call()
+
+
+def test_non_element_is_a_value_error():
+    corolla = pt_parse("(| | |)")  # degree 2, but not a binary tree
+    with pytest.raises(ValueError, match="not a binary element of degree 2"):
+        TamariBinaryFamily().leq(corolla, corolla)
+
+
 def test_ordm_simplices():
     fam = TamariBinaryFamily()
     assert ordm_simplices(fam, 2, 1) == [(t,) for t in fam.elements(2)]
@@ -238,18 +291,19 @@ def test_ordm_simplices():
 
 
 def test_ordm_product_m1_is_dendriform():
+    # on 1-simplices the two products are the interval sums x succ y over
+    # [x/y, x bot y] and x prec y over [x top y, x\y]
     fam = TamariBinaryFamily()
     for n, r in ((1, 1), (1, 2), (2, 1)):
+        poset = fam.poset(n + r)
         for x in fam.elements(n):
             for y in fam.elements(r):
-                got0 = ordm_product(fam, (x,), (y,), 0)
-                assert got0 == LinComb(
-                    ((u,), c) for u, c in fam.succ(x, y).items()
-                )
-                got1 = ordm_product(fam, (x,), (y,), 1)
-                assert got1 == LinComb(
-                    ((u,), c) for u, c in fam.prec(x, y).items()
-                )
+                for i, (lo_op, hi_op) in enumerate(((SLASH, PERP), (TOP, BACKSLASH))):
+                    lo, hi = fam.prod(lo_op, x, y), fam.prod(hi_op, x, y)
+                    interval = poset.members(poset.interval_mask(lo, hi))
+                    assert ordm_product(fam, (x,), (y,), i) == LinComb(
+                        ((u,), 1) for u in interval
+                    )
 
 
 def test_ordm_axioms():
@@ -280,10 +334,13 @@ def test_ordm_supports_partition_full_interval():
                     assert not (support & union)
                     union |= support
                 expected = set()
+                poset = fam.poset(n + r)
                 ranges = [
-                    fam.interval(
-                        fam.prod(SLASH, xbar[j], ybar[j]),
-                        fam.prod(BACKSLASH, xbar[j], ybar[j]),
+                    poset.members(
+                        poset.interval_mask(
+                            fam.prod(SLASH, xbar[j], ybar[j]),
+                            fam.prod(BACKSLASH, xbar[j], ybar[j]),
+                        )
                     )
                     for j in range(m)
                 ]
@@ -321,8 +378,9 @@ def test_declared_family():
     # degree 1 has no product to check
     with pytest.raises(ValueError):
         verify_dendriform_poset(family, 1)
-    assert family.succ("e", "e") == LinComb.single("a")
-    assert family.prec("e", "e") == LinComb((("b", 1), ("c", 1)))
+    assert ordm_product(family, ("e",), ("e",), 0) == LinComb.single(("a",))
+    prec = LinComb(((("b",), 1), (("c",), 1)))
+    assert ordm_product(family, ("e",), ("e",), 1) == prec
 
 
 def test_declared_family_errors():
