@@ -32,19 +32,26 @@ def _dims(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_simplex(family, text: str) -> tuple:
-    elems = tuple(posets.pt_parse(tok) for tok in text.split(";"))
-    for x in elems:
-        n = family.degree(x)
-        if n < 1 or x not in family.poset(n).index:
-            raise ValueError(
-                f"simplex coordinate {posets.pt_encode(x)!r} is not a {family.name} "
-                "tree with at least two leaves"
-            )
-    for a, b in zip(elems, elems[1:]):
-        if not family.leq(a, b):
-            raise ValueError(f"simplex coordinates not increasing: {text!r}")
-    return elems
+def _parse_simplices(family, *texts: str) -> list[tuple]:
+    simplices = [tuple(posets.pt_parse(tok) for tok in text.split(";")) for text in texts]
+    # the largest Tamari poset needed, of Catalan(n) elements, is checked before any is built
+    degrees = [family.degree(x) for simplex in simplices for x in simplex]
+    n = max(degrees + [sum(family.degree(simplex[0]) for simplex in simplices)])
+    if n > 0 and series.fuss_catalan(1, n) > tamari.DEFAULT_CAP:
+        size, cap = series.fuss_catalan(1, n), tamari.DEFAULT_CAP
+        raise ValueError(f"the Tamari poset of degree {n} has {size} elements, more than {cap}")
+    for text, elems in zip(texts, simplices):
+        for x in elems:
+            n = family.degree(x)
+            if n < 1 or x not in family.poset(n).index:
+                raise ValueError(
+                    f"simplex coordinate {posets.pt_encode(x)!r} is not a {family.name} "
+                    "tree with at least two leaves"
+                )
+        for a, b in zip(elems, elems[1:]):
+            if not family.leq(a, b):
+                raise ValueError(f"simplex coordinates not increasing: {text!r}")
+    return simplices
 
 
 def _product_text(args) -> str:
@@ -56,8 +63,7 @@ def _product_text(args) -> str:
         lhs, rhs = parse_path(m, args.lhs), parse_path(m, args.rhs)
         return path_product(lhs, rhs, i).render(lambda p: p.encode())
     family = posets.TamariBinaryFamily()
-    xbar = _parse_simplex(family, args.lhs)
-    ybar = _parse_simplex(family, args.rhs)
+    xbar, ybar = _parse_simplices(family, args.lhs, args.rhs)
     if len(xbar) != m or len(ybar) != m:
         raise ValueError(f"simplices must have {m} coordinates")
     result = posets.ordm_product(family, xbar, ybar, i)
@@ -115,13 +121,11 @@ def _negative_report(m: int) -> CheckReport:
         raise ValueError("negative suite is defined for m = 1 and m = 2")
     # one generator suffices: sending every generator to x is a morphism of
     # algebras, so a relation that fails on x, x, x fails on any alphabet
-    oracle = TreeOracle(m)
     x = trees.LEAF
-    xx = [oracle.product(x, x, k) for k in range(m + 1)]
-    triple = trees.Bracketings(oracle.product, x, x, x, xx)
+    triple = trees.Bracketings(TreeOracle(m).product, x, x, x, {})
     for label, lhs, rhs in controls:
         report.checks += 1
-        if triple.holds(lhs, rhs):
+        if triple.holds(trees.relation_plan(lhs, rhs)):
             report.fail(label)
     return report
 
@@ -152,7 +156,7 @@ def _suite_reports(args) -> list[CheckReport]:
             r.name = f"axioms on paths m={m} degree<={max_degree}"
             reports.append(r)
             r = trees.verify_circ_relations(
-                m, min(max_degree, 5), tree_oracle.product, tree_oracle.basis
+                m, max_degree, tree_oracle.product, tree_oracle.basis
             )
             reports.append(r)
     if suite in ("ordm", "all"):

@@ -179,6 +179,16 @@ def linear_sum(pairs: Iterable[tuple[LinComb, object]]) -> LinComb:
     return out
 
 
+def vanishes(pairs: Iterable[tuple[LinComb, object]]) -> bool:
+    """Whether the sum of c*v over ``(v, c)`` pairs is zero; for relation checks,
+    which need no more, it skips :func:`linear_sum`'s pruning and normalising."""
+    acc: dict = {}
+    for v, c in pairs:
+        for key, cv in v._terms.items():
+            acc[key] = acc.get(key, 0) + c * cv
+    return not any(acc.values())
+
+
 def bilinear(a: LinComb, b: LinComb, product: Callable) -> LinComb:
     """Extend a product on basis keys bilinearly to linear combinations."""
     return linear_sum(

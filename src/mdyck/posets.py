@@ -25,7 +25,7 @@ from functools import cache
 from .exactlin import LinComb
 from .orders import FinitePoset
 from .reporting import CheckReport
-from .trees import Bracketings, _degree_triples, dyck_relations
+from .trees import Bracketings, _degree_triples, dyck_relations, relation_plan
 
 SLASH = "/"
 PERP = "bot"
@@ -570,14 +570,15 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
 
     # (3) the dendriform axioms for the interval sums
     product = OrdmOracle(family, 1).product
+    plans = [relation_plan(lhs, rhs) for _, lhs, rhs in DENDRIFORM_AXIOMS]
     for n, r, s in _degree_triples(max_degree):
         for x in family.elements(n):
             for y in family.elements(r):
-                xy = [product((x,), (y,), k) for k in (0, 1)]
+                xy: dict = {}
                 for z in family.elements(s):
                     report.checks += 1
                     holds = Bracketings(product, (x,), (y,), (z,), xy).holds
-                    if not all(holds(lhs, rhs) for _, lhs, rhs in DENDRIFORM_AXIOMS):
+                    if not all(map(holds, plans)):
                         report.fail(
                             f"condition 3 dendriform axioms fail at "
                             f"{x!r}, {y!r}, {z!r}"
@@ -692,6 +693,8 @@ class DeclaredFamily(PosetFamily):
         return sorted(self._declared)
 
     def degree(self, x) -> int:
+        if x not in self._degree_of:
+            raise ValueError(f"{x!r} is not a {self.name} element")
         return self._degree_of[x]
 
     def _build_elements(self, n: int) -> list:

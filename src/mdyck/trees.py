@@ -17,9 +17,9 @@ This module also hosts the one relation checker used for every product
 oracle.  Relations are data: :func:`dyck_relations` holds the two families
 above, :func:`circ_relations` the difference, bottom and diagonal relations
 of the partial sums o_i = *_0 + ... + *_i, and the dendriform axioms and the
-CLI's negative controls are tables of the same form.  :class:`Bracketings`
-evaluates both bracketings of one basis triple at most once each, and every
-linear extension goes through :func:`mdyck.exactlin.linear_sum`.
+CLI's negative controls are tables of the same form.  Each is compiled once
+into lhs - rhs grouped by its outer product (:func:`relation_plan`), and
+:class:`Bracketings` tests on one basis triple whether that sum vanishes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
-from .exactlin import LinComb, bilinear, linear_sum
+from .exactlin import LinComb, bilinear, linear_sum, vanishes
 from .reporting import CheckReport
 
 LEFT = "L"
@@ -254,12 +254,17 @@ def _basis(m: int, n: int) -> tuple[ColoredTree, ...]:
     return tuple(out)
 
 
+# grafting is injective on interned trees: no two terms merge, none is 0
 def _graft_left(t_left: ColoredTree, color: int, lc: LinComb) -> LinComb:
-    return LinComb((ColoredTree(color, t_left, u), c) for u, c in lc.items())
+    out = LinComb.__new__(LinComb)
+    out._terms = {ColoredTree(color, t_left, u): c for u, c in lc.items()}
+    return out
 
 
 def _graft_right(lc: LinComb, color: int, w: ColoredTree) -> LinComb:
-    return LinComb((ColoredTree(color, u, w), c) for u, c in lc.items())
+    out = LinComb.__new__(LinComb)
+    out._terms = {ColoredTree(color, u, w): c for u, c in lc.items()}
+    return out
 
 
 class TreeOracle:
@@ -397,42 +402,47 @@ def circ_relations(m: int) -> list[tuple]:
     return table
 
 
+def relation_plan(lhs: tuple, rhs: tuple) -> tuple:
+    """lhs - rhs as groups ``(kind, outer, ((inner, coeff), ...))``, by bilinearity:
+    x *_a (sum of c y *_b z) for the L terms with one a, (sum of c x *_a y) *_b z
+    for the R terms with one b.  Terms on both sides cancel."""
+    groups: dict = {}
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for c, kind, a, b in side:
+            outer, inner = (a, b) if kind == LEFT else (b, a)
+            group = groups.setdefault((kind, outer), {})
+            group[inner] = group.get(inner, 0) + sign * c
+    plan = [(*key, tuple((k, c) for k, c in group.items() if c)) for key, group in groups.items()]
+    return tuple(group for group in plan if group[2])
+
+
 class Bracketings:
-    """Both bracketings of one triple (x, y, z), each evaluated at most once.
+    """Relation plans on one triple (x, y, z); the inner sums are kept by ``inner``,
+    for y *_b z per triple and for x *_a y in the caller's ``xy`` per pair."""
 
-    ``xy[k]`` is x *_k y, computed once per pair by the caller; the
-    products y *_k z are computed here, once per triple.
-    """
+    def __init__(self, multiplier: Callable, x, y, z, xy: dict):
+        self.multiplier, self.x, self.z = multiplier, x, z
+        self._memos = {LEFT: ({}, y, z), RIGHT: (xy, x, y)}
 
-    def __init__(self, multiplier: Callable, x, y, z, xy: Sequence[LinComb]):
-        self.multiplier = multiplier
-        self.x = x
-        self.z = z
-        self.xy = xy
-        self.yz = [multiplier(y, z, k) for k in range(len(xy))]
-        self._memo: dict = {}
-
-    def bracket(self, kind: str, a: int, b: int) -> LinComb:
-        key = (kind, a, b)
-        value = self._memo.get(key)
-        if value is None:
-            mul = self.multiplier
-            if kind == "L":
-                x = self.x
-                value = linear_sum((mul(x, u, a), c) for u, c in self.yz[b].items())
+    def _inner_sum(self, kind: str, inner: tuple) -> LinComb:
+        memo, left, right = self._memos[kind]
+        comb = memo.get(inner)
+        if comb is None:
+            if len(inner) == 1 and inner[0][1] == 1:  # a product, kept as it is
+                comb = self.multiplier(left, right, inner[0][0])
             else:
-                z = self.z
-                value = linear_sum((mul(u, z, b), c) for u, c in self.xy[a].items())
-            self._memo[key] = value
-        return value
+                comb = linear_sum((self._inner_sum(kind, ((k, 1),)), c) for k, c in inner)
+            memo[inner] = comb
+        return comb
 
-    def side(self, terms: tuple) -> LinComb:
-        if len(terms) == 1 and terms[0][0] == 1:
-            return self.bracket(*terms[0][1:])
-        return linear_sum((self.bracket(kind, a, b), c) for c, kind, a, b in terms)
-
-    def holds(self, lhs: tuple, rhs: tuple) -> bool:
-        return self.side(lhs) == self.side(rhs)
+    def holds(self, plan: tuple) -> bool:
+        """Whether lhs - rhs of the relation compiled to ``plan`` vanishes here."""
+        mul, x, z, inner_sum = self.multiplier, self.x, self.z, self._inner_sum
+        return vanishes(
+            (mul(x, u, outer) if kind == LEFT else mul(u, z, outer), c)
+            for kind, outer, inner in plan
+            for u, c in inner_sum(kind, inner)._terms.items()
+        )
 
 
 def _degree_triples(max_total_degree: int):
@@ -446,7 +456,6 @@ def _degree_triples(max_total_degree: int):
 def _sweep(
     name: str,
     relations: list[tuple],
-    m: int,
     max_total_degree: int,
     multiplier: Callable,
     basis_enumerator: Callable[[int], Iterable],
@@ -459,16 +468,17 @@ def _sweep(
     if max_total_degree < 3:
         raise ValueError("need max_total_degree >= 3")
     report = CheckReport(name=name)
+    plans = [(label, relation_plan(lhs, rhs)) for label, lhs, rhs in relations]
     bases = {n: list(basis_enumerator(n)) for n in range(1, max_total_degree - 1)}
     for n1, n2, n3 in _degree_triples(max_total_degree):
         for x in bases[n1]:
             for y in bases[n2]:
-                xy = [multiplier(x, y, k) for k in range(m + 1)]
+                xy: dict = {}
                 for z in bases[n3]:
-                    triple = Bracketings(multiplier, x, y, z, xy)
-                    for label, lhs, rhs in relations:
+                    holds = Bracketings(multiplier, x, y, z, xy).holds
+                    for label, plan in plans:
                         report.checks += 1
-                        if not triple.holds(lhs, rhs):
+                        if not holds(plan):
                             report.fail(f"{label} x={x!r} y={y!r} z={z!r}")
                             return report
     return report
@@ -488,7 +498,7 @@ def verify_dyck_axioms(
     counterexample.
     """
     name = f"axioms m={m} degree<={max_total_degree}"
-    return _sweep(name, dyck_relations(m), m, max_total_degree, multiplier, basis_enumerator)
+    return _sweep(name, dyck_relations(m), max_total_degree, multiplier, basis_enumerator)
 
 
 def verify_circ_relations(
@@ -499,4 +509,4 @@ def verify_circ_relations(
 ) -> CheckReport:
     """The three relation families satisfied by the partial sums o_i."""
     name = f"partial-sum relations m={m} degree<={max_total_degree}"
-    return _sweep(name, circ_relations(m), m, max_total_degree, multiplier, basis_enumerator)
+    return _sweep(name, circ_relations(m), max_total_degree, multiplier, basis_enumerator)

@@ -220,6 +220,43 @@ def test_verify_axioms_small():
     assert code == 0
 
 
+def test_verify_axioms_keeps_the_partial_sum_degree():
+    # --max-degree reaches the partial-sum relations as given
+    code, out = run(["verify", "--suite", "axioms", "--m", "1", "--max-degree", "6"])
+    assert code == 0
+    assert out.splitlines()[2] == "partial-sum relations m=1 degree<=6: ok (432 checks)"
+
+
+def _left_comb(leaves):
+    comb = "|"
+    for _ in range(leaves - 1):
+        comb = f"({comb} |)"
+    return comb
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, m",
+    [
+        # the product has degree 11: Catalan(11) = 58786 elements
+        pytest.param(_left_comb(11), "(| |)", 1, id="product"),
+        # a second coordinate of degree 11 in a product of degree 2
+        pytest.param("(| |);" + _left_comb(12), "(| |);(| |)", 2, id="coordinate"),
+    ],
+)
+def test_mul_ordm_refuses_a_tamari_poset_above_the_cap(lhs, rhs, m):
+    code, out, err = _usage_error(["mul", "--model", "ordm", "--m", str(m), "--i", "0", lhs, rhs])
+    assert code == 2
+    assert out == ""
+    assert err == "error: the Tamari poset of degree 11 has 58786 elements, more than 20000\n"
+
+
+def test_mul_ordm_at_the_cap():
+    # degree 10: Catalan(10) = 16796 elements, within the cap
+    code, out = run(["mul", "--model", "ordm", "--m", "1", "--i", "0", _left_comb(10), "(| |)"])
+    assert code == 0
+    assert out == "+1*[" + _left_comb(11) + "]\n"
+
+
 def test_verify_series():
     code, out = run(["verify", "--suite", "series", "--max-m", "3", "--order", "8"])
     assert code == 0

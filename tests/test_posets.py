@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +275,13 @@ def test_non_element_is_a_value_error():
     corolla = pt_parse("(| | |)")  # degree 2, but not a binary tree
     with pytest.raises(ValueError, match="not a binary element of degree 2"):
         TamariBinaryFamily().leq(corolla, corolla)
+
+
+def test_undeclared_token_is_a_value_error():
+    path = Path(__file__).resolve().parent / "data" / "condition5_order.poset"
+    family = parse_poset_file(path.read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match="'zz' is not a declared element"):
+        family.leq("zz", "e")
 
 
 def test_ordm_simplices():

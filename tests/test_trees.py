@@ -2,22 +2,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdyck.exactlin import LinComb
+from mdyck.exactlin import LinComb, linear_sum
+from mdyck.paths import PathOracle
 from mdyck.series import fuss_catalan
 from mdyck.simplicial import SlotTransformedOracle
 from mdyck.trees import (
     LEAF,
     LEFT,
     RIGHT,
+    Bracketings,
     ColoredTree,
     TreeOracle,
+    circ_relations,
     comb_decompose,
     comb_reassemble,
+    dyck_relations,
     enumerate_Bm,
     graft,
     is_basis_Bm,
     node,
     parse_tree,
+    relation_plan,
     tree_normal_form,
     tree_product,
     verify_circ_relations,
@@ -276,3 +281,82 @@ def test_sweeps_reject_a_bound_without_triples(verifier):
     oracle = TreeOracle(2)
     with pytest.raises(ValueError, match="need max_total_degree >= 3"):
         verifier(2, 2, oracle.product, oracle.basis)
+
+
+# ---------------------------------------------------------------------------
+# The relation engine against a reference that evaluates every bracket
+
+
+def _reference_holds(product, x, y, z, lhs, rhs):
+    def bracket(kind, a, b):
+        if kind == "L":
+            return linear_sum((product(x, u, a), c) for u, c in product(y, z, b).items())
+        return linear_sum((product(u, z, b), c) for u, c in product(x, y, a).items())
+
+    def side(terms):
+        return linear_sum((bracket(kind, a, b), c) for c, kind, a, b in terms)
+
+    return side(lhs) == side(rhs)
+
+
+def _reference_sweep(relations, max_total_degree, product, basis):
+    checks = 0
+    for n1 in range(1, max_total_degree - 1):
+        for n2 in range(1, max_total_degree - n1):
+            for n3 in range(1, max_total_degree - n1 - n2 + 1):
+                for x in basis(n1):
+                    for y in basis(n2):
+                        for z in basis(n3):
+                            for label, lhs, rhs in relations:
+                                checks += 1
+                                if not _reference_holds(product, x, y, z, lhs, rhs):
+                                    return checks, [f"{label} x={x!r} y={y!r} z={z!r}"]
+    return checks, []
+
+
+ORACLES = {"trees": TreeOracle(2), "paths": PathOracle(2)}
+signed_terms = st.lists(
+    st.tuples(st.integers(-2, 2), st.sampled_from("LR"), st.integers(0, 2), st.integers(0, 2)),
+    max_size=4,
+).map(tuple)
+# random relations, most of which fail, and the Dyck relations, which hold
+relation_tables = st.lists(st.tuples(signed_terms, signed_terms), min_size=1, max_size=3).map(
+    lambda table: table + [(lhs, rhs) for _, lhs, rhs in dyck_relations(2)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(ORACLES)),
+    st.sampled_from([(1, 1, 1), (1, 1, 3), (1, 2, 2), (2, 1, 2), (3, 1, 1), (1, 3, 1)]),
+    relation_tables,
+    st.data(),
+)
+def test_relation_plans_match_the_bracket_reference(model, degrees, table, data):
+    oracle = ORACLES[model]
+    x, y = (data.draw(st.sampled_from(oracle.basis(n))) for n in degrees[:2])
+    plans = [relation_plan(lhs, rhs) for lhs, rhs in table]
+    xy = {}  # shared by every z of the pair, as in the sweep
+    for z in oracle.basis(degrees[2]):
+        triple = Bracketings(oracle.product, x, y, z, xy)
+        for plan, (lhs, rhs) in zip(plans, table):
+            assert triple.holds(plan) == _reference_holds(oracle.product, x, y, z, lhs, rhs)
+
+
+@pytest.mark.parametrize("model", sorted(ORACLES))
+def test_sweep_reports_the_reference_failure(model):
+    # one product of degree-2 operands is doubled, so the first failure
+    # comes after the first triple; both report the same relation, triple
+    # and check count
+    oracle = ORACLES[model]
+    a, b = oracle.basis(2)[-1], oracle.basis(2)[0]
+
+    def faulty(u, v, k):
+        result = oracle.product(u, v, k)
+        return result.scale(2) if (u, v, k) == (a, b, 1) else result
+
+    report = verify_circ_relations(2, 5, faulty, oracle.basis)
+    assert not report.ok
+    assert report.checks > len(circ_relations(2))
+    expected = _reference_sweep(circ_relations(2), 5, faulty, oracle.basis)
+    assert (report.checks, report.failures) == expected
