@@ -46,7 +46,8 @@ def clear_caches() -> None:
     recompute the same results.
 
     Basis products are memoised by the ``TreeOracle`` or ``PathOracle`` that
-    computes them and freed with it.  The intern tables of ``ColoredTree``
+    computes them and freed with it; a ``PosetFamily`` owns its pair memo
+    (``split``) the same way.  The intern tables of ``ColoredTree``
     and ``DyckPath`` are not cleared: keys compare by identity, so a live
     tree would no longer equal its rebuilt twin.
     """

@@ -20,6 +20,10 @@ def _dims(args) -> int:
         raise ValueError("m must be >= 1")
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
+    # both bases of the largest degree are enumerated, so they are bounded first
+    size, cap = series.fuss_catalan(args.m, args.max_n), tamari.DEFAULT_CAP
+    if size > cap:
+        raise ValueError(f"d({args.m},{args.max_n}) = {size} exceeds cap {cap}")
     print(f"{'n':>3} {'fuss-catalan':>14} {'trees':>14} {'paths':>14}  status")
     ok = True
     for n in range(1, args.max_n + 1):

@@ -3,8 +3,9 @@
 :class:`FinitePoset` is the one finite-poset type of the package: the
 m-Tamari lattices and every degree of a dendriform-poset family are
 instances.  The order is stored as one up-set and one down-set bitmask per
-element index, built once from the covers by :func:`closure_masks`, so an
-interval is a single AND and a chain extends by masking with an up-set.
+element index, built once from the covers by :func:`closure_masks` in
+Kahn's topological order with one OR per cover each way, so an interval is
+a single AND and a chain extends by masking with an up-set.
 """
 
 from __future__ import annotations
@@ -21,51 +22,35 @@ def closure_masks(count: int, covers: Iterable[tuple[int, int]]):
     ``up[i]`` is the bitmask of indices j with i <= j and ``down`` the
     converse.  Raises on a cycle.
 
-    A depth-first search along the covers builds each up-set from the
-    up-sets of the elements above it when it finishes an element.  The
-    reverse of that finishing order lists every element after all elements
-    below it, so one pass in that order builds the down-sets the same way:
-    one OR per cover on each side.
+    Kahn's algorithm lists each element once all its lower covers are
+    listed, so a short list means a cycle.  Down-sets are built in list
+    order and up-sets in reverse list order: one OR per cover each way.
     """
     above: list[list[int]] = [[] for _ in range(count)]
     below: list[list[int]] = [[] for _ in range(count)]
     for lo, hi in covers:
         above[lo].append(hi)
         below[hi].append(lo)
-
-    up = [0] * count
-    state = [0] * count  # 0 new, 1 active, 2 done
-    finished: list[int] = []
-    for start in range(count):
-        if state[start]:
-            continue
-        stack = [(start, iter(above[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state[nxt] == 1:
-                    raise ValueError("cycle in cover relation (not a partial order)")
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(above[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                mask = 1 << node
-                for nxt in above[node]:
-                    mask |= up[nxt]
-                up[node] = mask
-                state[node] = 2
-                finished.append(node)
-                stack.pop()
-    down = [0] * count
-    for node in reversed(finished):
+    pending = [len(lower) for lower in below]
+    order = [node for node in range(count) if not pending[node]]
+    for node in order:  # the loop also visits what it appends
+        for hi in above[node]:
+            pending[hi] -= 1
+            if not pending[hi]:
+                order.append(hi)
+    if len(order) < count:
+        raise ValueError("cycle in cover relation (not a partial order)")
+    up, down = [0] * count, [0] * count
+    for node in order:
         mask = 1 << node
-        for lower in below[node]:
-            mask |= down[lower]
+        for lo in below[node]:
+            mask |= down[lo]
         down[node] = mask
+    for node in reversed(order):
+        mask = 1 << node
+        for hi in above[node]:
+            mask |= up[hi]
+        up[node] = mask
     return up, down
 
 

@@ -52,6 +52,7 @@ class PosetFamily:
     def __init__(self):
         self._posets: dict[int, FinitePoset] = {}
         self._degrees: dict = {}  # element -> degree
+        self._splits: dict = {}  # (x, y) -> split(x, y)
 
     # subclass hooks -------------------------------------------------------
     def _build_elements(self, n: int) -> list:
@@ -109,16 +110,17 @@ class PosetFamily:
         and the masks of [x/y, x\\y], of its succ part [x/y, x bot y] and of
         its prec part [x top y, x\\y].  A mask is empty when its bounds are
         not ordered.  The interval sums themselves are the m = 1 simplex
-        products of :func:`ordm_product`.
+        products of :func:`ordm_product`.  Each pair is computed once, through
+        :meth:`prod`, and kept for the life of the family.
         """
-        n = self._degree(x) + self._degree(y)
-        poset = self.poset(n)
-        lo, perp, top, hi = products = [self._product(op, x, y) for op in OPS]
-        for op, product in zip(OPS, products):
-            if product not in poset.index:
-                raise ValueError(f"product {op} is not degree-additive")
-        mask = poset.interval_mask
-        return n, mask(lo, hi), mask(lo, perp), mask(top, hi)
+        split = self._splits.get((x, y))
+        if split is None:
+            lo, perp, top, hi = (self.prod(op, x, y) for op in OPS)
+            n = self._degree(x) + self._degree(y)
+            mask = self._posets[n].interval_mask
+            split = (n, mask(lo, hi), mask(lo, perp), mask(top, hi))
+            self._splits[x, y] = split
+        return split
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +348,14 @@ def is_surjection(word: tuple[int, ...]) -> bool:
     return bool(word) and set(word) == set(range(1, max(word) + 1))
 
 
-def tau_merge(i: int, n: int):
-    """Order-preserving surjection [n] -> [n-1] merging i and i+1."""
-
-    def tau(j: int) -> int:
-        return j if j <= i else j - 1
-
-    return tau
-
-
 def facial_covers(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Covers of the facial order: value merges and fiber splits."""
     out = []
     r = max(f)
     fibers = {i: [pos for pos, v in enumerate(f) if v == i] for i in range(1, r + 1)}
     for i in range(1, r):
-        if max(fibers[i]) < min(fibers[i + 1]):
-            tau = tau_merge(i, r)
-            out.append(tuple(tau(v) for v in f))
+        if max(fibers[i]) < min(fibers[i + 1]):  # merge the values i and i+1
+            out.append(tuple(v if v <= i else v - 1 for v in f))
     for i in range(1, r + 1):
         fiber = fibers[i]
         s = len(fiber)
@@ -465,15 +457,10 @@ class PermutationFamily(PosetFamily):
                 yield tuple(y)
 
     def _product(self, op, x, y):
+        # top keeps both maxima apart; the other three are surjection products
+        if op != TOP:
+            return surj_products(x, y, op)
         n, r = len(x), len(y)
-        if op == SLASH:
-            return x + tuple(v + n for v in y)
-        if op == BACKSLASH:
-            return tuple(v + r for v in x) + y
-        if op == PERP:
-            return tuple(v + r - 1 for v in x) + tuple(
-                v if v < r else n + r for v in y
-            )
         return tuple(v if v < n else n + r for v in x) + tuple(v + n - 1 for v in y)
 
 

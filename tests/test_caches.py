@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import pickle
@@ -121,6 +122,54 @@ def test_fresh_tree_oracle_recomputes_the_same_products():
     assert not fresh._memo
     for key, product in swept._memo.items():
         assert fresh.product(*key) == product
+
+
+def test_pair_memo_is_freed_with_its_family():
+    family = posets.TamariBinaryFamily()
+    assert posets.verify_dendriform_poset(family, 4).ok
+    assert family._splits
+    ref = weakref.ref(family)
+    del family
+    gc.collect()
+    assert ref() is None
+    assert not posets.TamariBinaryFamily()._splits
+
+
+def test_fresh_family_recomputes_the_same_splits():
+    swept = posets.PermutationFamily()
+    assert posets.verify_dendriform_poset(swept, 4).ok
+    fresh = posets.PermutationFamily()
+    assert not fresh._splits
+    for (x, y), split in swept._splits.items():
+        assert fresh.split(x, y) == split
+
+
+def test_each_pair_is_split_once_per_family():
+    # the four products of a pair are computed beneath split at most once;
+    # condition 1 compares outer products through prod on its own
+    calls = collections.Counter()
+
+    class Counting(posets.TamariBinaryFamily):
+        splitting = False
+
+        def split(self, x, y):
+            self.splitting = True
+            try:
+                return super().split(x, y)
+            finally:
+                self.splitting = False
+
+        def _product(self, op, x, y):
+            if self.splitting:
+                calls[x, y] += 1
+            return super()._product(op, x, y)
+
+    family = Counting()
+    assert posets.verify_dendriform_poset(family, 5).ok
+    oracle = posets.OrdmOracle(family, 2)
+    assert trees.verify_dyck_axioms(2, 5, oracle.product, oracle.basis).ok
+    assert len(calls) == len(family._splits)
+    assert set(calls.values()) == {4}
 
 
 KEYS = (

@@ -42,6 +42,18 @@ def test_dims_rejects_m_zero():
     assert code == 2
 
 
+def test_dims_is_capped_before_enumerating():
+    # d(1,11) = 58786 is refused before either basis is built
+    code, out, err = _usage_error(["dims", "--m", "1", "--max-n", "11"])
+    assert (code, out) == (2, "")
+    assert err == "error: d(1,11) = 58786 exceeds cap 20000\n"
+    code, out = run(["dims", "--m", "1", "--max-n", "10"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1].split() == ["10", "16796", "16796", "16796", "MATCH"]
+    assert all("MISMATCH" not in line for line in lines)
+
+
 def test_mul_paths_matches_printed_expansion():
     code, out = run(["mul", "--model", "paths", "--m", "2", "--i", "0", "1,3", "0,2,4,2"])
     assert code == 0

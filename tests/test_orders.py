@@ -20,6 +20,19 @@ def dags(draw):
     return count, covers
 
 
+@st.composite
+def digraphs(draw):
+    # a hidden DAG plus a few arbitrary pairs: self-loops, repeated pairs and
+    # back edges, so a cycle often sits above or below acyclic parts
+    count, covers = draw(dags())
+    if count:
+        node = st.integers(0, count - 1)
+        covers += draw(st.lists(st.tuples(node, node), max_size=3))
+    if covers:
+        covers += draw(st.lists(st.sampled_from(covers), max_size=3))
+    return count, draw(st.permutations(covers))
+
+
 def _reachable(count, covers):
     above = {x: [b for a, b in covers if a == x] for x in range(count)}
     out = []
@@ -35,16 +48,32 @@ def _reachable(count, covers):
     return out
 
 
-@given(dags())
-@settings(max_examples=200, deadline=None)
-def test_closure_masks_match_reachability(dag):
-    count, covers = dag
+def _assert_closure_is_reachability(count, covers, reach):
     up, down = closure_masks(count, covers)
-    reach = _reachable(count, covers)
     assert [set(mask_indices(mask)) for mask in up] == reach
     assert [set(mask_indices(mask)) for mask in down] == [
         {x for x in range(count) if y in reach[x]} for y in range(count)
     ]
+
+
+@given(dags())
+@settings(max_examples=200, deadline=None)
+def test_closure_masks_match_reachability(dag):
+    count, covers = dag
+    _assert_closure_is_reachability(count, covers, _reachable(count, covers))
+
+
+@given(digraphs())
+@settings(max_examples=300, deadline=None)
+def test_closure_masks_raise_exactly_on_cycles(graph):
+    count, covers = graph
+    reach = _reachable(count, covers)
+    # a pair (a, b) closes a cycle when b reaches a
+    if any(a in reach[b] for a, b in covers):
+        with pytest.raises(ValueError, match="cycle in cover relation"):
+            closure_masks(count, covers)
+    else:
+        _assert_closure_is_reachability(count, covers, reach)
 
 
 def test_closure_masks_of_nothing():

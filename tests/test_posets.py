@@ -86,6 +86,28 @@ def test_bruhat_order():
     assert ordm_product(perms, ((1,),), ((1,),), 1) == LinComb.single(((2, 1),))
 
 
+def _explicit_permutation_product(op, x, y):
+    # each product written out on permutations, independently of surj_products
+    n, r = len(x), len(y)
+    if op == SLASH:
+        return x + tuple(v + n for v in y)
+    if op == BACKSLASH:
+        return tuple(v + r for v in x) + y
+    if op == PERP:
+        return tuple(v + r - 1 for v in x) + tuple(v if v < r else n + r for v in y)
+    return tuple(v if v < n else n + r for v in x) + tuple(v + n - 1 for v in y)
+
+
+def test_permutation_products_match_the_explicit_formulas():
+    perms = PermutationFamily()
+    for n in range(1, 6):
+        for r in range(1, 7 - n):
+            for x in perms.elements(n):
+                for y in perms.elements(r):
+                    for op in OPS:
+                        assert perms.prod(op, x, y) == _explicit_permutation_product(op, x, y)
+
+
 def test_permutation_order_is_inversion_containment():
     # the order generated by adjacent-value swaps is the left weak order
     perms = PermutationFamily()
