@@ -36,14 +36,18 @@ def _dims(args) -> int:
     return 0 if ok else 1
 
 
+def _check_tamari_degree(n: int) -> None:
+    """Refuse a Tamari poset of degree n >= 1 with more than the cap of elements."""
+    if n > 0 and series.fuss_catalan(1, n) > tamari.DEFAULT_CAP:
+        size, cap = series.fuss_catalan(1, n), tamari.DEFAULT_CAP
+        raise ValueError(f"the Tamari poset of degree {n} has {size} elements, more than {cap}")
+
+
 def _parse_simplices(family, *texts: str) -> list[tuple]:
     simplices = [tuple(posets.pt_parse(tok) for tok in text.split(";")) for text in texts]
     # the largest Tamari poset needed, of Catalan(n) elements, is checked before any is built
     degrees = [family.degree(x) for simplex in simplices for x in simplex]
-    n = max(degrees + [sum(family.degree(simplex[0]) for simplex in simplices)])
-    if n > 0 and series.fuss_catalan(1, n) > tamari.DEFAULT_CAP:
-        size, cap = series.fuss_catalan(1, n), tamari.DEFAULT_CAP
-        raise ValueError(f"the Tamari poset of degree {n} has {size} elements, more than {cap}")
+    _check_tamari_degree(max(degrees + [sum(family.degree(simplex[0]) for simplex in simplices)]))
     for text, elems in zip(texts, simplices):
         for x in elems:
             n = family.degree(x)
@@ -95,39 +99,40 @@ def _hasse(args) -> int:
     return 0
 
 
+# relations that must FAIL in the free algebra of each m (found differences pass)
+_NEGATIVE_CONTROLS = {
+    1: (
+        (
+            "(x *_1 y) *_1 z equals x *_1 (y *_1 z) in the free algebra",
+            ((1, "R", 1, 1),),
+            ((1, "L", 1, 1),),
+        ),
+    ),
+    2: (
+        # (u *_2 v) *_1 w  vs  u *_1 (v *_1 w + v *_0 w)
+        (
+            "alternative relation (i) unexpectedly holds",
+            ((1, "R", 2, 1),),
+            ((1, "L", 1, 1), (1, "L", 1, 0)),
+        ),
+        # (u *_1 v + u *_0 v) *_1 w  vs  u *_0 (v *_1 w)
+        (
+            "alternative relation (ii) unexpectedly holds",
+            ((1, "R", 1, 1), (1, "R", 0, 1)),
+            ((1, "L", 0, 1),),
+        ),
+    ),
+}
+
+
 def _negative_report(m: int) -> CheckReport:
-    """Relations that must FAIL in the free algebras (found differences pass)."""
+    """The negative controls of m, each a failed check if it holds."""
     report = CheckReport(name=f"negative controls m={m}")
-    if m == 1:
-        controls = (
-            (
-                "(x *_1 y) *_1 z equals x *_1 (y *_1 z) in the free algebra",
-                ((1, "R", 1, 1),),
-                ((1, "L", 1, 1),),
-            ),
-        )
-    elif m == 2:
-        controls = (
-            # (u *_2 v) *_1 w  vs  u *_1 (v *_1 w + v *_0 w)
-            (
-                "alternative relation (i) unexpectedly holds",
-                ((1, "R", 2, 1),),
-                ((1, "L", 1, 1), (1, "L", 1, 0)),
-            ),
-            # (u *_1 v + u *_0 v) *_1 w  vs  u *_0 (v *_1 w)
-            (
-                "alternative relation (ii) unexpectedly holds",
-                ((1, "R", 1, 1), (1, "R", 0, 1)),
-                ((1, "L", 0, 1),),
-            ),
-        )
-    else:
-        raise ValueError("negative suite is defined for m = 1 and m = 2")
     # one generator suffices: sending every generator to x is a morphism of
     # algebras, so a relation that fails on x, x, x fails on any alphabet
     x = trees.LEAF
     triple = trees.Bracketings(TreeOracle(m).product, x, x, x, {})
-    for label, lhs, rhs in controls:
+    for label, lhs, rhs in _NEGATIVE_CONTROLS[m]:
         report.checks += 1
         if triple.holds(trees.relation_plan(lhs, rhs)):
             report.fail(label)
@@ -143,6 +148,11 @@ def _suite_reports(args) -> list[CheckReport]:
     for flag, value in (("--m", args.m), ("--max-m", args.max_m)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1")
+    # arguments that a later suite would refuse are refused before any suite runs
+    if suite in ("negative", "all") and args.m not in (None, *_NEGATIVE_CONTROLS):
+        raise ValueError("negative suite is defined for m = 1 and m = 2")
+    if suite in ("ordm", "all") and args.max_degree is not None:
+        _check_tamari_degree(args.max_degree)
     reports: list[CheckReport] = []
     if suite in ("axioms", "all"):
         max_degree = _given(args.max_degree, 5)

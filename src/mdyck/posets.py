@@ -25,15 +25,16 @@ from functools import cache
 from .exactlin import LinComb
 from .orders import FinitePoset
 from .reporting import CheckReport
-from .trees import Bracketings, _degree_triples, dyck_relations, relation_plan
+from .trees import Bracketings, _triples, dyck_relations, relation_plan
 
 SLASH = "/"
 PERP = "bot"
 TOP = "top"
 BACKSLASH = "\\"
 OPS = (SLASH, PERP, TOP, BACKSLASH)
-# positions of the three interval masks in PosetFamily.split()
-_WHOLE, _SUCC, _PREC = 1, 2, 3
+# positions of the two bound indices and the three interval masks in
+# PosetFamily.split()
+_LO, _HI, _WHOLE, _SUCC, _PREC = 1, 2, 3, 4, 5
 
 
 class PosetFamily:
@@ -103,22 +104,23 @@ class PosetFamily:
             raise ValueError(f"product {op} is not degree-additive")
         return result
 
-    def split(self, x, y) -> tuple[int, int, int, int]:
+    def split(self, x, y) -> tuple[int, int, int, int, int, int]:
         """The interval [x/y, x\\y] and its two parts, as index bitmasks.
 
-        Returns ``(degree, whole, succ, prec)``: the degree of the products
-        and the masks of [x/y, x\\y], of its succ part [x/y, x bot y] and of
-        its prec part [x top y, x\\y].  A mask is empty when its bounds are
-        not ordered.  The interval sums themselves are the m = 1 simplex
-        products of :func:`ordm_product`.  Each pair is computed once, through
+        Returns ``(degree, lo, hi, whole, succ, prec)``: the degree of the
+        products, the indices of x/y and x\\y in its poset, and the masks of
+        [x/y, x\\y], of its succ part [x/y, x bot y] and of its prec part
+        [x top y, x\\y].  A mask is empty when its bounds are not ordered.
+        The interval sums themselves are the m = 1 simplex products of
+        :func:`ordm_product`.  Each pair is computed once, through
         :meth:`prod`, and kept for the life of the family.
         """
         split = self._splits.get((x, y))
         if split is None:
             lo, perp, top, hi = (self.prod(op, x, y) for op in OPS)
             n = self._degree(x) + self._degree(y)
-            mask = self._posets[n].interval_mask
-            split = (n, mask(lo, hi), mask(lo, perp), mask(top, hi))
+            index, mask = self._posets[n].index, self._posets[n].interval_mask
+            split = (n, index[lo], index[hi], mask(lo, hi), mask(lo, perp), mask(top, hi))
             self._splits[x, y] = split
         return split
 
@@ -516,26 +518,26 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
     # the four interval bounds are consistently ordered for every pair.
     # (The middle products are not monotone maps even on the classical
     # instances, so no stronger monotonicity can be required of them.)
+    split = family.split
     for n, r in degree_pairs:
-        X, Y = family.poset(n), family.poset(r)
-        xs, ys = X.elements, Y.elements
-        x_pairs = [(x, x2) for x in xs for x2 in xs if X.leq(x, x2)]
-        y_pairs = [(y, y2) for y in ys for y2 in ys if Y.leq(y, y2)]
-        for op in (SLASH, BACKSLASH):
+        X, Y, U = family.poset(n), family.poset(r), family.poset(n + r)
+        x_pairs = [(x, x2) for i, x in enumerate(X.elements) for x2 in X.members(X.up[i])]
+        y_pairs = [(y, y2) for i, y in enumerate(Y.elements) for y2 in Y.members(Y.up[i])]
+        for op, bound in ((SLASH, _LO), (BACKSLASH, _HI)):
             for x, x2 in x_pairs:
                 for y, y2 in y_pairs:
                     report.checks += 1
-                    if not family.leq(family.prod(op, x, y), family.prod(op, x2, y2)):
+                    if not U.up[split(x, y)[bound]] >> split(x2, y2)[bound] & 1:
                         report.fail(
                             f"condition 1 at degrees ({n},{r}): {op} not monotone "
                             f"on {x!r}<={x2!r}, {y!r}<={y2!r}"
                         )
                         return report
-        for x in xs:
-            for y in ys:
+        for x in X.elements:
+            for y in Y.elements:
                 report.checks += 1
                 # a mask is empty exactly when its bounds are not ordered
-                if not all(family.split(x, y)[1:]):
+                if not all(split(x, y)[_WHOLE:]):
                     report.fail(
                         f"condition 1 at degrees ({n},{r}): bounds of "
                         f"{x!r}, {y!r} are not ordered"
@@ -547,7 +549,7 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
         for x in family.elements(n):
             for y in family.elements(r):
                 report.checks += 1
-                _, whole, lower, upper = family.split(x, y)
+                whole, lower, upper = split(x, y)[_WHOLE:]
                 if lower & upper or lower | upper != whole:
                     report.fail(
                         f"condition 2 at degrees ({n},{r}): interval of "
@@ -556,21 +558,13 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
                     return report
 
     # (3) the dendriform axioms for the interval sums
-    product = OrdmOracle(family, 1).product
+    oracle = OrdmOracle(family, 1)
     plans = [relation_plan(lhs, rhs) for _, lhs, rhs in DENDRIFORM_AXIOMS]
-    for n, r, s in _degree_triples(max_degree):
-        for x in family.elements(n):
-            for y in family.elements(r):
-                xy: dict = {}
-                for z in family.elements(s):
-                    report.checks += 1
-                    holds = Bracketings(product, (x,), (y,), (z,), xy).holds
-                    if not all(map(holds, plans)):
-                        report.fail(
-                            f"condition 3 dendriform axioms fail at "
-                            f"{x!r}, {y!r}, {z!r}"
-                        )
-                        return report
+    for (x,), (y,), (z,), xy in _triples(max_degree, oracle.basis):
+        report.checks += 1
+        if not all(map(Bracketings(oracle.product, (x,), (y,), (z,), xy).holds, plans)):
+            report.fail(f"condition 3 dendriform axioms fail at {x!r}, {y!r}, {z!r}")
+            return report
 
     # (4) decompositions are monotone
     for n, r in degree_pairs:
@@ -578,7 +572,7 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
         members: dict = {}
         for x in X.elements:
             for y in Y.elements:
-                for u in U.members(family.split(x, y)[_WHOLE]):
+                for u in U.members(split(x, y)[_WHOLE]):
                     members.setdefault(u, []).append((x, y))
         for u in U.elements:
             for v in U.elements:
@@ -601,9 +595,8 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
         succ_side = prec_side = 0
         for x in family.elements(n):
             for y in family.elements(r):
-                _, _, succ, prec = family.split(x, y)
-                succ_side |= succ
-                prec_side |= prec
+                succ_side |= split(x, y)[_SUCC]
+                prec_side |= split(x, y)[_PREC]
         prec_elems = U.members(prec_side)
         for u in U.members(succ_side):
             for v in prec_elems:
@@ -724,7 +717,10 @@ def parse_poset_file(text: str) -> DeclaredFamily:
         if len(parts) != _POSET_LINE_WORDS.get(parts[0], len(parts)):
             raise ValueError(f"malformed {parts[0]} line: {raw!r}")
         if parts[0] == "degree":
-            current = int(parts[1])
+            try:
+                current = int(parts[1])
+            except ValueError:
+                raise ValueError(f"malformed degree line: {raw!r}") from None
             degrees.setdefault(current, [])
         elif parts[0] == "elem":
             if current is None:

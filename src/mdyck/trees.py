@@ -445,12 +445,18 @@ class Bracketings:
         )
 
 
-def _degree_triples(max_total_degree: int):
+def _triples(max_total_degree: int, basis_enumerator: Callable[[int], Iterable]):
+    """Basis triples ``(x, y, z, xy)`` of total degree at most the bound, degree
+    triple outermost; ``xy`` is a fresh :class:`Bracketings` memo per (n3, x, y)."""
+    bases = {n: list(basis_enumerator(n)) for n in range(1, max_total_degree - 1)}
     for n1 in range(1, max_total_degree - 1):
         for n2 in range(1, max_total_degree - n1):
-            n3_max = max_total_degree - n1 - n2
-            for n3 in range(1, n3_max + 1):
-                yield n1, n2, n3
+            for n3 in range(1, max_total_degree - n1 - n2 + 1):
+                for x in bases[n1]:
+                    for y in bases[n2]:
+                        xy: dict = {}
+                        for z in bases[n3]:
+                            yield x, y, z, xy
 
 
 def _sweep(
@@ -469,18 +475,13 @@ def _sweep(
         raise ValueError("need max_total_degree >= 3")
     report = CheckReport(name=name)
     plans = [(label, relation_plan(lhs, rhs)) for label, lhs, rhs in relations]
-    bases = {n: list(basis_enumerator(n)) for n in range(1, max_total_degree - 1)}
-    for n1, n2, n3 in _degree_triples(max_total_degree):
-        for x in bases[n1]:
-            for y in bases[n2]:
-                xy: dict = {}
-                for z in bases[n3]:
-                    holds = Bracketings(multiplier, x, y, z, xy).holds
-                    for label, plan in plans:
-                        report.checks += 1
-                        if not holds(plan):
-                            report.fail(f"{label} x={x!r} y={y!r} z={z!r}")
-                            return report
+    for x, y, z, xy in _triples(max_total_degree, basis_enumerator):
+        holds = Bracketings(multiplier, x, y, z, xy).holds
+        for label, plan in plans:
+            report.checks += 1
+            if not holds(plan):
+                report.fail(f"{label} x={x!r} y={y!r} z={z!r}")
+                return report
     return report
 
 

@@ -145,23 +145,12 @@ def test_fresh_family_recomputes_the_same_splits():
 
 
 def test_each_pair_is_split_once_per_family():
-    # the four products of a pair are computed beneath split at most once;
-    # condition 1 compares outer products through prod on its own
+    # every product is computed beneath split, the four of a pair once
     calls = collections.Counter()
 
     class Counting(posets.TamariBinaryFamily):
-        splitting = False
-
-        def split(self, x, y):
-            self.splitting = True
-            try:
-                return super().split(x, y)
-            finally:
-                self.splitting = False
-
         def _product(self, op, x, y):
-            if self.splitting:
-                calls[x, y] += 1
+            calls[x, y] += 1
             return super()._product(op, x, y)
 
     family = Counting()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mdyck import trees
 from mdyck.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -138,6 +139,13 @@ def test_truncated_poset_line_is_usage_error(tmp_path, line):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_non_integer_degree_is_usage_error(tmp_path):
+    path = tmp_path / "family.poset"
+    path.write_text("degree x\nelem e\n", encoding="utf-8")
+    code, out, err = _usage_error(["verify", "--suite", "poset", "--file", str(path)])
+    assert (code, out, err) == (2, "", "error: malformed degree line: 'degree x'\n")
+
+
 def test_cyclic_poset_file_is_usage_error(tmp_path):
     path = tmp_path / "cycle.poset"
     path.write_text(
@@ -267,6 +275,26 @@ def test_mul_ordm_at_the_cap():
     code, out = run(["mul", "--model", "ordm", "--m", "1", "--i", "0", _left_comb(10), "(| |)"])
     assert code == 0
     assert out == "+1*[" + _left_comb(11) + "]\n"
+
+
+CAP_MESSAGE = "the Tamari poset of degree 11 has 58786 elements, more than 20000"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "ordm", "--max-degree", "11"], CAP_MESSAGE),
+        (["--suite", "all", "--max-degree", "11"], CAP_MESSAGE),
+        (["--suite", "all", "--m", "3"], "negative suite is defined for m = 1 and m = 2"),
+    ],
+    ids=["ordm-above-cap", "all-above-cap", "all-negative-m"],
+)
+def test_verify_refuses_before_any_suite_runs(monkeypatch, argv, message):
+    def sweep(*args):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    monkeypatch.setattr(trees, "verify_dyck_axioms", sweep)
+    assert _usage_error(["verify", *argv]) == (2, "", f"error: {message}\n")
 
 
 def test_verify_series():

@@ -131,10 +131,12 @@ def test_split_masks_are_the_product_intervals():
             for r in range(1, bound - n + 1):
                 for x in family.elements(n):
                     for y in family.elements(r):
-                        degree, whole, succ, prec = family.split(x, y)
+                        degree, lo_index, hi_index, whole, succ, prec = family.split(x, y)
                         assert degree == n + r
                         poset = family.poset(degree)
                         lo, perp, top, hi = (family.prod(op, x, y) for op in OPS)
+                        assert poset.elements[lo_index] == lo
+                        assert poset.elements[hi_index] == hi
                         for mask, (a, b) in (
                             (whole, (lo, hi)),
                             (succ, (lo, perp)),
@@ -270,6 +272,98 @@ def test_condition3_failure_names_the_triple():
         "dendriform poset binary-bent degree<=3: FAILED (25 checks)\n"
         "  condition 3 dendriform axioms fail at ((), ()), ((), ()), ((), ())"
     )
+
+
+class NotMonotone(TamariBinaryFamily):
+    """x\\y of (| |) and (| (| |)) moved to a tree incomparable with the
+    x\\y of (| |) and ((| |) |)."""
+
+    name = "binary-not-monotone"
+
+    def _product(self, op, x, y):
+        if op == BACKSLASH and (x, y) == (BUD, pt_parse("(| (| |))")):
+            return pt_parse("((| |) (| |))")
+        return super()._product(op, x, y)
+
+
+class OuterSwapped(TamariBinaryFamily):
+    """x/y and x\\y exchanged: both stay monotone, the bounds are reversed."""
+
+    name = "binary-outer-swapped"
+
+    def _product(self, op, x, y):
+        return super()._product({SLASH: BACKSLASH, BACKSLASH: SLASH}.get(op, op), x, y)
+
+
+class BentPair(TamariBinaryFamily):
+    """Two products of (| |) and (| (| |)) moved, as in the condition-3 test."""
+
+    name = "binary-bent"
+
+    def _product(self, op, x, y):
+        moved = {SLASH: "(((| |) |) |)", TOP: "((| (| |)) |)"}
+        if (x, y) == (BUD, pt_parse("(| (| |))")) and op in moved:
+            return pt_parse(moved[op])
+        return super()._product(op, x, y)
+
+
+class ExtraCover(TamariBinaryFamily):
+    """One cover added to the degree-4 Tamari order."""
+
+    name = "binary-extra-cover"
+
+    def _above(self, x):
+        yield from super()._above(x)
+        if x == pt_parse("(((| |) |) (| |))"):
+            yield pt_parse("((| (| (| |))) |)")
+
+
+@pytest.mark.parametrize(
+    "family, bound, summary",
+    [
+        pytest.param(
+            NotMonotone(),
+            3,
+            "dendriform poset binary-not-monotone degree<=3: FAILED (8 checks)\n"
+            "  condition 1 at degrees (1,2): \\ not monotone on ((), ())<=((), ()), "
+            "(((), ()), ())<=((), ((), ()))",
+            id="condition-1-monotone",
+        ),
+        pytest.param(
+            OuterSwapped(),
+            3,
+            "dendriform poset binary-outer-swapped degree<=3: FAILED (3 checks)\n"
+            "  condition 1 at degrees (1,1): bounds of ((), ()), ((), ()) are not ordered",
+            id="condition-1-bounds",
+        ),
+        pytest.param(
+            StandardizedTop(),
+            3,
+            "dendriform poset surjections degree<=3: FAILED (36 checks)\n"
+            "  condition 2 at degrees (1,2): interval of (1,), (1, 2) does not split",
+            id="condition-2",
+        ),
+        pytest.param(
+            BentPair(),
+            4,
+            "dendriform poset binary-bent degree<=4: FAILED (123 checks)\n"
+            "  condition 3 dendriform axioms fail at ((), ()), ((), ()), ((), ())",
+            id="condition-3",
+        ),
+        pytest.param(
+            ExtraCover(),
+            4,
+            "dendriform poset binary-extra-cover degree<=4: FAILED (193 checks)\n"
+            "  condition 4 at degrees (1,3): ((((), ()), ()), ((), ()))"
+            "<=((), ((), (((), ()), ()))) but (((), ()),(((), ()), ((), ()))) "
+            "!<= (((), ()),((), (((), ()), ())))",
+            id="condition-4",
+        ),
+    ],
+)
+def test_mutant_reports_are_pinned(family, bound, summary):
+    # the failing condition, its message and the checks made before it
+    assert verify_dendriform_poset(family, bound).summary() == summary
 
 
 @pytest.mark.parametrize(
@@ -420,6 +514,11 @@ def test_declared_family_errors():
         parse_poset_file("degree 1\nelem x\nprod / x x -> x\n")
     with pytest.raises(ValueError):
         parse_poset_file("degree 1\nelem x\nnonsense\n")
+
+
+def test_non_integer_degree_is_malformed():
+    with pytest.raises(ValueError, match=r"^malformed degree line: 'degree x'$"):
+        parse_poset_file("degree x\nelem e\n")
 
 
 def test_pt_encode_parse():

@@ -13,6 +13,7 @@ from mdyck.trees import (
     Bracketings,
     ColoredTree,
     TreeOracle,
+    _triples,
     circ_relations,
     comb_decompose,
     comb_reassemble,
@@ -341,6 +342,31 @@ def test_relation_plans_match_the_bracket_reference(model, degrees, table, data)
         triple = Bracketings(oracle.product, x, y, z, xy)
         for plan, (lhs, rhs) in zip(plans, table):
             assert triple.holds(plan) == _reference_holds(oracle.product, x, y, z, lhs, rhs)
+
+
+@pytest.mark.parametrize("max_total_degree", [2, 3, 5, 6])
+def test_triples_match_the_nested_loop_reference(max_total_degree):
+    # degree triple outermost, then x, y, z; one fresh xy dict per (n3, x, y)
+    basis = ORACLES["trees"].basis
+    expected = []
+    for n1 in range(1, max_total_degree - 1):
+        for n2 in range(1, max_total_degree - n1):
+            for n3 in range(1, max_total_degree - n1 - n2 + 1):
+                for x in basis(n1):
+                    for y in basis(n2):
+                        expected.append((n3, x, y, basis(n3)))
+    triples = list(_triples(max_total_degree, basis))
+    assert [(x, y, z) for x, y, z, _ in triples] == [
+        (x, y, z) for _, x, y, zs in expected for z in zs
+    ]
+    memos = [xy for _, _, _, xy in triples]
+    assert all(xy == {} for xy in memos)
+    runs = [len(zs) for _, _, _, zs in expected]
+    assert len({id(xy) for xy in memos}) == len(runs)
+    start = 0
+    for run in runs:
+        assert all(xy is memos[start] for xy in memos[start : start + run])
+        start += run
 
 
 @pytest.mark.parametrize("model", sorted(ORACLES))
