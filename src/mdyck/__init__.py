@@ -37,19 +37,20 @@ __all__ = [
 def clear_caches() -> None:
     """Empty every process-wide cache of the library.
 
-    The basis enumerations, ``phi``, the change of basis, the per-path
-    statistics behind ``path_product`` and the interval bounds (the
-    multiplicity classes of the top word and the prime blocks), the weak
-    compositions and the m-Tamari lattices are pure functions memoised by
+    The basis enumerations, the change of basis, the per-path statistics
+    behind ``path_product`` and the interval bounds (the multiplicity
+    classes of the top word and the prime blocks), the weak compositions
+    and the m-Tamari lattices are pure functions memoised by
     ``functools.cache`` for the life of the process, so a long-running
     process grows without bound.  Clearing frees that memory; later calls
     recompute the same results.
 
     Basis products are memoised by the ``TreeOracle`` or ``PathOracle`` that
     computes them and freed with it; a ``PosetFamily`` owns its pair memo
-    (``split``) the same way.  The intern tables of ``ColoredTree``
-    and ``DyckPath`` are not cleared: keys compare by identity, so a live
-    tree would no longer equal its rebuilt twin.
+    (``split``) and a ``trees.evaluator`` its tree images (those of one
+    ``phi`` or ``tree_normal_form`` call) the same way.  The intern tables
+    of ``ColoredTree`` and ``DyckPath`` are not cleared: keys compare by
+    identity, so a live tree would no longer equal its rebuilt twin.
     """
     from . import paths, posets, simplicial, tamari, trees
 
@@ -59,7 +60,6 @@ def clear_caches() -> None:
         paths._classes,
         paths._prime_blocks,
         paths._weak_compositions,
-        paths.phi,
         posets._binary_trees,
         posets._planar_trees,
         simplicial._all_colored_trees,

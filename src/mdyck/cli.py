@@ -21,9 +21,7 @@ def _dims(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
     # both bases of the largest degree are enumerated, so they are bounded first
-    size, cap = series.fuss_catalan(args.m, args.max_n), tamari.DEFAULT_CAP
-    if size > cap:
-        raise ValueError(f"d({args.m},{args.max_n}) = {size} exceeds cap {cap}")
+    _check_dimension(args.m, args.max_n)
     print(f"{'n':>3} {'fuss-catalan':>14} {'trees':>14} {'paths':>14}  status")
     ok = True
     for n in range(1, args.max_n + 1):
@@ -34,6 +32,13 @@ def _dims(args) -> int:
         ok = ok and match
         print(f"{n:>3} {d:>14} {b:>14} {p:>14}  {'MATCH' if match else 'MISMATCH'}")
     return 0 if ok else 1
+
+
+def _check_dimension(m: int, n: int) -> None:
+    """Refuse a degree n >= 1 whose basis has more than the cap of elements."""
+    if n > 0 and series.fuss_catalan(m, n) > tamari.DEFAULT_CAP:
+        size, cap = series.fuss_catalan(m, n), tamari.DEFAULT_CAP
+        raise ValueError(f"d({m},{n}) = {size} exceeds cap {cap}")
 
 
 def _check_tamari_degree(n: int) -> None:
@@ -153,6 +158,14 @@ def _suite_reports(args) -> list[CheckReport]:
         raise ValueError("negative suite is defined for m = 1 and m = 2")
     if suite in ("ordm", "all") and args.max_degree is not None:
         _check_tamari_degree(args.max_degree)
+    # the largest basis of each suite: (suite, default --m, bound, default bound)
+    for name, m, n, default in (
+        ("axioms", 3, args.max_degree, 5),
+        ("freeness", 2, args.max_degree, 4),
+        ("tamari-interval", 2, args.max_size, 6),
+    ):
+        if suite in (name, "all"):
+            _check_dimension(_given(args.m, m), _given(n, default))
     reports: list[CheckReport] = []
     if suite in ("axioms", "all"):
         max_degree = _given(args.max_degree, 5)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .exactlin import LinComb, bilinear
-from .trees import ColoredTree, _immutable, enumerate_Bm
+from .exactlin import LinComb
+from .trees import ColoredTree, _immutable, enumerate_Bm, evaluator
 
 UP = "u"
 DOWN = "d"
@@ -328,17 +328,14 @@ class PathOracle:
         return result
 
 
-@cache
 def phi(t: ColoredTree, m: int) -> LinComb:
     """The canonical isomorphism from basis trees to the path model.
 
-    Evaluates the grafting structure with leaf -> rho(m) and v_i -> *_i.
-    Accepts any colored tree (not only basis trees), which is how elements
-    written in the alternative bases are compared across models.
+    The :func:`~mdyck.trees.evaluator` of a fresh ``PathOracle(m)`` with
+    leaf -> rho(m).  Accepts any colored tree (not only basis trees), which
+    is how elements written in the alternative bases are compared across models.
     """
-    if t.is_leaf:
-        return LinComb.single(rho(m))
-    return bilinear(phi(t.left, m), phi(t.right, m), lambda a, b: path_product(a, b, t.color))
+    return evaluator(PathOracle(m).product, rho(m))(t)
 
 
 def phi_matrix_full_rank(m: int, n: int) -> bool:
@@ -349,7 +346,7 @@ def phi_matrix_full_rank(m: int, n: int) -> bool:
     paths = enumerate_paths(m, n)
     if len(trees) != len(paths):
         return False
-    vectors = [phi(t, m) for t in trees]
+    vectors = list(map(evaluator(PathOracle(m).product, rho(m)), trees))
     return rank_of_lincombs(vectors, paths) == len(paths)
 
 

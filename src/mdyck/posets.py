@@ -574,9 +574,11 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
             for y in Y.elements:
                 for u in U.members(split(x, y)[_WHOLE]):
                     members.setdefault(u, []).append((x, y))
-        for u in U.elements:
-            for v in U.elements:
-                if u not in members or v not in members or not U.leq(u, v):
+        for i, u in enumerate(U.elements):
+            if u not in members:
+                continue
+            for v in U.members(U.up[i]):
+                if v not in members:
                     continue
                 for x1, y1 in members[u]:
                     for x2, y2 in members[v]:

@@ -26,6 +26,7 @@ from .trees import (
     TreeOracle,
     comb_decompose,
     enumerate_Bm,
+    evaluator,
     from_left_comb,
     from_right_comb,
     is_basis_Bm,
@@ -353,11 +354,12 @@ def verify_Sk_freeness(m: int, k: int, max_degree: int) -> CheckReport:
     report = CheckReport(name=f"freeness of merged products m={m} k={k}")
     oracle = TreeOracle(m)
     product = degeneracy_oracle(oracle, k).product
+    normal_form = evaluator(oracle.product, LEAF)
     for n in range(1, max_degree + 1):
         dim = fuss_catalan(m, n)
         basis = enumerate_Bm(m, n)
         generators = generators_Amk(m, k, n)
-        vectors = [oracle.normal_form(t) for t in generators]
+        vectors = list(map(normal_form, generators))
         for n1 in range(1, n):
             for t in enumerate_Bm(m, n1):
                 for w in enumerate_Bm(m, n - n1):

@@ -305,23 +305,6 @@ class TreeOracle:
         self._memo[key] = result
         return result
 
-    def normal_form(self, t: ColoredTree) -> LinComb:
-        """Evaluate the grafting structure of an arbitrary colored tree.
-
-        Leaves map to the degree-1 basis tree and every vertex of color i to
-        the product *_i; the result is the expansion of t in the basis B(m).
-        """
-        if t.max_color() > self.m:
-            raise ValueError("color exceeds m")
-        product = self.product
-
-        def walk(u: ColoredTree) -> LinComb:
-            if u.is_leaf:
-                return LinComb.single(LEAF)
-            return bilinear(walk(u.left), walk(u.right), lambda a, b: product(a, b, u.color))
-
-        return walk(t)
-
 
 def tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
     """Expansion of t *_i w in the basis B(m).
@@ -336,13 +319,29 @@ def tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
     return TreeOracle(m).product(t, w, i)
 
 
-def tree_normal_form(t: ColoredTree, m: int) -> LinComb:
-    """Expansion of an arbitrary colored tree in the basis B(m).
-
-    :meth:`TreeOracle.normal_form` on a fresh oracle; a color above m
-    raises ``ValueError``.
+def evaluator(product: Callable, generator) -> Callable[[ColoredTree], LinComb]:
+    """The map from colored trees that sends the leaf to ``generator`` and a
+    vertex of color i to ``product(a, b, i)``, extended bilinearly, on the
+    images of its children.  Images are memoised in the returned function,
+    so the memo is freed with it; colors are not checked.
     """
-    return TreeOracle(m).normal_form(t)
+    images = {LEAF: LinComb.single(generator)}
+
+    def image(t: ColoredTree) -> LinComb:
+        if t not in images:
+            images[t] = bilinear(image(t.left), image(t.right), lambda a, b: product(a, b, t.color))
+        return images[t]
+
+    return image
+
+
+def tree_normal_form(t: ColoredTree, m: int) -> LinComb:
+    """Expansion of an arbitrary colored tree in the basis B(m): its image under
+    the :func:`evaluator` of a fresh ``TreeOracle(m)``.  A color above m raises
+    ``ValueError``."""
+    if t.max_color() > m:
+        raise ValueError("color exceeds m")
+    return evaluator(TreeOracle(m).product, LEAF)(t)
 
 
 # ---------------------------------------------------------------------------

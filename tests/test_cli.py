@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mdyck import trees
+from mdyck import simplicial, tamari, trees
 from mdyck.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -295,6 +295,29 @@ def test_verify_refuses_before_any_suite_runs(monkeypatch, argv, message):
 
     monkeypatch.setattr(trees, "verify_dyck_axioms", sweep)
     assert _usage_error(["verify", *argv]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "axioms", "--m", "3", "--max-degree", "12"], "d(3,12) = 1882933364"),
+        (["--suite", "freeness", "--m", "3", "--max-degree", "11"], "d(3,11) = 225568798"),
+        (["--suite", "all", "--max-size", "8"], "d(2,8) = 43263"),
+    ],
+    ids=["axioms", "freeness", "all-interval"],
+)
+def test_verify_refuses_a_basis_above_the_cap(monkeypatch, argv, message):
+    def verifier(*args):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    for module, name in (
+        (trees, "verify_dyck_axioms"),
+        (simplicial, "verify_Sk_freeness"),
+        (tamari, "verify_interval_product"),
+    ):
+        monkeypatch.setattr(module, name, verifier)
+    expected = f"error: {message} exceeds cap 20000\n"
+    assert _usage_error(["verify", *argv]) == (2, "", expected)
 
 
 def test_verify_series():

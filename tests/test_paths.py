@@ -6,7 +6,17 @@ import pytest
 from mdyck.exactlin import LinComb, bilinear
 from mdyck.series import fuss_catalan
 from mdyck.tamari import C_bound, c_bound
-from mdyck.trees import LEAF, TreeOracle, enumerate_Bm, node, verify_dyck_axioms
+from mdyck import paths
+from mdyck.simplicial import _all_colored_trees
+from mdyck.trees import (
+    LEAF,
+    TreeOracle,
+    enumerate_Bm,
+    evaluator,
+    is_basis_Bm,
+    node,
+    verify_dyck_axioms,
+)
 from mdyck.paths import (
     DOWN,
     UP,
@@ -289,6 +299,43 @@ def test_phi_basics():
             assert phi(node(i, LEAF, LEAF), m) == LinComb.single(
                 DyckPath(m, (m - i, m + i))
             )
+
+
+def _phi_reference(t, m):
+    # the grafting recursion written out, with a direct path_product per pair
+    if t.is_leaf:
+        return LinComb.single(rho(m))
+    return bilinear(
+        _phi_reference(t.left, m),
+        _phi_reference(t.right, m),
+        lambda a, b: path_product(a, b, t.color),
+    )
+
+
+def test_evaluator_matches_reference_recursion():
+    for m in (1, 2, 3):
+        image = evaluator(PathOracle(m).product, rho(m))
+        for n in range(1, 6):
+            for tree in enumerate_Bm(m, n):
+                assert image(tree) == _phi_reference(tree, m), (m, tree)
+    image = evaluator(PathOracle(2).product, rho(2))
+    others = [u for u in _all_colored_trees(2, 4) if not is_basis_Bm(u, 2)]
+    assert others
+    for tree in others:
+        assert image(tree) == _phi_reference(tree, 2) == phi(tree, 2), tree
+
+
+def test_phi_matrix_computes_each_product_once(monkeypatch):
+    calls = []
+
+    def counted(P, Q, i):
+        calls.append((P, Q, i))
+        return path_product(P, Q, i)
+
+    monkeypatch.setattr(paths, "path_product", counted)
+    assert phi_matrix_full_rank(2, 5)
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 def test_phi_full_rank():

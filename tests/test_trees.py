@@ -19,6 +19,7 @@ from mdyck.trees import (
     comb_reassemble,
     dyck_relations,
     enumerate_Bm,
+    evaluator,
     graft,
     is_basis_Bm,
     node,
@@ -248,13 +249,13 @@ def test_normal_form():
     # a non-basis tree expands through the product recursion
     bad = t("(1 (0 | |) |)")
     assert tree_normal_form(bad, 1) == tree_product(t("(0 | |)"), LEAF, 1, 1)
-    # an oracle's normal form shares its product memo and agrees with it
+    # the evaluator over an oracle shares its product memo and agrees with it
     oracle = TreeOracle(1)
-    assert oracle.normal_form(bad) == tree_normal_form(bad, 1)
+    assert evaluator(oracle.product, LEAF)(bad) == tree_normal_form(bad, 1)
     assert oracle._memo
-    for normalize in (oracle.normal_form, lambda tree: tree_normal_form(tree, 1)):
-        with pytest.raises(ValueError, match="color exceeds m"):
-            normalize(t("(2 | |)"))
+    # the evaluator checks no colors; tree_normal_form refuses one above m
+    with pytest.raises(ValueError, match="color exceeds m"):
+        tree_normal_form(t("(2 | |)"), 1)
 
 
 def test_circ_convert():
