@@ -7,6 +7,7 @@ All output is canonical (sorted) and byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import posets, series, simplicial, tamari, trees
@@ -41,11 +42,17 @@ def _check_dimension(m: int, n: int) -> None:
         raise ValueError(f"d({m},{n}) = {size} exceeds cap {cap}")
 
 
+def _check_poset_size(name: str, n: int, size: int) -> None:
+    """Refuse a poset of degree n with more than the cap of elements."""
+    if size > tamari.DEFAULT_CAP:
+        cap = tamari.DEFAULT_CAP
+        raise ValueError(f"the {name} poset of degree {n} has {size} elements, more than {cap}")
+
+
 def _check_tamari_degree(n: int) -> None:
     """Refuse a Tamari poset of degree n >= 1 with more than the cap of elements."""
-    if n > 0 and series.fuss_catalan(1, n) > tamari.DEFAULT_CAP:
-        size, cap = series.fuss_catalan(1, n), tamari.DEFAULT_CAP
-        raise ValueError(f"the Tamari poset of degree {n} has {size} elements, more than {cap}")
+    if n > 0:
+        _check_poset_size("Tamari", n, series.fuss_catalan(1, n))
 
 
 def _parse_simplices(family, *texts: str) -> list[tuple]:
@@ -136,10 +143,10 @@ def _negative_report(m: int) -> CheckReport:
     # one generator suffices: sending every generator to x is a morphism of
     # algebras, so a relation that fails on x, x, x fails on any alphabet
     x = trees.LEAF
-    triple = trees.Bracketings(TreeOracle(m).product, x, x, x, {})
+    product, yz, xy = TreeOracle(m).product, {}, {}
     for label, lhs, rhs in _NEGATIVE_CONTROLS[m]:
         report.checks += 1
-        if triple.holds(trees.relation_plan(lhs, rhs)):
+        if trees.plan_holds(trees.relation_plan(lhs, rhs), product, x, x, x, yz, xy):
             report.fail(label)
     return report
 
@@ -158,6 +165,12 @@ def _suite_reports(args) -> list[CheckReport]:
         raise ValueError("negative suite is defined for m = 1 and m = 2")
     if suite in ("ordm", "all") and args.max_degree is not None:
         _check_tamari_degree(args.max_degree)
+    if suite in ("poset", "all") and args.max_degree is not None and not args.file:
+        # surjections, the largest built-in family: Fubini numbers a(k) = sum C(k, j) a(k - j)
+        fubini = [1]
+        for k in range(1, args.max_degree + 1):
+            fubini.append(sum(math.comb(k, j) * fubini[k - j] for j in range(1, k + 1)))
+            _check_poset_size("surjections", k, fubini[k])
     # the largest basis of each suite: (suite, default --m, bound, default bound)
     for name, m, n, default in (
         ("axioms", 3, args.max_degree, 5),
@@ -171,21 +184,12 @@ def _suite_reports(args) -> list[CheckReport]:
         max_degree = _given(args.max_degree, 5)
         for m in range(1, _given(args.m, 3) + 1):
             tree_oracle = TreeOracle(m)
-            r = trees.verify_dyck_axioms(
-                m, max_degree, tree_oracle.product, tree_oracle.basis
-            )
-            r.name = f"axioms on trees m={m} degree<={max_degree}"
-            reports.append(r)
-            path_oracle = PathOracle(m)
-            r = trees.verify_dyck_axioms(
-                m, max_degree, path_oracle.product, path_oracle.basis
-            )
-            r.name = f"axioms on paths m={m} degree<={max_degree}"
-            reports.append(r)
-            r = trees.verify_circ_relations(
-                m, max_degree, tree_oracle.product, tree_oracle.basis
-            )
-            reports.append(r)
+            for model, oracle in (("trees", tree_oracle), ("paths", PathOracle(m))):
+                r = trees.verify_dyck_axioms(m, max_degree, oracle.product, oracle.basis)
+                r.name = f"axioms on {model} m={m} degree<={max_degree}"
+                reports.append(r)
+            product, basis = tree_oracle.product, tree_oracle.basis
+            reports.append(trees.verify_circ_relations(m, max_degree, product, basis))
     if suite in ("ordm", "all"):
         max_degree = _given(args.max_degree, 5)
         family = posets.TamariBinaryFamily()
@@ -202,7 +206,7 @@ def _suite_reports(args) -> list[CheckReport]:
             for k in range(m):
                 reports.append(simplicial.verify_Sk_freeness(m, k, max_degree))
     if suite in ("poset", "all"):
-        if getattr(args, "file", None):
+        if args.file:
             try:
                 with open(args.file, "r", encoding="utf-8") as handle:
                     text = handle.read()

@@ -12,8 +12,8 @@ workhorses shared by all the combinatorial models:
 
 * :class:`LinComb`, a formal finite linear combination of opaque basis keys
   (trees, lattice paths, chains, ...) with rational coefficients, together
-  with :func:`linear_sum`, the one accumulator behind every linear
-  extension of a basis product, and
+  with :func:`linear_sum`, the accumulator behind ``bilinear`` and the
+  other linear maps (the tree products and relation checks fill plain dicts), and
 * one exact rank routine on sparse integer rows ``{column: entry}``, built
   straight from the terms of a :class:`LinComb` (or from a plain list of
   equally long rows) by clearing denominators.  Elimination modulo a
@@ -177,16 +177,6 @@ def linear_sum(pairs: Iterable[tuple[LinComb, object]]) -> LinComb:
     out = LinComb.__new__(LinComb)
     out._terms = data
     return out
-
-
-def vanishes(pairs: Iterable[tuple[LinComb, object]]) -> bool:
-    """Whether the sum of c*v over ``(v, c)`` pairs is zero; for relation checks,
-    which need no more, it skips :func:`linear_sum`'s pruning and normalising."""
-    acc: dict = {}
-    for v, c in pairs:
-        for key, cv in v._terms.items():
-            acc[key] = acc.get(key, 0) + c * cv
-    return not any(acc.values())
 
 
 def bilinear(a: LinComb, b: LinComb, product: Callable) -> LinComb:

@@ -25,7 +25,7 @@ from functools import cache
 from .exactlin import LinComb
 from .orders import FinitePoset
 from .reporting import CheckReport
-from .trees import Bracketings, _triples, dyck_relations, relation_plan
+from .trees import _triples, dyck_relations, plan_holds, relation_plan
 
 SLASH = "/"
 PERP = "bot"
@@ -562,7 +562,8 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
     plans = [relation_plan(lhs, rhs) for _, lhs, rhs in DENDRIFORM_AXIOMS]
     for (x,), (y,), (z,), xy in _triples(max_degree, oracle.basis):
         report.checks += 1
-        if not all(map(Bracketings(oracle.product, (x,), (y,), (z,), xy).holds, plans)):
+        yz: dict = {}
+        if not all(plan_holds(plan, oracle.product, (x,), (y,), (z,), yz, xy) for plan in plans):
             report.fail(f"condition 3 dendriform axioms fail at {x!r}, {y!r}, {z!r}")
             return report
 

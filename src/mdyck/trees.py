@@ -19,7 +19,9 @@ above, :func:`circ_relations` the difference, bottom and diagonal relations
 of the partial sums o_i = *_0 + ... + *_i, and the dendriform axioms and the
 CLI's negative controls are tables of the same form.  Each is compiled once
 into lhs - rhs grouped by its outer product (:func:`relation_plan`), and
-:class:`Bracketings` tests on one basis triple whether that sum vanishes.
+:func:`plan_holds` tests on one basis triple whether that sum vanishes,
+accumulating it in one plain dict.  The products of :class:`TreeOracle` are
+likewise built straight into their term dicts.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
-from .exactlin import LinComb, bilinear, linear_sum, vanishes
+from .exactlin import LinComb, bilinear
 from .reporting import CheckReport
 
 LEFT = "L"
@@ -254,19 +256,6 @@ def _basis(m: int, n: int) -> tuple[ColoredTree, ...]:
     return tuple(out)
 
 
-# grafting is injective on interned trees: no two terms merge, none is 0
-def _graft_left(t_left: ColoredTree, color: int, lc: LinComb) -> LinComb:
-    out = LinComb.__new__(LinComb)
-    out._terms = {ColoredTree(color, t_left, u): c for u, c in lc.items()}
-    return out
-
-
-def _graft_right(lc: LinComb, color: int, w: ColoredTree) -> LinComb:
-    out = LinComb.__new__(LinComb)
-    out._terms = {ColoredTree(color, u, w): c for u, c in lc.items()}
-    return out
-
-
 class TreeOracle:
     """The free algebra on one generator over the basis B(m).
 
@@ -280,30 +269,40 @@ class TreeOracle:
     def basis(self, n: int) -> list[ColoredTree]:
         return enumerate_Bm(self.m, n)
 
-    def product(self, x: ColoredTree, y: ColoredTree, i: int) -> LinComb:
-        return self._product(x, y, i)
-
     def _product(self, t: ColoredTree, w: ColoredTree, i: int) -> LinComb:
         key = (t, w, i)
         result = self._memo.get(key)
         if result is not None:
             return result
-        if t.is_leaf or i < t.color:
-            result = LinComb.single(ColoredTree(i, t, w))
+        # terms go straight into the result's dict; ColoredTree runs only for a new tree
+        get = _TREES.get
+        if t.color is None or i < t.color:
+            terms = {get((i, t, w)) or ColoredTree(i, t, w): 1}
         elif t.color < i:
-            result = _graft_left(t.left, t.color, self._product(t.right, w, i))
+            # grafting is injective on interned trees: no two terms merge
+            c, left = t.color, t.left
+            terms = {}
+            for u, cu in self._product(t.right, w, i)._terms.items():
+                terms[get((c, left, u)) or ColoredTree(c, left, u)] = cu
         else:
             # (x *_i y) *_i z rewritten through the mixed-associativity relation
-            terms = [
-                (_graft_left(t.left, i, self._product(t.right, w, k)), 1) for k in range(i + 1)
-            ]
-            terms += [
-                (_graft_right(self._product(t.left, t.right, k), i, w), -1)
-                for k in range(i + 1, self.m + 1)
-            ]
-            result = linear_sum(terms)
+            left, right, acc = t.left, t.right, {}
+            for k in range(i + 1):
+                for u, c in self._product(right, w, k)._terms.items():
+                    tree = get((i, left, u)) or ColoredTree(i, left, u)
+                    acc[tree] = acc.get(tree, 0) + c
+            for k in range(i + 1, self.m + 1):
+                for u, c in self._product(left, right, k)._terms.items():
+                    tree = get((i, u, w)) or ColoredTree(i, u, w)
+                    acc[tree] = acc.get(tree, 0) - c
+            terms = {tree: c for tree, c in acc.items() if c}
+        result = LinComb.__new__(LinComb)
+        result._terms = terms
         self._memo[key] = result
         return result
+
+    # callers reach the memo directly; a wrapper set on product does not see the recursion
+    product = _product
 
 
 def tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
@@ -415,38 +414,38 @@ def relation_plan(lhs: tuple, rhs: tuple) -> tuple:
     return tuple(group for group in plan if group[2])
 
 
-class Bracketings:
-    """Relation plans on one triple (x, y, z); the inner sums are kept by ``inner``,
-    for y *_b z per triple and for x *_a y in the caller's ``xy`` per pair."""
+def plan_holds(plan: tuple, multiplier: Callable, x, y, z, yz: dict, xy: dict) -> bool:
+    """Whether lhs - rhs of the relation compiled to ``plan`` vanishes on (x, y, z).
 
-    def __init__(self, multiplier: Callable, x, y, z, xy: dict):
-        self.multiplier, self.x, self.z = multiplier, x, z
-        self._memos = {LEFT: ({}, y, z), RIGHT: (xy, x, y)}
-
-    def _inner_sum(self, kind: str, inner: tuple) -> LinComb:
-        memo, left, right = self._memos[kind]
-        comb = memo.get(inner)
-        if comb is None:
-            if len(inner) == 1 and inner[0][1] == 1:  # a product, kept as it is
-                comb = self.multiplier(left, right, inner[0][0])
+    Inner sums are term dicts keyed by ``inner``: y *_b z in ``yz`` per triple, x *_a y
+    in ``xy`` per pair, a sum of several products built from the single ``((k, 1),)``."""
+    acc: dict = {}
+    for kind, outer, inner in plan:
+        memo, a, b = (yz, y, z) if kind == LEFT else (xy, x, y)
+        terms = memo.get(inner)
+        if terms is None:
+            if len(inner) == 1 and inner[0][1] == 1:
+                terms = multiplier(a, b, inner[0][0])._terms
             else:
-                comb = linear_sum((self._inner_sum(kind, ((k, 1),)), c) for k, c in inner)
-            memo[inner] = comb
-        return comb
-
-    def holds(self, plan: tuple) -> bool:
-        """Whether lhs - rhs of the relation compiled to ``plan`` vanishes here."""
-        mul, x, z, inner_sum = self.multiplier, self.x, self.z, self._inner_sum
-        return vanishes(
-            (mul(x, u, outer) if kind == LEFT else mul(u, z, outer), c)
-            for kind, outer, inner in plan
-            for u, c in inner_sum(kind, inner)._terms.items()
-        )
+                terms = {}
+                for k, c in inner:
+                    single = memo.get(((k, 1),))
+                    if single is None:
+                        single = memo[((k, 1),)] = multiplier(a, b, k)._terms
+                    for u, cu in single.items():
+                        terms[u] = terms.get(u, 0) + c * cu
+                terms = {u: c for u, c in terms.items() if c}
+            memo[inner] = terms
+        for u, c in terms.items():
+            product = multiplier(x, u, outer) if kind == LEFT else multiplier(u, z, outer)
+            for key, cv in product._terms.items():
+                acc[key] = acc.get(key, 0) + c * cv
+    return not any(acc.values())
 
 
 def _triples(max_total_degree: int, basis_enumerator: Callable[[int], Iterable]):
     """Basis triples ``(x, y, z, xy)`` of total degree at most the bound, degree
-    triple outermost; ``xy`` is a fresh :class:`Bracketings` memo per (n3, x, y)."""
+    triple outermost; ``xy`` is a fresh :func:`plan_holds` memo per (n3, x, y)."""
     bases = {n: list(basis_enumerator(n)) for n in range(1, max_total_degree - 1)}
     for n1 in range(1, max_total_degree - 1):
         for n2 in range(1, max_total_degree - n1):
@@ -475,10 +474,10 @@ def _sweep(
     report = CheckReport(name=name)
     plans = [(label, relation_plan(lhs, rhs)) for label, lhs, rhs in relations]
     for x, y, z, xy in _triples(max_total_degree, basis_enumerator):
-        holds = Bracketings(multiplier, x, y, z, xy).holds
+        yz: dict = {}
         for label, plan in plans:
             report.checks += 1
-            if not holds(plan):
+            if not plan_holds(plan, multiplier, x, y, z, yz, xy):
                 report.fail(f"{label} x={x!r} y={y!r} z={z!r}")
                 return report
     return report

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mdyck import simplicial, tamari, trees
+from mdyck import cli, posets, series, simplicial, tamari, trees
+from mdyck.reporting import CheckReport
 from mdyck.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -318,6 +319,54 @@ def test_verify_refuses_a_basis_above_the_cap(monkeypatch, argv, message):
         monkeypatch.setattr(module, name, verifier)
     expected = f"error: {message} exceeds cap 20000\n"
     assert _usage_error(["verify", *argv]) == (2, "", expected)
+
+
+# every verifier that `verify` can reach, by module
+VERIFIERS = (
+    (trees, "verify_dyck_axioms"),
+    (trees, "verify_circ_relations"),
+    (simplicial, "verify_simplicial_identities"),
+    (simplicial, "verify_Sk_freeness"),
+    (posets, "verify_dendriform_poset"),
+    (tamari, "verify_interval_product"),
+    (series, "check_series_identities"),
+    (cli, "_negative_report"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "poset", "--max-degree", "7"],
+        ["--suite", "all", "--m", "1", "--max-degree", "7"],
+    ],
+    ids=["poset", "all"],
+)
+def test_verify_refuses_a_poset_above_the_cap(monkeypatch, argv):
+    def verifier(*args):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    for module, name in VERIFIERS:
+        monkeypatch.setattr(module, name, verifier)
+    expected = "error: the surjections poset of degree 7 has 47293 elements, more than 20000\n"
+    assert _usage_error(["verify", *argv]) == (2, "", expected)
+
+
+def test_verify_poset_cap_spares_degree_6_and_files(monkeypatch, tmp_path):
+    bounds = []
+
+    def verifier(family, bound):
+        bounds.append(bound)
+        return CheckReport(name=family.name)
+
+    monkeypatch.setattr(posets, "verify_dendriform_poset", verifier)
+    assert run(["verify", "--suite", "poset", "--max-degree", "6"])[0] == 0
+    assert bounds == [6, 6, 6, 6]
+    path = tmp_path / "family.poset"
+    path.write_text("degree 1\nelem e\n", encoding="utf-8")
+    argv = ["verify", "--suite", "poset", "--file", str(path), "--max-degree", "7"]
+    assert run(argv)[0] == 0
+    assert bounds[4:] == [7]
 
 
 def test_verify_series():

@@ -18,7 +18,6 @@ from mdyck.exactlin import (
     matrix_rank,
     rank_of_lincombs,
     span_contains,
-    vanishes,
 )
 
 rationals = st.fractions(
@@ -160,12 +159,6 @@ def test_linear_sum_matches_scale_and_add(pairs):
     for v, c in pairs:
         expected = expected + v.scale(c)
     assert linear_sum(pairs) == expected
-
-
-@given(st.lists(st.tuples(lincombs, rationals), max_size=4))
-def test_vanishes_is_the_zero_test_of_linear_sum(pairs):
-    assert vanishes(pairs) == (not linear_sum(pairs))
-    assert vanishes(pairs + [(linear_sum(pairs), -1)])
 
 
 def test_matrix_rank_examples():

@@ -10,7 +10,6 @@ from mdyck.trees import (
     LEAF,
     LEFT,
     RIGHT,
-    Bracketings,
     ColoredTree,
     TreeOracle,
     _triples,
@@ -24,6 +23,7 @@ from mdyck.trees import (
     is_basis_Bm,
     node,
     parse_tree,
+    plan_holds,
     relation_plan,
     tree_normal_form,
     tree_product,
@@ -190,6 +190,48 @@ def test_product_root_color_bound():
                     )
 
 
+def _reference_product(m, t, w, i, memo):
+    # t *_i w by the grafting recursion, each step a LinComb and linear_sum
+    key = (t, w, i)
+    if key not in memo:
+
+        def graft_left(color, comb):
+            return LinComb({ColoredTree(color, t.left, u): c for u, c in comb.items()})
+
+        def graft_right(comb):
+            return LinComb({ColoredTree(i, u, w): c for u, c in comb.items()})
+
+        if t.is_leaf or i < t.color:
+            memo[key] = LinComb.single(ColoredTree(i, t, w))
+        elif t.color < i:
+            memo[key] = graft_left(t.color, _reference_product(m, t.right, w, i, memo))
+        else:
+            terms = [
+                (graft_left(i, _reference_product(m, t.right, w, k, memo)), 1)
+                for k in range(i + 1)
+            ]
+            terms += [
+                (graft_right(_reference_product(m, t.left, t.right, k, memo)), -1)
+                for k in range(i + 1, m + 1)
+            ]
+            memo[key] = linear_sum(terms)
+    return memo[key]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_tree_products_match_the_graft_reference(m):
+    oracle, reference = TreeOracle(m), {}
+    for n1 in range(1, 6):
+        for n2 in range(1, 7 - n1):
+            for x in enumerate_Bm(m, n1):
+                for y in enumerate_Bm(m, n2):
+                    for i in range(m + 1):
+                        product = oracle.product(x, y, i)
+                        assert product._terms == _reference_product(m, x, y, i, reference)._terms
+                        assert 0 not in product._terms.values()
+                        assert oracle._memo[(x, y, i)] is product
+
+
 def test_axioms_tree_oracle():
     for m in (1, 2, 3):
         oracle = TreeOracle(m)
@@ -340,9 +382,35 @@ def test_relation_plans_match_the_bracket_reference(model, degrees, table, data)
     plans = [relation_plan(lhs, rhs) for lhs, rhs in table]
     xy = {}  # shared by every z of the pair, as in the sweep
     for z in oracle.basis(degrees[2]):
-        triple = Bracketings(oracle.product, x, y, z, xy)
+        yz = {}  # shared by every plan of the triple
         for plan, (lhs, rhs) in zip(plans, table):
-            assert triple.holds(plan) == _reference_holds(oracle.product, x, y, z, lhs, rhs)
+            holds = plan_holds(plan, oracle.product, x, y, z, yz, xy)
+            assert holds == _reference_holds(oracle.product, x, y, z, lhs, rhs)
+
+
+# a multiplier on the keys 0..3 that draws each product as a random rational
+# combination on first use, so that inner and outer sums merge and cancel
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+key_combs = st.dictionaries(st.integers(0, 3), rationals, max_size=3).map(LinComb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.tuples(*[st.integers(0, 3)] * 3), signed_terms, signed_terms)
+def test_plan_holds_is_the_zero_test_of_linear_sum(data, triple, lhs, rhs):
+    table = {}
+
+    def product(a, b, k):
+        if (a, b, k) not in table:
+            table[a, b, k] = data.draw(key_combs)
+        return table[a, b, k]
+
+    x, y, z = triple
+    plan = relation_plan(lhs, rhs)
+    assert plan_holds(plan, product, x, y, z, {}, {}) == _reference_holds(
+        product, x, y, z, lhs, rhs
+    )
+    negated = tuple((kind, outer, tuple((k, -c) for k, c in inner)) for kind, outer, inner in plan)
+    assert plan_holds(plan + negated, product, x, y, z, {}, {})
 
 
 @pytest.mark.parametrize("max_total_degree", [2, 3, 5, 6])
@@ -382,8 +450,12 @@ def test_sweep_reports_the_reference_failure(model):
         result = oracle.product(u, v, k)
         return result.scale(2) if (u, v, k) == (a, b, 1) else result
 
-    report = verify_circ_relations(2, 5, faulty, oracle.basis)
-    assert not report.ok
-    assert report.checks > len(circ_relations(2))
-    expected = _reference_sweep(circ_relations(2), 5, faulty, oracle.basis)
-    assert (report.checks, report.failures) == expected
+    for verifier, relations in (
+        (verify_dyck_axioms, dyck_relations(2)),
+        (verify_circ_relations, circ_relations(2)),
+    ):
+        report = verifier(2, 5, faulty, oracle.basis)
+        assert not report.ok
+        assert report.checks > len(relations)
+        expected = _reference_sweep(relations, 5, faulty, oracle.basis)
+        assert (report.checks, report.failures) == expected
