@@ -39,18 +39,20 @@ def clear_caches() -> None:
 
     The basis enumerations, the change of basis, the per-path statistics
     behind ``path_product`` and the interval bounds (the multiplicity
-    classes of the top word and the prime blocks), the weak compositions
-    and the m-Tamari lattices are pure functions memoised by
-    ``functools.cache`` for the life of the process, so a long-running
-    process grows without bound.  Clearing frees that memory; later calls
-    recompute the same results.
+    classes of the top word and the prime blocks), the weak compositions,
+    the class-i compositions of ``path_product`` (``paths._lambda_sets``,
+    keyed by L(P), the class lengths and r) and the m-Tamari lattices are
+    pure functions memoised by ``functools.cache`` for the life of the
+    process, so a long-running process grows without bound.  Clearing frees
+    that memory; later calls recompute the same results.
 
-    Basis products are memoised by the ``TreeOracle`` or ``PathOracle`` that
-    computes them and freed with it; a ``PosetFamily`` owns its pair memo
-    (``split``) and a ``trees.evaluator`` its tree images (those of one
-    ``phi`` or ``tree_normal_form`` call) the same way.  The intern tables
-    of ``ColoredTree`` and ``DyckPath`` are not cleared: keys compare by
-    identity, so a live tree would no longer equal its rebuilt twin.
+    Basis products are memoised by the ``TreeOracle``, ``PathOracle`` or
+    ``OrdmOracle`` that computes them and freed with it; a ``PosetFamily``
+    owns its pair memo (``split``) and a ``trees.evaluator`` its tree images
+    (those of one ``phi`` or ``tree_normal_form`` call) the same way.  The
+    intern tables of ``ColoredTree`` and ``DyckPath`` are not cleared: keys
+    compare by identity, so a live tree would no longer equal its rebuilt
+    twin.
     """
     from . import paths, posets, simplicial, tamari, trees
 
@@ -58,6 +60,7 @@ def clear_caches() -> None:
         trees._basis,
         paths._enumerate_levels,
         paths._classes,
+        paths._lambda_sets,
         paths._prime_blocks,
         paths._weak_compositions,
         posets._binary_trees,

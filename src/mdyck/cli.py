@@ -7,6 +7,7 @@ All output is canonical (sorted) and byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -35,11 +36,32 @@ def _dims(args) -> int:
     return 0 if ok else 1
 
 
+def _first_over_cap(size_of) -> int:
+    """The least degree k >= 1 with ``size_of(k)`` above the cap.
+
+    Sizes grow with the degree, so a bound n is over the cap exactly when
+    n >= k; walking k up from 1 never computes the size of a far bound.
+    """
+    k = 1
+    while size_of(k) <= tamari.DEFAULT_CAP:
+        k += 1
+    return k
+
+
 def _check_dimension(m: int, n: int) -> None:
-    """Refuse a degree n >= 1 whose basis has more than the cap of elements."""
-    if n > 0 and series.fuss_catalan(m, n) > tamari.DEFAULT_CAP:
-        size, cap = series.fuss_catalan(m, n), tamari.DEFAULT_CAP
-        raise ValueError(f"d({m},{n}) = {size} exceeds cap {cap}")
+    """Refuse a degree n >= 1 whose basis has more than the cap of elements.
+
+    The exact size is printed up to twice the first degree over the cap,
+    where it is cheap to compute.
+    """
+    size_of = functools.partial(series.fuss_catalan, m)
+    k = _first_over_cap(size_of)
+    if n < k:
+        return
+    cap = tamari.DEFAULT_CAP
+    if n <= 2 * k:
+        raise ValueError(f"d({m},{n}) = {size_of(n)} exceeds cap {cap}")
+    raise ValueError(f"d({m},{n}) exceeds cap {cap}, as d({m},{k}) = {size_of(k)} does")
 
 
 def _check_poset_size(name: str, n: int, size: int) -> None:
@@ -50,9 +72,19 @@ def _check_poset_size(name: str, n: int, size: int) -> None:
 
 
 def _check_tamari_degree(n: int) -> None:
-    """Refuse a Tamari poset of degree n >= 1 with more than the cap of elements."""
-    if n > 0:
-        _check_poset_size("Tamari", n, series.fuss_catalan(1, n))
+    """Refuse a Tamari poset of degree n >= 1 with more than the cap of elements,
+    printing its exact size as :func:`_check_dimension` does."""
+    size_of = functools.partial(series.fuss_catalan, 1)
+    k = _first_over_cap(size_of)
+    if n < k:
+        return
+    if n <= 2 * k:
+        _check_poset_size("Tamari", n, size_of(n))  # raises: n >= k
+    cap = tamari.DEFAULT_CAP
+    raise ValueError(
+        f"the Tamari poset of degree {n} has more than {cap} elements, "
+        f"as that of degree {k} has {size_of(k)}"
+    )
 
 
 def _parse_simplices(family, *texts: str) -> list[tuple]:
@@ -155,6 +187,38 @@ def _given(value, default):
     return default if value is None else value
 
 
+# Each oracle lives only as long as the helper of the suite that made it, so
+# its product memo is freed before the next suite runs.
+
+
+def _axioms_report(name: str, m: int, max_degree: int, oracle) -> CheckReport:
+    report = trees.verify_dyck_axioms(m, max_degree, oracle.product, oracle.basis)
+    report.name = f"axioms on {name} degree<={max_degree}"
+    return report
+
+
+def _axiom_reports(args) -> list[CheckReport]:
+    max_degree = _given(args.max_degree, 5)
+    reports = []
+    for m in range(1, _given(args.m, 3) + 1):
+        tree_oracle = TreeOracle(m)
+        reports.append(_axioms_report(f"trees m={m}", m, max_degree, tree_oracle))
+        reports.append(_axioms_report(f"paths m={m}", m, max_degree, PathOracle(m)))
+        reports.append(
+            trees.verify_circ_relations(m, max_degree, tree_oracle.product, tree_oracle.basis)
+        )
+    return reports
+
+
+def _ordm_reports(args) -> list[CheckReport]:
+    max_degree = _given(args.max_degree, 5)
+    family = posets.TamariBinaryFamily()
+    return [
+        _axioms_report(f"Tamari {m}-simplices", m, max_degree, posets.OrdmOracle(family, m))
+        for m in range(1, _given(args.m, 2) + 1)
+    ]
+
+
 def _suite_reports(args) -> list[CheckReport]:
     suite = args.suite
     for flag, value in (("--m", args.m), ("--max-m", args.max_m)):
@@ -181,23 +245,9 @@ def _suite_reports(args) -> list[CheckReport]:
             _check_dimension(_given(args.m, m), _given(n, default))
     reports: list[CheckReport] = []
     if suite in ("axioms", "all"):
-        max_degree = _given(args.max_degree, 5)
-        for m in range(1, _given(args.m, 3) + 1):
-            tree_oracle = TreeOracle(m)
-            for model, oracle in (("trees", tree_oracle), ("paths", PathOracle(m))):
-                r = trees.verify_dyck_axioms(m, max_degree, oracle.product, oracle.basis)
-                r.name = f"axioms on {model} m={m} degree<={max_degree}"
-                reports.append(r)
-            product, basis = tree_oracle.product, tree_oracle.basis
-            reports.append(trees.verify_circ_relations(m, max_degree, product, basis))
+        reports += _axiom_reports(args)
     if suite in ("ordm", "all"):
-        max_degree = _given(args.max_degree, 5)
-        family = posets.TamariBinaryFamily()
-        for m in range(1, _given(args.m, 2) + 1):
-            oracle = posets.OrdmOracle(family, m)
-            r = trees.verify_dyck_axioms(m, max_degree, oracle.product, oracle.basis)
-            r.name = f"axioms on Tamari {m}-simplices degree<={max_degree}"
-            reports.append(r)
+        reports += _ordm_reports(args)
     if suite in ("simplicial", "all"):
         reports.append(simplicial.verify_simplicial_identities(_given(args.max_m, 5)))
     if suite in ("freeness", "all"):

@@ -245,6 +245,15 @@ def _multiplicity_class(P: DyckPath, i: int) -> tuple[int, ...]:
     return _classes(P)[i]
 
 
+@cache
+def _lambda_sets(L: int, lengths: tuple[int, ...], r: int) -> tuple[WeakComposition, ...]:
+    # the sorted weak compositions of L with r+1 parts whose last part is in
+    # lengths; many paths share (L, lengths), so this is keyed by them, not by P
+    return tuple(
+        sorted(prefix + (last,) for last in lengths for prefix in _weak_compositions(L - last, r))
+    )
+
+
 def lambda_sets(P: DyckPath, r: int, i: int) -> list[WeakComposition]:
     """Weak compositions of L(P) with r+1 parts in the multiplicity class i.
 
@@ -255,12 +264,7 @@ def lambda_sets(P: DyckPath, r: int, i: int) -> list[WeakComposition]:
     lengths = _multiplicity_class(P, i)
     if r < 0:
         raise ValueError("need r >= 0")
-    L = P.last_level
-    out = [
-        prefix + (last,) for last in lengths for prefix in _weak_compositions(L - last, r)
-    ]
-    out.sort()
-    return out
+    return list(_lambda_sets(P.last_level, lengths, r))
 
 
 def star_lambda(P: DyckPath, Q: DyckPath, lam: WeakComposition) -> DyckPath:
@@ -288,26 +292,38 @@ def _star_paths(P: DyckPath, blocks, lams) -> list[DyckPath]:
     replaced by lam_0, then for each prime factor of Q its levels with
     lam_k added to the last one.  Only the finished path is validated.
     """
-    head = P.levels[:-1]
+    m, head, get = P.m, P.levels[:-1], _PATHS.get
     out = []
     for lam in lams:
         levels = head + lam[:1]
         for (body, last), part in zip(blocks, lam[1:]):
             levels += body + (last + part,)
-        out.append(DyckPath(P.m, levels))
+        # DyckPath runs only for a path not yet interned
+        out.append(get((m, levels)) or DyckPath(m, levels))
     return out
 
 
 def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
     """P *_i Q: the sum of P *_lam Q over the class-i compositions.
 
-    Q is factored once per call and each term is built by :func:`_star_paths`.
+    Q is factored once per call, the compositions come from the cache shared
+    by every P with the same L(P) and class lengths, and each term is built
+    by :func:`_star_paths` straight into the result's term dict.
     """
     if P.m != Q.m:
         raise ValueError("mixed m")
     blocks = _prime_blocks(Q)
-    terms = _star_paths(P, blocks, lambda_sets(P, len(blocks), i))
-    return LinComb([(path, 1) for path in terms])
+    lams = _lambda_sets(P.last_level, _multiplicity_class(P, i), len(blocks))
+    paths = _star_paths(P, blocks, lams)
+    terms = dict.fromkeys(paths, 1)
+    if len(terms) < len(paths):
+        # distinct compositions give distinct paths; a repeat is summed, not lost
+        terms = {}
+        for path in paths:
+            terms[path] = terms.get(path, 0) + 1
+    result = LinComb.__new__(LinComb)
+    result._terms = terms
+    return result
 
 
 class PathOracle:

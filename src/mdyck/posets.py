@@ -23,7 +23,7 @@ import itertools
 from functools import cache
 
 from .exactlin import LinComb
-from .orders import FinitePoset
+from .orders import FinitePoset, mask_indices
 from .reporting import CheckReport
 from .trees import _triples, dyck_relations, plan_holds, relation_plan
 
@@ -591,23 +591,37 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
                             )
                             return report
 
-    # (5) prec-type intervals never sit below succ-type intervals; both
-    # sides are walked in element order
+    # (5) prec-type intervals never sit below succ-type intervals
     for n, r in degree_pairs:
-        U = family.poset(n + r)
-        succ_side = prec_side = 0
-        for x in family.elements(n):
-            for y in family.elements(r):
-                succ_side |= split(x, y)[_SUCC]
-                prec_side |= split(x, y)[_PREC]
-        prec_elems = U.members(prec_side)
-        for u in U.members(succ_side):
-            for v in prec_elems:
-                report.checks += 1
-                if U.leq(v, u):
-                    report.fail(f"condition 5 at degrees ({n},{r}): {v!r} <= {u!r}")
-                    return report
+        if not _prec_never_below_succ(family, n, r, report):
+            return report
     return report
+
+
+def _prec_never_below_succ(family: PosetFamily, n: int, r: int, report: CheckReport) -> bool:
+    """Condition (5) at bidegree (n, r), one down-set row per succ-type element u.
+
+    Counts one check per (u, v) pair that a scan of both sides in element
+    order would test: every prec-type v for a passing u, and the prec-type v
+    up to the first one below u for a failing u, which is the one reported.
+    """
+    U, split = family.poset(n + r), family.split
+    succ_side = prec_side = 0
+    for x in family.elements(n):
+        for y in family.elements(r):
+            succ_side |= split(x, y)[_SUCC]
+            prec_side |= split(x, y)[_PREC]
+    for k in mask_indices(succ_side):
+        below = U.down[k] & prec_side
+        if not below:
+            report.checks += prec_side.bit_count()
+            continue
+        first = below & -below
+        report.checks += (prec_side & (first << 1) - 1).bit_count()
+        v, u = U.elements[first.bit_length() - 1], U.elements[k]
+        report.fail(f"condition 5 at degrees ({n},{r}): {v!r} <= {u!r}")
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -639,21 +653,32 @@ def ordm_product(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> LinCo
     if any(split[0] != n for split in splits):
         raise ValueError("comparing elements of different degrees")
     masks = [split[_SUCC if j < m - i else _PREC] for j, split in enumerate(splits)]
-    return LinComb([(chain, 1) for chain in family.poset(n).chains(masks)])
+    # the chains are distinct, so they go straight into the result's term dict
+    result = LinComb.__new__(LinComb)
+    result._terms = dict.fromkeys(family.poset(n).chains(masks), 1)
+    return result
 
 
 class OrdmOracle:
-    """Simplex model over a dendriform poset as a product oracle."""
+    """Simplex model over a dendriform poset as a product oracle.
+
+    Products are memoised per oracle, so they are freed with it.
+    """
 
     def __init__(self, family: PosetFamily, m: int):
         self.family = family
         self.m = m
+        self._memo: dict[tuple[tuple, tuple, int], LinComb] = {}
 
     def basis(self, n: int) -> list[tuple]:
         return ordm_simplices(self.family, n, self.m)
 
     def product(self, x: tuple, y: tuple, i: int) -> LinComb:
-        return ordm_product(self.family, x, y, i)
+        key = (x, y, i)
+        result = self._memo.get(key)
+        if result is None:
+            result = self._memo[key] = ordm_product(self.family, x, y, i)
+        return result
 
 
 # ---------------------------------------------------------------------------

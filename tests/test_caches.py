@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import mdyck
-from mdyck import paths, posets, simplicial, tamari, trees
+from mdyck import cli, paths, posets, series, simplicial, tamari, trees
 
 
 def _caches():
@@ -159,6 +159,101 @@ def test_each_pair_is_split_once_per_family():
     assert trees.verify_dyck_axioms(2, 5, oracle.product, oracle.basis).ok
     assert len(calls) == len(family._splits)
     assert set(calls.values()) == {4}
+
+
+def test_each_simplex_product_is_computed_once_per_oracle(monkeypatch):
+    calls = collections.Counter()
+    real = posets.ordm_product
+
+    def counting(family, x, y, i):
+        calls[x, y, i] += 1
+        return real(family, x, y, i)
+
+    monkeypatch.setattr(posets, "ordm_product", counting)
+    oracle = posets.OrdmOracle(posets.TamariBinaryFamily(), 2)
+    assert trees.verify_dyck_axioms(2, 5, oracle.product, oracle.basis).ok
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(oracle._memo) == 768
+
+
+def test_simplex_memo_is_freed_with_its_oracle():
+    family = posets.TamariBinaryFamily()
+    oracle = posets.OrdmOracle(family, 2)
+    assert trees.verify_dyck_axioms(2, 4, oracle.product, oracle.basis).ok
+    assert oracle._memo
+    ref = weakref.ref(oracle)
+    del oracle
+    gc.collect()
+    assert ref() is None
+    assert not posets.OrdmOracle(family, 2)._memo
+
+
+def test_no_oracle_outlives_its_suite(monkeypatch):
+    # every oracle that `verify --suite all` makes, by weak reference; no
+    # collection is forced, so an oracle counts as freed only once nothing
+    # refers to it
+    made = []
+
+    def recorded(cls):
+        class Recorded(cls):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        return Recorded
+
+    def live():
+        return [oracle for oracle in (ref() for ref in made) if oracle is not None]
+
+    probes = collections.Counter()
+
+    def sweep_probe(real):
+        # an axiom or partial-sum sweep runs with only its own suite's oracles of its m alive
+        def probe(m, bound, multiplier, basis):
+            owner = multiplier.__self__
+            for oracle in live():
+                assert oracle.m == owner.m
+                assert isinstance(oracle, posets.OrdmOracle) == isinstance(owner, posets.OrdmOracle)
+            probes[real.__name__] += 1
+            return real(m, bound, multiplier, basis)
+
+        return probe
+
+    def later_suite_probe(real):
+        def probe(*args):
+            assert live() == []
+            probes[real.__name__] += 1
+            return real(*args)
+
+        return probe
+
+    monkeypatch.setattr(cli, "TreeOracle", recorded(trees.TreeOracle))
+    monkeypatch.setattr(cli, "PathOracle", recorded(paths.PathOracle))
+    monkeypatch.setattr(posets, "OrdmOracle", recorded(posets.OrdmOracle))
+    for module, name in ((trees, "verify_dyck_axioms"), (trees, "verify_circ_relations")):
+        monkeypatch.setattr(module, name, sweep_probe(getattr(module, name)))
+    for module, name in (
+        (simplicial, "verify_simplicial_identities"),
+        (simplicial, "verify_Sk_freeness"),
+        (posets, "verify_dendriform_poset"),
+        (tamari, "verify_interval_product"),
+        (series, "check_series_identities"),
+        (cli, "_negative_report"),
+    ):
+        monkeypatch.setattr(module, name, later_suite_probe(getattr(module, name)))
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    # 3 tree, 3 path and 2 simplex oracles in the suites, 4 for condition 3, 2 negative controls
+    assert len(made) == 14
+    assert probes == {
+        "verify_dyck_axioms": 8,
+        "verify_circ_relations": 3,
+        "verify_simplicial_identities": 1,
+        "verify_Sk_freeness": 3,
+        "verify_dendriform_poset": 4,
+        "verify_interval_product": 3,
+        "check_series_identities": 1,
+        "_negative_report": 2,
+    }
 
 
 KEYS = (

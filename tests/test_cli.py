@@ -321,6 +321,46 @@ def test_verify_refuses_a_basis_above_the_cap(monkeypatch, argv, message):
     assert _usage_error(["verify", *argv]) == (2, "", expected)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "--suite", "axioms", "--max-degree", "1000000"],
+            "d(3,1000000) exceeds cap 20000, as d(3,7) = 53820 does",
+        ),
+        (
+            ["verify", "--suite", "all", "--max-degree", "1000000"],
+            "the Tamari poset of degree 1000000 has more than 20000 elements, "
+            "as that of degree 11 has 58786",
+        ),
+        (
+            ["dims", "--m", "2", "--max-n", "1000000"],
+            "d(2,1000000) exceeds cap 20000, as d(2,8) = 43263 does",
+        ),
+    ],
+    ids=["axioms", "all", "dims"],
+)
+def test_a_huge_bound_is_refused_without_its_size(monkeypatch, argv, message):
+    # sizes are computed by increasing degree, up to the first one over the cap
+    real = series.fuss_catalan
+
+    def bounded(m, n):
+        assert n <= 11, f"fuss_catalan computed at degree {n}"
+        return real(m, n)
+
+    monkeypatch.setattr(series, "fuss_catalan", bounded)
+    assert _usage_error(argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_bound_up_to_twice_the_first_over_the_cap_prints_its_size():
+    message = "error: the Tamari poset of degree 22 has 91482563640 elements, more than 20000\n"
+    assert _usage_error(["verify", "--suite", "ordm", "--max-degree", "22"]) == (2, "", message)
+    message = "error: d(3,14) = 134993766600 exceeds cap 20000\n"
+    assert _usage_error(["verify", "--suite", "axioms", "--max-degree", "14"]) == (2, "", message)
+    message = "error: d(3,15) exceeds cap 20000, as d(3,7) = 53820 does\n"
+    assert _usage_error(["verify", "--suite", "axioms", "--max-degree", "15"]) == (2, "", message)
+
+
 # every verifier that `verify` can reach, by module
 VERIFIERS = (
     (trees, "verify_dyck_axioms"),

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from mdyck import posets
 from mdyck.exactlin import LinComb
+from mdyck.reporting import CheckReport
 from mdyck.posets import (
     BACKSLASH,
     OPS,
@@ -225,6 +227,60 @@ def test_dendriform_poset_instances():
         assert report.ok, (family.name, report.failures)
 
 
+CONDITION5_FILE = Path(__file__).resolve().parent / "data" / "condition5_order.poset"
+
+
+def _declared(edit=lambda text: text):
+    return parse_poset_file(edit(CONDITION5_FILE.read_text(encoding="utf-8")))
+
+
+def _without_b_covers(text):
+    return text.replace("cover b p1\n", "").replace("cover b q1\n", "")
+
+
+def _condition5_scan(family, n, r, report):
+    # the reference: every (succ-type u, prec-type v) pair, both in element order
+    U = family.poset(n + r)
+    succ_side = prec_side = 0
+    for x in family.elements(n):
+        for y in family.elements(r):
+            succ_side |= family.split(x, y)[posets._SUCC]
+            prec_side |= family.split(x, y)[posets._PREC]
+    for u in U.members(succ_side):
+        for v in U.members(prec_side):
+            report.checks += 1
+            if U.leq(v, u):
+                report.fail(f"condition 5 at degrees ({n},{r}): {v!r} <= {u!r}")
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "family, bound, failure",
+    [
+        (TamariBinaryFamily(), 5, None),
+        (PermutationFamily(), 4, None),
+        (SurjectionFamily(), 3, None),
+        (PlanarTreeFamily(), 4, None),
+        # b is below p1, the second succ-type element, and is the first prec-type one
+        (_declared(), 2, "'b' <= 'p1'"),
+        # without the covers above b, p2 below c fails first: a later v of a later u
+        (_declared(_without_b_covers), 2, "'p2' <= 'c'"),
+    ],
+    ids=["binary", "permutations", "surjections", "planar", "declared", "declared-later-pair"],
+)
+def test_condition5_rows_match_the_pair_scan(family, bound, failure):
+    failures = []
+    for n in range(1, bound):
+        for r in range(1, bound - n + 1):
+            rows, scan = CheckReport(name="rows"), CheckReport(name="scan")
+            held = posets._prec_never_below_succ(family, n, r, rows)
+            assert held == _condition5_scan(family, n, r, scan)
+            assert (rows.checks, rows.failures) == (scan.checks, scan.failures)
+            failures += rows.failures
+    assert failures == ([] if failure is None else [f"condition 5 at degrees (1,1): {failure}"])
+
+
 def test_top_variant_choice_is_confirmed_by_verifier():
     # the merged-max middle product passes; the standardize-after-shift
     # variant breaks interval splitting, and the verifier surfaces where
@@ -394,8 +450,7 @@ def test_non_element_is_a_value_error():
 
 
 def test_undeclared_token_is_a_value_error():
-    path = Path(__file__).resolve().parent / "data" / "condition5_order.poset"
-    family = parse_poset_file(path.read_text(encoding="utf-8"))
+    family = _declared()
     with pytest.raises(ValueError, match="'zz' is not a declared element"):
         family.leq("zz", "e")
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdyck import tamari
+from mdyck import paths, tamari
 from mdyck.cli import main
 from mdyck.exactlin import LinComb
 from mdyck.paths import (
@@ -207,6 +207,21 @@ def test_broken_interval_theorem_is_a_failed_report(monkeypatch, capsys, patches
     # a failed theorem exits 1, never 2 (the usage-error code)
     assert main(["verify", "--suite", "tamari-interval", "--m", "1", "--max-size", "4"]) == 1
     assert capsys.readouterr().out.endswith(f"\n  {message}\n")
+
+
+def test_a_repeated_term_is_summed_into_coefficient_two(monkeypatch):
+    # distinct compositions give distinct paths; were one repeated, the
+    # product would count it twice and the interval check would reject it
+    P = rho(1)
+    plain = paths.path_product(P, P, 0)
+    real = paths._star_paths
+    monkeypatch.setattr(paths, "_star_paths", lambda *args: real(*args) + real(*args)[:1])
+    doubled = paths.path_product(P, P, 0)
+    first = next(iter(plain))
+    assert doubled.support() == plain.support()
+    assert {path: doubled[path] for path in plain} == {path: 1 + (path is first) for path in plain}
+    report = verify_interval_product(1, 4)
+    assert report.failures == ["non-unit coefficient in ((1))*_0((1))"]
 
 
 def test_partition_example():
