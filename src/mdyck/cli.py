@@ -1,13 +1,15 @@
 """Command-line surface: dimension tables, products, verification, DOT export.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error.
-All output is canonical (sorted) and byte-stable across runs.
+All output is canonical (sorted) and byte-stable across runs. Every size
+bound is refused by one rule, :func:`mdyck.tamari.check_size`, before any
+work starts, and the suites of ``verify`` are the one ordered table
+``_SUITES``.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 
@@ -23,7 +25,7 @@ def _dims(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
     # both bases of the largest degree are enumerated, so they are bounded first
-    _check_dimension(args.m, args.max_n)
+    tamari.check_size(args.max_n, args.m)
     print(f"{'n':>3} {'fuss-catalan':>14} {'trees':>14} {'paths':>14}  status")
     ok = True
     for n in range(1, args.max_n + 1):
@@ -36,62 +38,21 @@ def _dims(args) -> int:
     return 0 if ok else 1
 
 
-def _first_over_cap(size_of) -> int:
-    """The least degree k >= 1 with ``size_of(k)`` above the cap.
-
-    Sizes grow with the degree, so a bound n is over the cap exactly when
-    n >= k; walking k up from 1 never computes the size of a far bound.
-    """
-    k = 1
-    while size_of(k) <= tamari.DEFAULT_CAP:
-        k += 1
-    return k
-
-
-def _check_dimension(m: int, n: int) -> None:
-    """Refuse a degree n >= 1 whose basis has more than the cap of elements.
-
-    The exact size is printed up to twice the first degree over the cap,
-    where it is cheap to compute.
-    """
-    size_of = functools.partial(series.fuss_catalan, m)
-    k = _first_over_cap(size_of)
-    if n < k:
-        return
-    cap = tamari.DEFAULT_CAP
-    if n <= 2 * k:
-        raise ValueError(f"d({m},{n}) = {size_of(n)} exceeds cap {cap}")
-    raise ValueError(f"d({m},{n}) exceeds cap {cap}, as d({m},{k}) = {size_of(k)} does")
-
-
-def _check_poset_size(name: str, n: int, size: int) -> None:
-    """Refuse a poset of degree n with more than the cap of elements."""
-    if size > tamari.DEFAULT_CAP:
-        cap = tamari.DEFAULT_CAP
-        raise ValueError(f"the {name} poset of degree {n} has {size} elements, more than {cap}")
-
-
-def _check_tamari_degree(n: int) -> None:
-    """Refuse a Tamari poset of degree n >= 1 with more than the cap of elements,
-    printing its exact size as :func:`_check_dimension` does."""
-    size_of = functools.partial(series.fuss_catalan, 1)
-    k = _first_over_cap(size_of)
-    if n < k:
-        return
-    if n <= 2 * k:
-        _check_poset_size("Tamari", n, size_of(n))  # raises: n >= k
-    cap = tamari.DEFAULT_CAP
-    raise ValueError(
-        f"the Tamari poset of degree {n} has more than {cap} elements, "
-        f"as that of degree {k} has {size_of(k)}"
-    )
+def _fubini(n: int) -> int:
+    """The size of the surjections poset of degree n: the ordered Bell number
+    a(n) = sum C(n, j) a(n - j) over 1 <= j <= n, with a(0) = 1."""
+    a = [1]
+    for k in range(1, n + 1):
+        a.append(sum(math.comb(k, j) * a[k - j] for j in range(1, k + 1)))
+    return a[n]
 
 
 def _parse_simplices(family, *texts: str) -> list[tuple]:
     simplices = [tuple(posets.pt_parse(tok) for tok in text.split(";")) for text in texts]
     # the largest Tamari poset needed, of Catalan(n) elements, is checked before any is built
     degrees = [family.degree(x) for simplex in simplices for x in simplex]
-    _check_tamari_degree(max(degrees + [sum(family.degree(simplex[0]) for simplex in simplices)]))
+    degrees.append(sum(family.degree(simplex[0]) for simplex in simplices))
+    tamari.check_size(max(degrees), poset="Tamari")
     for text, elems in zip(texts, simplices):
         for x in elems:
             n = family.degree(x)
@@ -187,8 +148,9 @@ def _given(value, default):
     return default if value is None else value
 
 
-# Each oracle lives only as long as the helper of the suite that made it, so
-# its product memo is freed before the next suite runs.
+# Each suite runs in its own helper, and the oracles and poset families it
+# makes live only as long as that helper, so their memos are freed before
+# the next suite runs.
 
 
 def _axioms_report(name: str, m: int, max_degree: int, oracle) -> CheckReport:
@@ -219,79 +181,94 @@ def _ordm_reports(args) -> list[CheckReport]:
     ]
 
 
+def _simplicial_reports(args) -> list[CheckReport]:
+    return [simplicial.verify_simplicial_identities(_given(args.max_m, 5))]
+
+
+def _freeness_reports(args) -> list[CheckReport]:
+    max_degree = _given(args.max_degree, 4)
+    return [
+        simplicial.verify_Sk_freeness(m, k, max_degree)
+        for m in range(1, _given(args.m, 2) + 1)
+        for k in range(m)
+    ]
+
+
+def _poset_reports(args) -> list[CheckReport]:
+    if args.file:
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
+        family = posets.parse_poset_file(text)
+        declared = family.declared_degrees()
+        bound = _given(args.max_degree, max(declared) if declared else 1)
+        return [posets.verify_dendriform_poset(family, bound)]
+    # each family, with its posets and pair memo, is freed before the next is built
+    return [
+        posets.verify_dendriform_poset(family(), _given(args.max_degree, bound))
+        for family, bound in (
+            (posets.PermutationFamily, 4),
+            (posets.SurjectionFamily, 3),
+            (posets.TamariBinaryFamily, 5),
+            (posets.PlanarTreeFamily, 4),
+        )
+    ]
+
+
+def _interval_reports(args) -> list[CheckReport]:
+    max_size = _given(args.max_size, 6)
+    sizes = [(m, max_size) for m in range(1, _given(args.m, 2) + 1)]
+    if args.suite == "all":
+        sizes.append((3, 4))
+    return [tamari.verify_interval_product(m, size) for m, size in sizes]
+
+
+def _series_reports(args) -> list[CheckReport]:
+    return [series.check_series_identities(_given(args.max_m, 4), _given(args.order, 10))]
+
+
+def _negative_reports(args) -> list[CheckReport]:
+    return [_negative_report(m) for m in ((1, 2) if args.m is None else (args.m,))]
+
+
+# every suite, in the order that `verify --suite all` runs them
+_SUITES = {
+    "axioms": _axiom_reports,
+    "ordm": _ordm_reports,
+    "simplicial": _simplicial_reports,
+    "freeness": _freeness_reports,
+    "poset": _poset_reports,
+    "tamari-interval": _interval_reports,
+    "series": _series_reports,
+    "negative": _negative_reports,
+}
+
+
 def _suite_reports(args) -> list[CheckReport]:
-    suite = args.suite
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     for flag, value in (("--m", args.m), ("--max-m", args.max_m)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1")
     # arguments that a later suite would refuse are refused before any suite runs
-    if suite in ("negative", "all") and args.m not in (None, *_NEGATIVE_CONTROLS):
+    if "negative" in suites and args.m not in (None, *_NEGATIVE_CONTROLS):
         raise ValueError("negative suite is defined for m = 1 and m = 2")
-    if suite in ("ordm", "all") and args.max_degree is not None:
-        _check_tamari_degree(args.max_degree)
-    if suite in ("poset", "all") and args.max_degree is not None and not args.file:
-        # surjections, the largest built-in family: Fubini numbers a(k) = sum C(k, j) a(k - j)
-        fubini = [1]
-        for k in range(1, args.max_degree + 1):
-            fubini.append(sum(math.comb(k, j) * fubini[k - j] for j in range(1, k + 1)))
-            _check_poset_size("surjections", k, fubini[k])
+    if args.max_degree is not None:
+        if "ordm" in suites:
+            tamari.check_size(args.max_degree, poset="Tamari")
+        if "poset" in suites and not args.file:
+            # surjections, the largest built-in family
+            tamari.check_size(args.max_degree, poset="surjections", size_of=_fubini)
     # the largest basis of each suite: (suite, default --m, bound, default bound)
     for name, m, n, default in (
         ("axioms", 3, args.max_degree, 5),
         ("freeness", 2, args.max_degree, 4),
         ("tamari-interval", 2, args.max_size, 6),
     ):
-        if suite in (name, "all"):
-            _check_dimension(_given(args.m, m), _given(n, default))
-    reports: list[CheckReport] = []
-    if suite in ("axioms", "all"):
-        reports += _axiom_reports(args)
-    if suite in ("ordm", "all"):
-        reports += _ordm_reports(args)
-    if suite in ("simplicial", "all"):
-        reports.append(simplicial.verify_simplicial_identities(_given(args.max_m, 5)))
-    if suite in ("freeness", "all"):
-        max_degree = _given(args.max_degree, 4)
-        for m in range(1, _given(args.m, 2) + 1):
-            for k in range(m):
-                reports.append(simplicial.verify_Sk_freeness(m, k, max_degree))
-    if suite in ("poset", "all"):
-        if args.file:
-            try:
-                with open(args.file, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError as exc:
-                raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
-            family = posets.parse_poset_file(text)
-            declared = family.declared_degrees()
-            bound = _given(args.max_degree, max(declared) if declared else 1)
-            reports.append(posets.verify_dendriform_poset(family, bound))
-        else:
-            instances = (
-                (posets.PermutationFamily(), 4),
-                (posets.SurjectionFamily(), 3),
-                (posets.TamariBinaryFamily(), 5),
-                (posets.PlanarTreeFamily(), 4),
-            )
-            for family, bound in instances:
-                bound = _given(args.max_degree, bound)
-                reports.append(posets.verify_dendriform_poset(family, bound))
-    if suite in ("tamari-interval", "all"):
-        max_size = _given(args.max_size, 6)
-        for m in range(1, _given(args.m, 2) + 1):
-            reports.append(tamari.verify_interval_product(m, max_size))
-        if suite == "all":
-            reports.append(tamari.verify_interval_product(3, 4))
-    if suite in ("series", "all"):
-        reports.append(
-            series.check_series_identities(_given(args.max_m, 4), _given(args.order, 10))
-        )
-    if suite in ("negative", "all"):
-        for m in (1, 2) if args.m is None else (args.m,):
-            reports.append(_negative_report(m))
-    if not reports:
-        raise ValueError(f"unknown suite {suite!r}")
-    return reports
+        if name in suites:
+            tamari.check_size(_given(n, default), _given(args.m, m))
+    return [report for name in suites for report in _SUITES[name](args)]
 
 
 def _verify(args) -> int:
@@ -328,17 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         required=True,
-        choices=(
-            "axioms",
-            "simplicial",
-            "freeness",
-            "poset",
-            "ordm",
-            "tamari-interval",
-            "series",
-            "negative",
-            "all",
-        ),
+        choices=(*_SUITES, "all"),
     )
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--max-m", type=int, default=None)

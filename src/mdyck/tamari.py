@@ -9,8 +9,9 @@ statistics of the top color word.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
+from . import series
 from .orders import FinitePoset, mask_indices
 from .paths import (
     DOWN,
@@ -25,7 +26,6 @@ from .paths import (
     standard_coloring,
 )
 from .reporting import CheckReport
-from .series import fuss_catalan
 
 
 def _rotations(P: DyckPath):
@@ -128,11 +128,46 @@ class TamariLattice(FinitePoset):
 
 
 DEFAULT_CAP = 20000
+_LONG = 10**30  # no size this large is printed
+
+
+def check_size(n: int, m: int = 1, cap: int = DEFAULT_CAP, poset: str = "", size_of=None) -> None:
+    """Refuse degree n when it has more than ``cap`` elements.
+
+    This is the size rule of every command. The elements are the d(m, n)
+    m-Dyck paths of size n or, given ``poset``, that family's poset of
+    degree n; the Tamari poset of degree n is the m = 1 case. Sizes
+    ``size_of(k)``, d(m, k) by default, grow with k, so the least degree k
+    over the cap is found walking up from 1 and n is refused exactly when
+    n >= k: a far bound costs no more than a near one. A size is printed
+    only while it is cheap and short: that of n only when n <= 2k, and none
+    from ``_LONG`` up.
+    """
+    size_of = size_of or partial(series.fuss_catalan, m)
+    k = 1
+    while k <= n and (size := size_of(k)) <= cap:
+        k += 1
+    if k > n:
+        return
+    exact = size_of(n) if n <= 2 * k else _LONG
+    what = f"the {poset} poset of degree {n}" if poset else f"d({m},{n})"
+    if exact < _LONG and poset:
+        raise ValueError(f"{what} has {exact} elements, more than {cap}")
+    if exact < _LONG:
+        raise ValueError(f"{what} = {exact} exceeds cap {cap}")
+    if poset:
+        message, witness = f"{what} has more than {cap} elements", f"that of degree {k}"
+    else:
+        message, witness = f"{what} exceeds cap {cap}", f"d({m},{k})"
+    if n > k and size >= _LONG:
+        message += f", as {witness} does"
+    elif n > k:
+        message += f", as {witness} has {size}" if poset else f", as {witness} = {size} does"
+    raise ValueError(message)
 
 
 def build_lattice(m: int, n: int, cap: int = DEFAULT_CAP) -> TamariLattice:
-    if fuss_catalan(m, n) > cap:
-        raise ValueError(f"d({m},{n}) = {fuss_catalan(m, n)} exceeds cap {cap}")
+    check_size(n, m, cap)
     return _lattice(m, n)
 
 

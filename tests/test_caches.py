@@ -256,6 +256,29 @@ def test_no_oracle_outlives_its_suite(monkeypatch):
     }
 
 
+def test_no_poset_family_outlives_its_suite(monkeypatch):
+    # every family that `verify --suite all` makes, by weak reference; no
+    # collection is forced, as above
+    made = []
+    real_init = posets.PosetFamily.__init__
+
+    def recorded(self, *args):
+        real_init(self, *args)
+        made.append(weakref.ref(self))
+
+    real_interval = tamari.verify_interval_product
+
+    def interval_probe(*args):
+        assert [ref for ref in made if ref() is not None] == []
+        return real_interval(*args)
+
+    monkeypatch.setattr(posets.PosetFamily, "__init__", recorded)
+    monkeypatch.setattr(tamari, "verify_interval_product", interval_probe)
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    # one Tamari family in the ordm suite, the four built-in ones in the poset suite
+    assert len(made) == 5
+
+
 KEYS = (
     trees.LEAF,
     trees.parse_tree("(0 (2 | |) (1 | (0 | |)))"),

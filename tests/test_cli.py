@@ -321,6 +321,10 @@ def test_verify_refuses_a_basis_above_the_cap(monkeypatch, argv, message):
     assert _usage_error(["verify", *argv]) == (2, "", expected)
 
 
+# an --m whose sizes have more digits than Python converts to text by default
+HUGE_M = "9" * 1500
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -337,8 +341,21 @@ def test_verify_refuses_a_basis_above_the_cap(monkeypatch, argv, message):
             ["dims", "--m", "2", "--max-n", "1000000"],
             "d(2,1000000) exceeds cap 20000, as d(2,8) = 43263 does",
         ),
+        (
+            ["hasse", "--m", "1", "--n", "1000000"],
+            "d(1,1000000) exceeds cap 20000, as d(1,11) = 58786 does",
+        ),
+        # d(m,2) = m + 1 is the first size over the cap; no long size is printed
+        (
+            ["verify", "--suite", "axioms", "--m", HUGE_M, "--max-degree", "4"],
+            f"d({HUGE_M},4) exceeds cap 20000, as d({HUGE_M},2) does",
+        ),
+        (
+            ["dims", "--m", HUGE_M, "--max-n", "4"],
+            f"d({HUGE_M},4) exceeds cap 20000, as d({HUGE_M},2) does",
+        ),
     ],
-    ids=["axioms", "all", "dims"],
+    ids=["axioms", "all", "dims", "hasse", "axioms-huge-m", "dims-huge-m"],
 )
 def test_a_huge_bound_is_refused_without_its_size(monkeypatch, argv, message):
     # sizes are computed by increasing degree, up to the first one over the cap
@@ -374,22 +391,34 @@ VERIFIERS = (
 )
 
 
+SURJECTIONS_7 = "the surjections poset of degree 7 has 47293 elements, more than 20000"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["--suite", "poset", "--max-degree", "7"],
-        ["--suite", "all", "--m", "1", "--max-degree", "7"],
+        (["--suite", "poset", "--max-degree", "7"], SURJECTIONS_7),
+        (["--suite", "all", "--m", "1", "--max-degree", "7"], SURJECTIONS_7),
+        # the refusal names the bound given, with its size while that is cheap
+        (
+            ["--suite", "poset", "--max-degree", "8"],
+            "the surjections poset of degree 8 has 545835 elements, more than 20000",
+        ),
+        (
+            ["--suite", "poset", "--max-degree", "100"],
+            "the surjections poset of degree 100 has more than 20000 elements, "
+            "as that of degree 7 has 47293",
+        ),
     ],
-    ids=["poset", "all"],
+    ids=["poset", "all", "poset-8", "poset-100"],
 )
-def test_verify_refuses_a_poset_above_the_cap(monkeypatch, argv):
+def test_verify_refuses_a_poset_above_the_cap(monkeypatch, argv, message):
     def verifier(*args):
         raise AssertionError("a suite ran before the arguments were checked")
 
     for module, name in VERIFIERS:
         monkeypatch.setattr(module, name, verifier)
-    expected = "error: the surjections poset of degree 7 has 47293 elements, more than 20000\n"
-    assert _usage_error(["verify", *argv]) == (2, "", expected)
+    assert _usage_error(["verify", *argv]) == (2, "", f"error: {message}\n")
 
 
 def test_verify_poset_cap_spares_degree_6_and_files(monkeypatch, tmp_path):
