@@ -65,7 +65,6 @@ def clear_caches() -> None:
         paths._weak_compositions,
         posets._binary_trees,
         posets._planar_trees,
-        simplicial._all_colored_trees,
         simplicial._theta,
         tamari._lattice,
     ):

@@ -99,6 +99,9 @@ def _mul(args) -> int:
 
 
 def _hasse(args) -> int:
+    for flag, value in (("--m", args.m), ("--n", args.n)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1")
     lattice = tamari.build_lattice(args.m, args.n, cap=args.cap)
     sys.stdout.write(tamari.hasse_dot(lattice))
     return 0
@@ -248,7 +251,7 @@ _SUITES = {
 
 def _suite_reports(args) -> list[CheckReport]:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    for flag, value in (("--m", args.m), ("--max-m", args.max_m)):
+    for flag, value in (("--m", args.m), ("--max-m", args.max_m), ("--order", args.order)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1")
     # arguments that a later suite would refuse are refused before any suite runs

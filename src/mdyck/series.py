@@ -168,6 +168,8 @@ def check_series_identities(max_m: int, order: int = 10) -> CheckReport:
     """All series-level identities: fixed point, substitution, inverses."""
     if max_m < 1:
         raise ValueError("need max_m >= 1")
+    if order < 1:
+        raise ValueError("need order >= 1")
     report = CheckReport(name=f"series identities m<={max_m} order={order}")
     one = TruncatedSeries.one(order)
     x = TruncatedSeries.x(order)

@@ -4,11 +4,11 @@ Inserting a zero product at slot i of the family (*_0, ..., *_m) turns an
 order-m algebra into an order-(m+1) algebra; merging two adjacent slots
 into their sum goes the other way.  At the level of the slot vectors these
 transformations satisfy the simplicial composition laws, which are checked
-symbolically here.  The module also hosts the alternative graded bases
-B(m, k) of the free algebra, the change-of-basis bijection between B(m)
-and B(m, k), the degree-shifting bijection onto the root-k generators, and
-the span check showing that the merged products are freely generated by
-those generators.
+symbolically here.  The module also hosts, for the alternative graded
+bases B(m, k) of the free algebra (enumerated in :mod:`mdyck.trees`), the
+change-of-basis bijection between B(m) and B(m, k), the degree-shifting
+bijection onto the root-k generators, and the span check showing that the
+merged products are freely generated by those generators.
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ from .trees import (
     TreeOracle,
     comb_decompose,
     enumerate_Bm,
+    enumerate_Bmk,
     evaluator,
     from_left_comb,
     from_right_comb,
     is_basis_Bm,
+    is_basis_Bmk,
     tree_normal_form,
     verify_dyck_axioms,
 )
@@ -154,52 +156,6 @@ def verify_simplicial_identities(max_m: int) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # The alternative bases B(m, k)
-
-
-def is_basis_Bmk(t: ColoredTree, m: int, k: int) -> bool:
-    """Membership in the k-th alternative basis.
-
-    In every subtree, writing its left-spine colors (i_1, i_2, ...) and
-    right-spine colors (j_1, j_2, ...) from the root:
-      * if i_1 != k then i_2 = k or i_2 > i_1,
-      * if i_1 = k then all further left-spine colors exceed k and all
-        further right-spine colors are at most k.
-    """
-    if not 0 <= k <= m:
-        raise ValueError("need 0 <= k <= m")
-    for v in t.subtrees():
-        if v.color > m:
-            raise ValueError(f"color {v.color} exceeds m={m}")
-        lc = comb_decompose(v, LEFT).colors
-        if lc[0] != k:
-            if len(lc) >= 2 and not (lc[1] == k or lc[1] > lc[0]):
-                return False
-        else:
-            if any(c <= k for c in lc[1:]):
-                return False
-            rc = comb_decompose(v, RIGHT).colors
-            if any(c > k for c in rc[1:]):
-                return False
-    return True
-
-
-@cache
-def _all_colored_trees(m: int, n: int) -> tuple[ColoredTree, ...]:
-    if n == 1:
-        return (LEAF,)
-    out = []
-    for n_left in range(1, n):
-        for left in _all_colored_trees(m, n_left):
-            for right in _all_colored_trees(m, n - n_left):
-                for color in range(m + 1):
-                    out.append(ColoredTree(color, left, right))
-    return tuple(out)
-
-
-def enumerate_Bmk(m: int, k: int, n: int) -> list[ColoredTree]:
-    out = [t for t in _all_colored_trees(m, n) if is_basis_Bmk(t, m, k)]
-    out.sort(key=ColoredTree.sort_key)
-    return out
 
 
 def theta_basis(t: ColoredTree, m: int, k: int) -> ColoredTree:

@@ -80,11 +80,9 @@ def covers(P: DyckPath) -> list[DyckPath]:
 class TamariLattice(FinitePoset):
     """Materialized m-Tamari order on the m-Dyck paths of size n."""
 
-    __slots__ = ("m", "n")
+    __slots__ = ()
 
     def __init__(self, m: int, n: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
         super().__init__(enumerate_paths(m, n), covers)
 
     def interval(self, P: DyckPath, Q: DyckPath) -> list[DyckPath]:

@@ -11,7 +11,9 @@ by a structural recursion and satisfy
     sum_{j<=i} x *_i (y *_j z) = sum_{k>=i} (x *_k y) *_i z,
 
 the defining relations of an order-m Dyck algebra (m = 0 is associativity,
-m = 1 the dendriform splitting).
+m = 1 the dendriform splitting).  B(m) is the case k = m of the alternative
+bases B(m, k), which one vertex rule (:func:`_fits`) defines and one cached
+recursion enumerates.
 
 This module also hosts the one relation checker used for every product
 oracle.  Relations are data: :func:`dyck_relations` holds the two families
@@ -224,34 +226,73 @@ def comb_reassemble(dec: CombDecomposition) -> ColoredTree:
     return from_right_comb(dec.colors, dec.subtrees)
 
 
-def is_basis_Bm(t: ColoredTree, m: int) -> bool:
-    """Basis test: every left child is a leaf or carries a larger color."""
+def _fits(c: int, left: ColoredTree, right: ColoredTree, m: int, k: int) -> bool:
+    """The vertex rule of B(m, k): may a vertex of color c sit over left and right?
+
+    If c != k, left must be a leaf or carry k or a color above c.  If c = k,
+    every color on left's left spine must be above k and every color on
+    right's right spine at most k.  A spine walk stops at a color above m,
+    which its own vertex refuses, so B(m) = B(m, m) reads "left is a leaf or
+    carries a color above c" on any tree.
+    """
+    if c != k:
+        return left.color is None or left.color == k or left.color > c
+    while left.color is not None and k < left.color <= m:
+        left = left.left
+    while right.color is not None and right.color <= k:
+        right = right.right
+    return (left.color is None or left.color > m) and (right.color is None or right.color > m)
+
+
+def _in_basis(t: ColoredTree, m: int, k: int) -> bool:
     for v in t.subtrees():
         if v.color > m:
             raise ValueError(f"color {v.color} exceeds m={m}")
-        if not v.left.is_leaf and v.left.color <= v.color:
+        if not _fits(v.color, v.left, v.right, m, k):
             return False
     return True
+
+
+def is_basis_Bm(t: ColoredTree, m: int) -> bool:
+    """Basis test: every left child is a leaf or carries a larger color."""
+    return _in_basis(t, m, m)
+
+
+def is_basis_Bmk(t: ColoredTree, m: int, k: int) -> bool:
+    """Membership in the k-th alternative basis B(m, k): every vertex meets
+    the rule of :func:`_fits`."""
+    if not 0 <= k <= m:
+        raise ValueError("need 0 <= k <= m")
+    return _in_basis(t, m, k)
 
 
 def enumerate_Bm(m: int, n: int) -> list[ColoredTree]:
     """All basis trees of degree n, canonically ordered; |result| = d(m, n)."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    return list(_basis(m, n))
+    return list(_basis(m, m, n))
+
+
+def enumerate_Bmk(m: int, k: int, n: int) -> list[ColoredTree]:
+    """All trees of B(m, k) of degree n, canonically ordered."""
+    if not 0 <= k <= m:
+        raise ValueError("need 0 <= k <= m")
+    return list(_basis(m, k, n))
 
 
 @cache
-def _basis(m: int, n: int) -> tuple[ColoredTree, ...]:
+def _basis(m: int, k: int, n: int) -> tuple[ColoredTree, ...]:
+    # B(m, k) is closed under subtrees: its trees of degree n are the
+    # graftings of two smaller ones whose root meets the vertex rule
     if n == 1:
         return (LEAF,)
     out = []
     for n_left in range(1, n):
-        for t_left in _basis(m, n_left):
-            top = m if t_left.is_leaf else t_left.color - 1
-            for t_right in _basis(m, n - n_left):
-                for i in range(top + 1):
-                    out.append(ColoredTree(i, t_left, t_right))
+        for left in _basis(m, k, n_left):
+            for right in _basis(m, k, n - n_left):
+                for c in range(m + 1):
+                    if _fits(c, left, right, m, k):
+                        out.append(ColoredTree(c, left, right))
     out.sort(key=ColoredTree.sort_key)
     return tuple(out)
 

@@ -1,15 +1,20 @@
 import collections
 import copy
 import gc
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
 import mdyck
 from mdyck import cli, paths, posets, series, simplicial, tamari, trees
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _caches():
@@ -41,6 +46,22 @@ def test_clear_caches_empties_memos_and_keeps_results():
     mdyck.clear_caches()
     assert all(cache.cache_info().currsize == 0 for cache in _caches())
     assert _results() == before
+
+
+def test_an_alternative_basis_interns_only_its_own_trees():
+    # in a fresh interpreter, B(2, 0) up to degree 6 builds no tree outside it
+    code = (
+        "from mdyck import simplicial, trees\n"
+        "before = len(trees._TREES)\n"
+        "simplicial.enumerate_Bmk(2, 0, 6)\n"
+        "print(len(trees._TREES) - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= sum(series.fuss_catalan(2, n) for n in range(1, 7)) == 1772
 
 
 def _rebuild(tree, shift=0):

@@ -186,6 +186,21 @@ def test_hasse():
     assert out.count("->") == 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hasse", "--m", "0", "--n", "2"], "--m must be >= 1"),
+        (["hasse", "--m", "-1", "--n", "2"], "--m must be >= 1"),
+        (["hasse", "--m", "2", "--n", "0"], "--n must be >= 1"),
+        (["verify", "--suite", "series", "--order", "0"], "--order must be >= 1"),
+        (["verify", "--suite", "series", "--order", "-1"], "--order must be >= 1"),
+    ],
+    ids=["hasse-m-0", "hasse-m-negative", "hasse-n-0", "series-order-0", "series-order-negative"],
+)
+def test_an_option_below_one_is_named(argv, message):
+    assert _usage_error(argv) == (2, "", f"error: {message}\n")
+
+
 def test_hasse_cap():
     code, _ = run(["hasse", "--m", "2", "--n", "6", "--cap", "100"])
     assert code == 2

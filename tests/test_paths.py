@@ -7,7 +7,6 @@ from mdyck.exactlin import LinComb, bilinear
 from mdyck.series import fuss_catalan
 from mdyck.tamari import C_bound, c_bound
 from mdyck import paths
-from mdyck.simplicial import _all_colored_trees
 from mdyck.trees import (
     LEAF,
     TreeOracle,
@@ -312,14 +311,14 @@ def _phi_reference(t, m):
     )
 
 
-def test_evaluator_matches_reference_recursion():
+def test_evaluator_matches_reference_recursion(all_colored_trees):
     for m in (1, 2, 3):
         image = evaluator(PathOracle(m).product, rho(m))
         for n in range(1, 6):
             for tree in enumerate_Bm(m, n):
                 assert image(tree) == _phi_reference(tree, m), (m, tree)
     image = evaluator(PathOracle(2).product, rho(2))
-    others = [u for u in _all_colored_trees(2, 4) if not is_basis_Bm(u, 2)]
+    others = [u for u in all_colored_trees(2, 4) if not is_basis_Bm(u, 2)]
     assert others
     for tree in others:
         assert image(tree) == _phi_reference(tree, 2) == phi(tree, 2), tree

@@ -86,3 +86,14 @@ def test_series_identities_reject_an_empty_range():
     # max_m = 0 checks no m: no vacuous "ok (0 checks)"
     with pytest.raises(ValueError, match="need max_m >= 1"):
         check_series_identities(0)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_series_identities_reject_an_order_below_one(monkeypatch, order):
+    def solve(*args):
+        raise AssertionError("a series was built before the order was checked")
+
+    monkeypatch.setattr("mdyck.series.series_solve_free", solve)
+    monkeypatch.setattr(TruncatedSeries, "one", solve)
+    with pytest.raises(ValueError, match="need order >= 1"):
+        check_series_identities(2, order)

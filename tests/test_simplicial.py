@@ -20,7 +20,11 @@ from mdyck.simplicial import (
 )
 from mdyck.trees import (
     LEAF,
+    LEFT,
+    RIGHT,
+    ColoredTree,
     TreeOracle,
+    comb_decompose,
     enumerate_Bm,
     is_basis_Bm,
     node,
@@ -89,6 +93,35 @@ def test_slot_oracles_reject_out_of_range_indices(oracle_fn, bad):
     for i in bad:
         with pytest.raises(ValueError):
             oracle_fn(TreeOracle(1), i)
+
+
+def _spine_reading(t, m, k):
+    # the definition of B(m, k) read literally: in every subtree, with
+    # left-spine colors (i_1, i_2, ...) and right-spine colors (j_1, j_2, ...)
+    # from the root, i_1 != k asks i_2 = k or i_2 > i_1, and i_1 = k asks
+    # i_2, i_3, ... > k and j_2, j_3, ... <= k
+    for v in t.subtrees():
+        lc = comb_decompose(v, LEFT).colors
+        if lc[0] != k:
+            if len(lc) >= 2 and not (lc[1] == k or lc[1] > lc[0]):
+                return False
+        elif any(c <= k for c in lc[1:]):
+            return False
+        elif any(c > k for c in comb_decompose(v, RIGHT).colors[1:]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("m, max_n", [(0, 6), (1, 6), (2, 6), (3, 5)])
+def test_one_rule_matches_the_spine_reading(all_colored_trees, m, max_n):
+    for n in range(1, max_n + 1):
+        every = all_colored_trees(m, n)
+        for k in range(m + 1):
+            members = [_spine_reading(u, m, k) for u in every]
+            assert [is_basis_Bmk(u, m, k) for u in every] == members
+            kept = sorted((u for u, ok in zip(every, members) if ok), key=ColoredTree.sort_key)
+            assert enumerate_Bmk(m, k, n) == kept
+        assert [is_basis_Bm(u, m) for u in every] == [_spine_reading(u, m, m) for u in every]
 
 
 def test_is_basis_Bmk():

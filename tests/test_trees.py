@@ -21,6 +21,7 @@ from mdyck.trees import (
     evaluator,
     graft,
     is_basis_Bm,
+    is_basis_Bmk,
     node,
     parse_tree,
     plan_holds,
@@ -62,11 +63,9 @@ def test_comb_decompose_examples():
     assert dec.colors == (2,) and dec.subtrees == (LEAF,)
 
 
-def test_comb_roundtrip_exhaustive():
-    from mdyck.simplicial import _all_colored_trees
-
+def test_comb_roundtrip_exhaustive(all_colored_trees):
     for n in range(1, 7):
-        for tree in _all_colored_trees(2, n):
+        for tree in all_colored_trees(2, n):
             left = comb_decompose(tree, LEFT)
             right = comb_decompose(tree, RIGHT)
             assert comb_reassemble(left) == tree
@@ -83,6 +82,16 @@ def test_is_basis_examples():
     assert not is_basis_Bm(t("(1 (0 | |) |)"), 1)
     with pytest.raises(ValueError):
         is_basis_Bm(t("(3 | |)"), 2)
+
+
+def test_is_basis_refuses_in_prefix_order():
+    # a rule failure met before the first color above m gives False; a color
+    # above m met first raises, also where it sits on a spine the rule reads
+    assert not is_basis_Bm(t("(1 (0 | |) (5 | |))"), 2)
+    with pytest.raises(ValueError, match="color 3 exceeds m=2"):
+        is_basis_Bm(t("(2 (3 (0 | |) |) |)"), 2)
+    with pytest.raises(ValueError, match="color 2 exceeds m=1"):
+        is_basis_Bmk(t("(0 | (2 | |))"), 1, 0)
 
 
 def test_enumerate_counts():
