@@ -6,6 +6,9 @@ coefficients are exact rationals; every structural statement ships with an
 exhaustive finite verification.
 """
 
+import gc
+import sys
+
 from .exactlin import LinComb, Rational, matrix_rank, span_contains
 from .paths import DyckPath, enumerate_paths, path_product, phi
 from .series import TruncatedSeries, fuss_catalan, series_solve_free
@@ -34,6 +37,11 @@ __all__ = [
 ]
 
 
+# sys.getrefcount of a value that only its intern table references: the
+# table's reference and the call's own
+_UNREFERENCED = 2
+
+
 def clear_caches() -> None:
     """Empty every process-wide cache of the library.
 
@@ -46,13 +54,20 @@ def clear_caches() -> None:
     process, so a long-running process grows without bound.  Clearing frees
     that memory; later calls recompute the same results.
 
+    The intern tables of ``ColoredTree`` and ``DyckPath`` are then swept,
+    not cleared: keys compare by identity, so a live tree must stay the one
+    its rebuilt twin returns.  After collecting garbage cycles, a pass drops
+    every entry whose value nothing outside the table references, and
+    passes repeat until one drops nothing, since a dropped tree releases its
+    children for the next pass.  What the caller still holds, and every
+    subtree of it, stays.
+
     Basis products are memoised by the ``TreeOracle``, ``PathOracle`` or
-    ``OrdmOracle`` that computes them and freed with it; a ``PosetFamily``
-    owns its pair memo (``split``) and a ``trees.evaluator`` its tree images
-    (those of one ``phi`` or ``tree_normal_form`` call) the same way.  The
-    intern tables of ``ColoredTree`` and ``DyckPath`` are not cleared: keys
-    compare by identity, so a live tree would no longer equal its rebuilt
-    twin.
+    ``OrdmOracle`` that computes them and freed with it (a ``TreeOracle``
+    stores only the products that cost more than an intern-table lookup);
+    a ``PosetFamily`` owns its pair memo (``split``) and a
+    ``trees.evaluator`` its tree images (those of one ``phi`` or
+    ``tree_normal_form`` call) the same way.
     """
     from . import paths, posets, simplicial, tamari, trees
 
@@ -69,3 +84,15 @@ def clear_caches() -> None:
         tamari._lattice,
     ):
         cached.cache_clear()
+    # an evaluator's images live in a cycle with its recursive closure, which
+    # holds their keys until the cycle is collected
+    gc.collect()
+    for table in (trees._TREES, paths._PATHS):
+        while True:
+            dropped = [key for key in list(table) if sys.getrefcount(table[key]) == _UNREFERENCED]
+            if not dropped:
+                break
+            for key in dropped:
+                del table[key]
+            # a dropped key holds its tree's children: release it before the next pass
+            del dropped, key

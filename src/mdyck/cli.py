@@ -19,11 +19,16 @@ from .reporting import CheckReport
 from .trees import TreeOracle, parse_tree, tree_product
 
 
+def _at_least_one(*options) -> None:
+    """Refuse an option below 1, naming it; ``options`` are (flag, value)
+    pairs, and a value of None is an option not given."""
+    for flag, value in options:
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1")
+
+
 def _dims(args) -> int:
-    if args.m < 1:
-        raise ValueError("m must be >= 1")
-    if args.max_n < 1:
-        raise ValueError("--max-n must be >= 1")
+    _at_least_one(("--m", args.m), ("--max-n", args.max_n))
     # both bases of the largest degree are enumerated, so they are bounded first
     tamari.check_size(args.max_n, args.m)
     print(f"{'n':>3} {'fuss-catalan':>14} {'trees':>14} {'paths':>14}  status")
@@ -85,8 +90,7 @@ def _product_text(args) -> str:
 
 def _mul(args) -> int:
     m, i = args.m, args.i
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _at_least_one(("--m", m))
     if not 0 <= i <= m:
         raise ValueError(f"product index {i} out of range [0, {m}]")
     # parsing, multiplying and printing all recurse on the tree literals
@@ -99,9 +103,7 @@ def _mul(args) -> int:
 
 
 def _hasse(args) -> int:
-    for flag, value in (("--m", args.m), ("--n", args.n)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1")
+    _at_least_one(("--m", args.m), ("--n", args.n))
     lattice = tamari.build_lattice(args.m, args.n, cap=args.cap)
     sys.stdout.write(tamari.hasse_dot(lattice))
     return 0
@@ -251,9 +253,7 @@ _SUITES = {
 
 def _suite_reports(args) -> list[CheckReport]:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    for flag, value in (("--m", args.m), ("--max-m", args.max_m), ("--order", args.order)):
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be >= 1")
+    _at_least_one(("--m", args.m), ("--max-m", args.max_m), ("--order", args.order))
     # arguments that a later suite would refuse are refused before any suite runs
     if "negative" in suites and args.m not in (None, *_NEGATIVE_CONTROLS):
         raise ValueError("negative suite is defined for m = 1 and m = 2")
@@ -263,6 +263,13 @@ def _suite_reports(args) -> list[CheckReport]:
         if "poset" in suites and not args.file:
             # surjections, the largest built-in family
             tamari.check_size(args.max_degree, poset="surjections", size_of=_fubini)
+    if "series" in suites:
+        tamari.check_size(
+            _given(args.order, 10),
+            size_of=series.product_cost,
+            option="--order",
+            unit="coefficient products per series product",
+        )
     # the largest basis of each suite: (suite, default --m, bound, default bound)
     for name, m, n, default in (
         ("axioms", 3, args.max_degree, 5),

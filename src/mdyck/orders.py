@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .trees import _immutable
+from .reporting import _immutable
 
 
 def closure_masks(count: int, covers: Iterable[tuple[int, int]]):

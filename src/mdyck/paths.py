@@ -16,7 +16,8 @@ from __future__ import annotations
 from functools import cache
 
 from .exactlin import LinComb
-from .trees import ColoredTree, _immutable, enumerate_Bm, evaluator
+from .reporting import _immutable
+from .trees import ColoredTree, enumerate_Bm, evaluator
 
 UP = "u"
 DOWN = "d"
@@ -25,8 +26,8 @@ DOWN = "d"
 WeakComposition = tuple[int, ...]
 
 
-# (m, levels) -> the one path with that level sequence; never cleared, like
-# the tree intern table
+# (m, levels) -> the one path with that level sequence; never cleared but
+# swept, like the tree intern table
 _PATHS: dict[tuple[int, tuple[int, ...]], "DyckPath"] = {}
 
 

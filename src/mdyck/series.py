@@ -10,9 +10,8 @@ verifies the substitution identities relating the series for different m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .reporting import CheckReport
+from .reporting import CheckReport, FrozenRecord
 
 
 def fuss_catalan(m: int, n: int) -> int:
@@ -24,20 +23,29 @@ def fuss_catalan(m: int, n: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+def product_cost(order: int) -> int:
+    """The coefficient products of one product of two series truncated at
+    x^order: (order + 1)(order + 2) / 2.  The series identities repeat such
+    products about order * log2(m) times for every fixed point they solve,
+    so their time grows about as order^3; this is the cost that bounds the
+    ``--order`` of ``mdyck verify``."""
+    return (order + 1) * (order + 2) // 2
+
+
+class TruncatedSeries(FrozenRecord):
     """Integer power series truncated at x^order.
 
     ``coeffs`` stores c_0 .. c_order; arithmetic silently discards terms
     beyond the truncation order and is exact below it.
     """
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient count must be order + 1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":

@@ -129,17 +129,26 @@ DEFAULT_CAP = 20000
 _LONG = 10**30  # no size this large is printed
 
 
-def check_size(n: int, m: int = 1, cap: int = DEFAULT_CAP, poset: str = "", size_of=None) -> None:
+def check_size(
+    n: int,
+    m: int = 1,
+    cap: int = DEFAULT_CAP,
+    poset: str = "",
+    size_of=None,
+    option: str = "",
+    unit: str = "elements",
+) -> None:
     """Refuse degree n when it has more than ``cap`` elements.
 
     This is the size rule of every command. The elements are the d(m, n)
     m-Dyck paths of size n or, given ``poset``, that family's poset of
-    degree n; the Tamari poset of degree n is the m = 1 case. Sizes
-    ``size_of(k)``, d(m, k) by default, grow with k, so the least degree k
-    over the cap is found walking up from 1 and n is refused exactly when
-    n >= k: a far bound costs no more than a near one. A size is printed
-    only while it is cheap and short: that of n only when n <= 2k, and none
-    from ``_LONG`` up.
+    degree n; the Tamari poset of degree n is the m = 1 case. Given
+    ``option``, n is that option's value and ``size_of(n)`` what it costs,
+    counted in ``unit``. Sizes ``size_of(k)``, d(m, k) by default, grow
+    with k, so the least degree k over the cap is found walking up from 1
+    and n is refused exactly when n >= k: a far bound costs no more than a
+    near one. A size is printed only while it is cheap and short: that of n
+    only when n <= 2k, and none from ``_LONG`` up.
     """
     size_of = size_of or partial(series.fuss_catalan, m)
     k = 1
@@ -148,19 +157,21 @@ def check_size(n: int, m: int = 1, cap: int = DEFAULT_CAP, poset: str = "", size
     if k > n:
         return
     exact = size_of(n) if n <= 2 * k else _LONG
-    what = f"the {poset} poset of degree {n}" if poset else f"d({m},{n})"
-    if exact < _LONG and poset:
-        raise ValueError(f"{what} has {exact} elements, more than {cap}")
-    if exact < _LONG:
-        raise ValueError(f"{what} = {exact} exceeds cap {cap}")
-    if poset:
-        message, witness = f"{what} has more than {cap} elements", f"that of degree {k}"
+    if option or poset:
+        if option:
+            what, witness, has = f"{option} {n}", f"{option} {k}", "costs"
+        else:
+            what, witness, has = f"the {poset} poset of degree {n}", f"that of degree {k}", "has"
+        if exact < _LONG:
+            raise ValueError(f"{what} {has} {exact} {unit}, more than {cap}")
+        message, shown = f"{what} {has} more than {cap} {unit}", f"{has} {size}"
     else:
-        message, witness = f"{what} exceeds cap {cap}", f"d({m},{k})"
-    if n > k and size >= _LONG:
-        message += f", as {witness} does"
-    elif n > k:
-        message += f", as {witness} has {size}" if poset else f", as {witness} = {size} does"
+        what, witness = f"d({m},{n})", f"d({m},{k})"
+        if exact < _LONG:
+            raise ValueError(f"{what} = {exact} exceeds cap {cap}")
+        message, shown = f"{what} exceeds cap {cap}", f"= {size} does"
+    if n > k:
+        message += f", as {witness} " + ("does" if size >= _LONG else shown)
     raise ValueError(message)
 
 

@@ -28,24 +28,20 @@ likewise built straight into their term dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .exactlin import LinComb, bilinear
-from .reporting import CheckReport
+from .reporting import CheckReport, FrozenRecord, _immutable
 
 LEFT = "L"
 RIGHT = "R"
 
 
 # (color, left, right) -> the one tree with that structure; never cleared,
-# since a rebuilt twin of a live tree must be the same object
+# since a rebuilt twin of a live tree must be the same object, but swept by
+# mdyck.clear_caches() of the trees that nothing else references
 _TREES: dict[tuple, "ColoredTree"] = {}
-
-
-def _immutable(self, name, *value):
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
 
 class ColoredTree:
@@ -170,8 +166,7 @@ def parse_tree(text: str) -> ColoredTree:
     return result
 
 
-@dataclass(frozen=True)
-class CombDecomposition:
+class CombDecomposition(FrozenRecord):
     """A tree written as an iterated one-sided comb.
 
     Left comb with colors (i_1, ..., i_p) and hanging subtrees (t_1, ..., t_p):
@@ -180,9 +175,12 @@ class CombDecomposition:
     The right comb is the mirror image.  p = 0 encodes the bare leaf.
     """
 
-    colors: tuple[int, ...]
-    subtrees: tuple[ColoredTree, ...]
-    side: str
+    __slots__ = ("colors", "subtrees", "side")
+
+    def __init__(self, colors: tuple[int, ...], subtrees: tuple[ColoredTree, ...], side: str):
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "subtrees", subtrees)
+        object.__setattr__(self, "side", side)
 
 
 def comb_decompose(t: ColoredTree, side: str) -> CombDecomposition:
@@ -300,7 +298,12 @@ def _basis(m: int, k: int, n: int) -> tuple[ColoredTree, ...]:
 class TreeOracle:
     """The free algebra on one generator over the basis B(m).
 
-    Products are memoised per oracle, so they are freed with it.
+    A product is memoised only when it costs more than the lookup.  A direct
+    graft t *_i w, with t a leaf or i below t's root color, is the single
+    tree t v_i w, which the intern table already holds: it is answered with
+    a fresh one-term ``LinComb`` and never stored, and inside the recursion
+    it is read as that tree alone.  Every other product is memoised per
+    oracle, so it is freed with the oracle.
     """
 
     def __init__(self, m: int):
@@ -310,33 +313,42 @@ class TreeOracle:
     def basis(self, n: int) -> list[ColoredTree]:
         return enumerate_Bm(self.m, n)
 
+    def _items(self, t: ColoredTree, w: ColoredTree, i: int):
+        """The (tree, coefficient) pairs of t *_i w; a direct graft builds no ``LinComb``."""
+        if t.color is None or i < t.color:
+            return ((_TREES.get((i, t, w)) or ColoredTree(i, t, w), 1),)
+        return self._product(t, w, i)._terms.items()
+
     def _product(self, t: ColoredTree, w: ColoredTree, i: int) -> LinComb:
+        # terms go straight into the result's dict; ColoredTree runs only for a new tree
+        if t.color is None or i < t.color:
+            result = LinComb.__new__(LinComb)
+            result._terms = {_TREES.get((i, t, w)) or ColoredTree(i, t, w): 1}
+            return result
         key = (t, w, i)
         result = self._memo.get(key)
         if result is not None:
             return result
-        # terms go straight into the result's dict; ColoredTree runs only for a new tree
         get = _TREES.get
-        if t.color is None or i < t.color:
-            terms = {get((i, t, w)) or ColoredTree(i, t, w): 1}
-        elif t.color < i:
+        if t.color < i:
             # grafting is injective on interned trees: no two terms merge
             c, left = t.color, t.left
             terms = {}
-            for u, cu in self._product(t.right, w, i)._terms.items():
+            for u, cu in self._items(t.right, w, i):
                 terms[get((c, left, u)) or ColoredTree(c, left, u)] = cu
         else:
             # (x *_i y) *_i z rewritten through the mixed-associativity relation
             left, right, acc = t.left, t.right, {}
             for k in range(i + 1):
-                for u, c in self._product(right, w, k)._terms.items():
+                for u, c in self._items(right, w, k):
                     tree = get((i, left, u)) or ColoredTree(i, left, u)
                     acc[tree] = acc.get(tree, 0) + c
             for k in range(i + 1, self.m + 1):
-                for u, c in self._product(left, right, k)._terms.items():
+                for u, c in self._items(left, right, k):
                     tree = get((i, u, w)) or ColoredTree(i, u, w)
                     acc[tree] = acc.get(tree, 0) - c
-            terms = {tree: c for tree, c in acc.items() if c}
+            # terms rarely cancel: copy only to drop a zero coefficient
+            terms = {tree: c for tree, c in acc.items() if c} if 0 in acc.values() else acc
         result = LinComb.__new__(LinComb)
         result._terms = terms
         self._memo[key] = result

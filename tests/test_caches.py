@@ -115,6 +115,51 @@ def test_keys_survive_clear_caches():
     assert trees.enumerate_Bm(2, 3)[0] is _rebuild(trees.enumerate_Bm(2, 3)[0])
 
 
+# runs in a fresh interpreter, so that no other test holds a key
+_SWEEP_SCRIPT = """
+import contextlib, gc, io, sys
+import mdyck
+from mdyck import cli, paths, trees
+
+# the suites' garbage cycles stay alive until clear_caches() collects them
+gc.disable()
+
+# the reference count the sweep reads for a value only its table holds
+key = (7, trees.LEAF, trees.LEAF)
+trees.ColoredTree(*key)
+count = sys.getrefcount(trees._TREES[key])
+assert count == mdyck._UNREFERENCED, f"an unreferenced intern entry reads {count}"
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for suite, m, degree in (("axioms", "2", "5"), ("freeness", "3", "4")):
+        assert cli.main(["verify", "--suite", suite, "--m", m, "--max-degree", degree]) == 0
+held = trees.enumerate_Bm(2, 4)
+before = (len(trees._TREES), len(paths._PATHS))
+mdyck.clear_caches()
+kept = {trees.LEAF}
+for tree in held:
+    kept.update(tree.subtrees())
+assert set(trees._TREES.values()) == kept, len(trees._TREES)
+assert not paths._PATHS, len(paths._PATHS)
+assert all(trees.parse_tree(tree.encode()) is tree for tree in held)
+assert trees.enumerate_Bm(2, 4) == held
+print(*before, len(trees._TREES))
+"""
+
+
+def test_clear_caches_sweeps_the_intern_tables():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", _SWEEP_SCRIPT], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    trees_before, paths_before, trees_after = map(int, done.stdout.split())
+    assert trees_before > trees_after and paths_before > 0
+    # the 55 held trees, the 15 basis trees of degrees 2 and 3 below them, and LEAF
+    assert trees_after == 71
+
+
 def test_path_memo_is_freed_with_its_oracle():
     oracle = paths.PathOracle(2)
     assert trees.verify_dyck_axioms(2, 5, oracle.product, oracle.basis).ok

@@ -194,8 +194,14 @@ def test_hasse():
         (["hasse", "--m", "2", "--n", "0"], "--n must be >= 1"),
         (["verify", "--suite", "series", "--order", "0"], "--order must be >= 1"),
         (["verify", "--suite", "series", "--order", "-1"], "--order must be >= 1"),
+        (["dims", "--m", "0", "--max-n", "2"], "--m must be >= 1"),
+        (["dims", "--m", "2", "--max-n", "0"], "--max-n must be >= 1"),
+        (["mul", "--model", "trees", "--m", "0", "--i", "0", "|", "|"], "--m must be >= 1"),
     ],
-    ids=["hasse-m-0", "hasse-m-negative", "hasse-n-0", "series-order-0", "series-order-negative"],
+    ids=[
+        "hasse-m-0", "hasse-m-negative", "hasse-n-0", "series-order-0", "series-order-negative",
+        "dims-m-0", "dims-max-n-0", "mul-trees-m-0",
+    ],
 )
 def test_an_option_below_one_is_named(argv, message):
     assert _usage_error(argv) == (2, "", f"error: {message}\n")
@@ -451,6 +457,51 @@ def test_verify_poset_cap_spares_degree_6_and_files(monkeypatch, tmp_path):
     argv = ["verify", "--suite", "poset", "--file", str(path), "--max-degree", "7"]
     assert run(argv)[0] == 0
     assert bounds[4:] == [7]
+
+
+ORDER_100000 = (
+    "--order 100000 costs more than 20000 coefficient products per series product, "
+    "as --order 199 costs 20100"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "series", "--order", "100000"], ORDER_100000),
+        (["--suite", "all", "--order", "100000"], ORDER_100000),
+        (
+            ["--suite", "series", "--order", "199"],
+            "--order 199 costs 20100 coefficient products per series product, more than 20000",
+        ),
+    ],
+    ids=["series", "all", "series-199"],
+)
+def test_verify_refuses_an_order_over_the_cap(monkeypatch, argv, message):
+    def verifier(*args):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    for module, name in VERIFIERS:
+        monkeypatch.setattr(module, name, verifier)
+    assert _usage_error(["verify", *argv]) == (2, "", f"error: {message}\n")
+
+
+def test_verify_order_cap_spares_order_198(monkeypatch):
+    orders = []
+
+    def verifier(max_m, order):
+        orders.append(order)
+        return CheckReport(name="series")
+
+    monkeypatch.setattr(series, "check_series_identities", verifier)
+    assert run(["verify", "--suite", "series", "--order", "198"])[0] == 0
+    assert run(["verify", "--suite", "series"])[0] == 0
+    assert orders == [198, 10]
+
+
+def test_verify_series_at_order_50():
+    code, out = run(["verify", "--suite", "series", "--max-m", "1", "--order", "50"])
+    assert (code, out) == (0, "series identities m<=1 order=50: ok (300 checks)\n")
 
 
 def test_verify_series():

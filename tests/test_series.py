@@ -6,6 +6,7 @@ from mdyck.series import (
     check_series_identities,
     fuss_catalan,
     geometric_inverse,
+    product_cost,
     series_compose,
     series_solve_free,
 )
@@ -97,3 +98,9 @@ def test_series_identities_reject_an_order_below_one(monkeypatch, order):
     monkeypatch.setattr(TruncatedSeries, "one", solve)
     with pytest.raises(ValueError, match="need order >= 1"):
         check_series_identities(2, order)
+
+
+def test_product_cost_counts_the_coefficient_pairs_of_one_product():
+    for order in range(8):
+        pairs = sum(1 for i in range(order + 1) for j in range(order + 1 - i))
+        assert product_cost(order) == pairs

@@ -238,7 +238,21 @@ def test_tree_products_match_the_graft_reference(m):
                         product = oracle.product(x, y, i)
                         assert product._terms == _reference_product(m, x, y, i, reference)._terms
                         assert 0 not in product._terms.values()
-                        assert oracle._memo[(x, y, i)] is product
+                        if x.is_leaf or i < x.color:
+                            # a direct graft is read from the intern table, never memoised
+                            assert (x, y, i) not in oracle._memo
+                            assert product == LinComb.single(graft(x, y, i))
+                        else:
+                            assert oracle._memo[(x, y, i)] is product
+                            assert oracle.product(x, y, i) is product
+
+
+def test_the_tree_memo_holds_only_computed_products():
+    # pinned: 666 entries before direct grafts left the memo, 323 after
+    oracle = TreeOracle(2)
+    assert verify_dyck_axioms(2, 5, oracle.product, oracle.basis).checks == 438
+    assert len(oracle._memo) == 323
+    assert not any(t.is_leaf or i < t.color for t, _, i in oracle._memo)
 
 
 def test_axioms_tree_oracle():
