@@ -84,8 +84,8 @@ def clear_caches() -> None:
         tamari._lattice,
     ):
         cached.cache_clear()
-    # an evaluator's images live in a cycle with its recursive closure, which
-    # holds their keys until the cycle is collected
+    # a key held only by unreachable cycles stays referenced until they are
+    # collected
     gc.collect()
     for table in (trees._TREES, paths._PATHS):
         while True:

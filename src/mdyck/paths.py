@@ -115,7 +115,15 @@ def rho(m: int) -> DyckPath:
 
 
 def validate_path(m: int, levels) -> DyckPath:
-    return DyckPath(m, tuple(int(v) for v in levels))
+    levels = tuple(levels)
+    values = []
+    for v in levels:
+        try:
+            values.append(int(v))
+        except ValueError:
+            literal = ",".join(map(str, levels))
+            raise ValueError(f"level {v!r} is not an integer in path literal {literal!r}") from None
+    return DyckPath(m, tuple(values))
 
 
 def parse_path(m: int, text: str) -> DyckPath:

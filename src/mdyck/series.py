@@ -3,8 +3,11 @@
 The dimension counts of all three models are governed by the Fuss-Catalan
 numbers d(m, n) = C((m+1)n, n) / (mn+1), whose generating series f satisfies
 the algebraic fixed-point equation f = x (1+f)^(m+1).  This module computes
-those series exactly (integer coefficients, truncated at a fixed order) and
-verifies the substitution identities relating the series for different m.
+those series exactly (integer coefficients, truncated at a fixed order), one
+coefficient at a time by the power recurrence, and verifies the substitution
+identities relating the series for different m.  A verification run solves
+each fixed point once; its compositions, one series product per power of the
+inner series, take most of its time.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ def fuss_catalan(m: int, n: int) -> int:
 
 def product_cost(order: int) -> int:
     """The coefficient products of one product of two series truncated at
-    x^order: (order + 1)(order + 2) / 2.  The series identities repeat such
-    products about order * log2(m) times for every fixed point they solve,
-    so their time grows about as order^3; this is the cost that bounds the
-    ``--order`` of ``mdyck verify``."""
+    x^order: (order + 1)(order + 2) / 2.  The series identities spend most of
+    their time in compositions, which take one such product per power of the
+    inner series, so their time grows about as order^3; this is the cost
+    that bounds the ``--order`` of ``mdyck verify``."""
     return (order + 1) * (order + 2) // 2
 
 
@@ -46,10 +49,6 @@ class TruncatedSeries(FrozenRecord):
             raise ValueError("coefficient count must be order + 1")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, (0,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -120,34 +119,49 @@ class TruncatedSeries(FrozenRecord):
 
 
 def series_compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f(g(x)) truncated at the common order; g must have zero constant term."""
+    """f(g(x)) truncated at the common order; g must have zero constant term.
+
+    The terms c_k * g^k are added coefficientwise, so each power of g costs
+    one series product."""
     if g.coeffs[0] != 0:
         raise ValueError("composition requires g(0) = 0")
     order = min(f.order, g.order)
-    result = TruncatedSeries.zero(order)
+    out = [0] * (order + 1)
     g_trunc = TruncatedSeries.from_coeffs(order, g.coeffs)
     power = TruncatedSeries.one(order)
     for k, c in enumerate(f.coeffs[: order + 1]):
         if c:
-            result = result + power * TruncatedSeries.from_coeffs(order, (c,))
+            # g^k has no term below x^k
+            for j, p in enumerate(power.coeffs[k:], k):
+                out[j] += c * p
         if k < order:
             power = power * g_trunc
-    return result
+    return TruncatedSeries(order, tuple(out))
 
 
 def series_solve_free(m: int, order: int) -> TruncatedSeries:
     """Unique series f with f(0)=0 and f = x (1+f)^(m+1), to x^order.
 
-    Fixed-point iteration gains one correct coefficient per round, so
-    ``order`` rounds suffice.  The coefficient of x^n is fuss_catalan(m, n).
+    With h = (1+f)^(m+1) and h_0 = 1, J.C.P. Miller's power recurrence
+    n h_n = sum_{k=1..n} ((m+2)k - n) f_k h_{n-k} gives h_n from the
+    coefficients before it, and the fixed point gives f_{n+1} = h_n: the
+    series costs O(order^2) coefficient products.  The coefficient of x^n is
+    fuss_catalan(m, n) for m >= 1; m = 0 gives x / (1 - x).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    one = TruncatedSeries.one(order)
-    f = TruncatedSeries.zero(order)
-    for _ in range(order):
-        f = ((one + f).pow(m + 1)).shift_mul_x()
-    return f
+    if m < -1:
+        raise ValueError("negative power")
+    f = [0, 1]
+    h = [1]
+    for n in range(1, order):
+        total = sum(((m + 2) * k - n) * f[k] * h[n - k] for k in range(1, n + 1))
+        h_n, rest = divmod(total, n)
+        if rest:
+            raise ArithmeticError(f"coefficient {n} of (1+f)^{m + 1} is not an integer")
+        h.append(h_n)
+        f.append(h_n)
+    return TruncatedSeries(order, tuple(f))
 
 
 def geometric_inverse(m: int, order: int) -> TruncatedSeries:
@@ -158,11 +172,16 @@ def geometric_inverse(m: int, order: int) -> TruncatedSeries:
 
 def check_lemform(m: int, k: int, order: int) -> CheckReport:
     """Verify d_k(x * (1 + d_m(x))^(m-k)) = d_m(x) up to x^order."""
-    report = CheckReport(name=f"series substitution m={m} k={k} order={order}")
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
     d_m = series_solve_free(m, order)
     d_k = d_m if k == m else series_solve_free(k, order)
+    return _substitution(m, k, order, d_m, d_k)
+
+
+def _substitution(m: int, k: int, order: int, d_m: TruncatedSeries, d_k: TruncatedSeries) -> CheckReport:
+    """The identity of :func:`check_lemform` on the solved series d_m and d_k."""
+    report = CheckReport(name=f"series substitution m={m} k={k} order={order}")
     one = TruncatedSeries.one(order)
     inner = ((one + d_m).pow(m - k)).shift_mul_x()
     lhs = series_compose(d_k, inner)
@@ -173,7 +192,8 @@ def check_lemform(m: int, k: int, order: int) -> CheckReport:
 
 
 def check_series_identities(max_m: int, order: int = 10) -> CheckReport:
-    """All series-level identities: fixed point, substitution, inverses."""
+    """All series-level identities: fixed point, substitution, inverses.
+    Each of d_0 .. d_max_m is solved once."""
     if max_m < 1:
         raise ValueError("need max_m >= 1")
     if order < 1:
@@ -181,8 +201,9 @@ def check_series_identities(max_m: int, order: int = 10) -> CheckReport:
     report = CheckReport(name=f"series identities m<={max_m} order={order}")
     one = TruncatedSeries.one(order)
     x = TruncatedSeries.x(order)
+    solved = [series_solve_free(m, order) for m in range(max_m + 1)]
     for m in range(1, max_m + 1):
-        f = series_solve_free(m, order)
+        f = solved[m]
         report.checks += order
         if f != ((one + f).pow(m + 1)).shift_mul_x():
             report.fail(f"fixed point fails for m={m}")
@@ -198,5 +219,5 @@ def check_series_identities(max_m: int, order: int = 10) -> CheckReport:
         if TruncatedSeries.from_coeffs(order, (1, 1)) * g != geometric_inverse(m - 1, order):
             report.fail(f"(1+x) g_{m} != g_{m-1}")
         for k in range(0, m + 1):
-            report.merge(check_lemform(m, k, order))
+            report.merge(_substitution(m, k, order, f, solved[k]))
     return report

@@ -28,7 +28,7 @@ likewise built straight into their term dicts.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterable, Sequence
 
 from .exactlin import LinComb, bilinear
@@ -153,7 +153,11 @@ def parse_tree(text: str) -> ColoredTree:
             return LEAF
         if tok != "(":
             raise ValueError(f"unexpected token {tok!r}")
-        color = int(take())
+        tok = take()
+        try:
+            color = int(tok)
+        except ValueError:
+            raise ValueError(f"color {tok!r} is not an integer in tree literal {text!r}") from None
         left = parse()
         right = parse()
         if take() != ")":
@@ -377,14 +381,19 @@ def evaluator(product: Callable, generator) -> Callable[[ColoredTree], LinComb]:
     images of its children.  Images are memoised in the returned function,
     so the memo is freed with it; colors are not checked.
     """
-    images = {LEAF: LinComb.single(generator)}
+    return partial(_image, {LEAF: LinComb.single(generator)}, product)
 
-    def image(t: ColoredTree) -> LinComb:
-        if t not in images:
-            images[t] = bilinear(image(t.left), image(t.right), lambda a, b: product(a, b, t.color))
-        return images[t]
 
-    return image
+def _image(images: dict, product: Callable, t: ColoredTree) -> LinComb:
+    # a module function, so the evaluator holds no reference to itself and
+    # its images are freed with it, without the cyclic collector
+    if t not in images:
+        images[t] = bilinear(
+            _image(images, product, t.left),
+            _image(images, product, t.right),
+            lambda a, b: product(a, b, t.color),
+        )
+    return images[t]
 
 
 def tree_normal_form(t: ColoredTree, m: int) -> LinComb:

@@ -13,6 +13,7 @@ import pytest
 
 import mdyck
 from mdyck import cli, paths, posets, series, simplicial, tamari, trees
+from mdyck.exactlin import LinComb
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -179,6 +180,25 @@ def test_tree_memo_is_freed_with_its_oracle():
     del oracle
     gc.collect()
     assert ref() is None
+
+
+def test_evaluator_images_are_freed_without_the_cyclic_collector():
+    tree = next(t for t in trees.enumerate_Bm(2, 5) if t.left.degree > 1 and t.right.degree > 1)
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        image = paths.phi(tree, 2)
+        assert image
+        del image
+        gc.collect()
+        assert not [obj for obj in gc.garbage if isinstance(obj, LinComb)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def test_fresh_tree_oracle_recomputes_the_same_products():

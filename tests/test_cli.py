@@ -130,6 +130,27 @@ def test_malformed_input_is_usage_error(argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["mul", "--model", "trees", "--m", "2", "--i", "1", "(1|(0||)) |", "|"],
+            "color '1|' is not an integer in tree literal '(1|(0||)) |'",
+        ),
+        (
+            ["mul", "--model", "paths", "--m", "2", "--i", "0", "1,x", "2"],
+            "level 'x' is not an integer in path literal '1,x'",
+        ),
+    ],
+    ids=["tree-color", "path-level"],
+)
+def test_a_non_integer_in_a_literal_names_the_literal(argv, message):
+    code, out, err = _usage_error(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert "int()" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("line", ["degree", "elem", "cover a", "degree 1\nelem a\ncover a"])
 def test_truncated_poset_line_is_usage_error(tmp_path, line):
     path = tmp_path / "family.poset"

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdyck import series
 from mdyck.series import (
     TruncatedSeries,
     check_lemform,
@@ -23,6 +26,76 @@ def test_fuss_catalan_values():
 def test_fuss_catalan_rejects_bad_input():
     with pytest.raises(ValueError):
         fuss_catalan(0, 2)
+
+
+def _iterated_fixed_point(m, order):
+    # the reference solver: each round of f <- x (1+f)^(m+1) fixes one more
+    # coefficient, so order rounds suffice
+    one = TruncatedSeries.one(order)
+    f = TruncatedSeries.from_coeffs(order, ())
+    for _ in range(order):
+        f = ((one + f).pow(m + 1)).shift_mul_x()
+    return f
+
+
+def test_solve_free_agrees_with_the_fixed_point_iteration():
+    for m in range(7):
+        for order in range(1, 41):
+            assert series_solve_free(m, order) == _iterated_fixed_point(m, order), (m, order)
+
+
+def test_solve_free_coefficients_are_fuss_catalan():
+    for m in range(1, 7):
+        f = series_solve_free(m, 40)
+        assert f.coeffs[0] == 0
+        assert f.coeffs[1:] == tuple(fuss_catalan(m, n) for n in range(1, 41))
+
+
+def test_solve_free_at_m_zero_is_geometric():
+    # f = x (1 + f) gives x / (1 - x)
+    assert series_solve_free(0, 6).coeffs == (0, 1, 1, 1, 1, 1, 1)
+
+
+def _naive_compose(f, g):
+    order = min(f.order, g.order)
+    g = TruncatedSeries.from_coeffs(order, g.coeffs)
+    result = TruncatedSeries.from_coeffs(order, ())
+    for k, c in enumerate(f.coeffs[: order + 1]):
+        result = result + g.pow(k) * TruncatedSeries.from_coeffs(order, (c,))
+    return result
+
+
+@st.composite
+def _series_pair(draw):
+    order = draw(st.integers(1, 15))
+    coeffs = st.lists(st.integers(-9, 9), min_size=order + 1, max_size=order + 1)
+    f = TruncatedSeries(order, tuple(draw(coeffs)))
+    g = TruncatedSeries(order, (0,) + tuple(draw(coeffs))[1:])
+    return f, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_pair())
+def test_compose_agrees_with_the_sum_of_powers(pair):
+    f, g = pair
+    assert series_compose(f, g) == _naive_compose(f, g)
+
+
+def test_series_identities_solve_each_fixed_point_once(monkeypatch):
+    solved = []
+
+    def solve(m, order):
+        solved.append(m)
+        return series_solve_free(m, order)
+
+    monkeypatch.setattr(series, "series_solve_free", solve)
+    assert check_series_identities(4, 10).ok
+    assert sorted(solved) == [0, 1, 2, 3, 4]
+
+
+def test_series_identities_check_counts():
+    assert check_series_identities(4, 30).checks == 900
+    assert check_series_identities(6, 10).checks == 510
 
 
 def test_solve_free_catalan():
