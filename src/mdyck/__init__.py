@@ -43,16 +43,15 @@ _UNREFERENCED = 2
 
 
 def clear_caches() -> None:
-    """Empty every process-wide cache of the library.
+    """Empty every ``functools`` cache of a loaded ``mdyck`` module.
 
-    The basis enumerations, the change of basis, the per-path statistics
-    behind ``path_product`` and the interval bounds (the multiplicity
-    classes of the top word and the prime blocks), the weak compositions,
-    the class-i compositions of ``path_product`` (``paths._lambda_sets``,
-    keyed by L(P), the class lengths and r) and the m-Tamari lattices are
-    pure functions memoised by ``functools.cache`` for the life of the
-    process, so a long-running process grows without bound.  Clearing frees
-    that memory; later calls recompute the same results.
+    The basis enumerations, the change of basis, the per-path statistics,
+    the weak compositions and the m-Tamari lattices, among others, are pure
+    functions memoised by ``functools.cache`` for the life of the process,
+    so a long-running process grows without bound.  Clearing frees that
+    memory; later calls recompute the same results.  Each cache is found by
+    its ``cache_clear`` attribute, so a new one needs no registration; a
+    module not yet imported has nothing cached.
 
     The intern tables of ``ColoredTree`` and ``DyckPath`` are then swept,
     not cleared: keys compare by identity, so a live tree must stay the one
@@ -69,21 +68,13 @@ def clear_caches() -> None:
     ``trees.evaluator`` its tree images (those of one ``phi`` or
     ``tree_normal_form`` call) the same way.
     """
-    from . import paths, posets, simplicial, tamari, trees
+    from . import paths, trees
 
-    for cached in (
-        trees._basis,
-        paths._enumerate_levels,
-        paths._classes,
-        paths._lambda_sets,
-        paths._prime_blocks,
-        paths._weak_compositions,
-        posets._binary_trees,
-        posets._planar_trees,
-        simplicial._theta,
-        tamari._lattice,
-    ):
-        cached.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
     # a key held only by unreachable cycles stays referenced until they are
     # collected
     gc.collect()

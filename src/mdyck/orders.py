@@ -99,18 +99,16 @@ class FinitePoset:
     def chains(self, masks) -> list[tuple]:
         """Weakly increasing chains (u_1, ..., u_k), u_j among the bits of masks[j].
 
-        Chains come in lexicographic index order.
+        Each level extends every partial chain by one coordinate; a partial
+        chain is paired with the up-set of its last element (-1, every index,
+        for the empty chain).  Chains come in lexicographic index order.
         """
-        elements, up, depth = self.elements, self.up, len(masks)
-        out: list[tuple] = []
-
-        def extend(chain: tuple, allowed: int) -> None:
-            j = len(chain)
-            if j == depth:
-                out.append(tuple(elements[i] for i in chain))
-                return
-            for i in mask_indices(masks[j] & allowed):
-                extend(chain + (i,), up[i])
-
-        extend((), -1)
-        return out
+        elements, up = self.elements, self.up
+        level = [((), -1)]
+        for mask in masks:
+            level = [
+                (chain + (elements[i],), up[i])
+                for chain, allowed in level
+                for i in mask_indices(mask & allowed)
+            ]
+        return [chain for chain, _ in level]

@@ -89,12 +89,7 @@ class DyckPath:
 
     def is_prime(self) -> bool:
         """No proper return to the axis: prefix sums stay strictly below m*j."""
-        total = 0
-        for j, lv in enumerate(self.levels[:-1], start=1):
-            total += lv
-            if total == self.m * j:
-                return False
-        return True
+        return len(_prime_blocks(self)) == 1
 
     def sort_key(self):
         return (self.size, self.levels)

@@ -106,17 +106,6 @@ class TruncatedSeries(FrozenRecord):
     def shift_mul_x(self) -> "TruncatedSeries":
         return TruncatedSeries(self.order, (0,) + self.coeffs[:-1])
 
-    def inverse_unit(self) -> "TruncatedSeries":
-        """Multiplicative inverse; constant term must be 1 or -1."""
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError("inverse requires unit constant term")
-        inv = [c0] + [0] * self.order
-        for n in range(1, self.order + 1):
-            acc = sum(self.coeffs[k] * inv[n - k] for k in range(1, n + 1))
-            inv[n] = -c0 * acc
-        return TruncatedSeries(self.order, tuple(inv))
-
 
 def series_compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f(g(x)) truncated at the common order; g must have zero constant term.
@@ -165,9 +154,9 @@ def series_solve_free(m: int, order: int) -> TruncatedSeries:
 
 
 def geometric_inverse(m: int, order: int) -> TruncatedSeries:
-    """The compositional inverse g(x) = x / (1+x)^(m+1) of the free series."""
-    one_plus_x = TruncatedSeries.from_coeffs(order, (1, 1))
-    return (one_plus_x.pow(m + 1)).inverse_unit().shift_mul_x()
+    """The compositional inverse g(x) = x / (1+x)^(m+1) of the free series,
+    from its closed form [x^(n+1)] g = (-1)^n C(m+n, n)."""
+    return TruncatedSeries(order, (0,) + tuple((-1) ** n * math.comb(m + n, n) for n in range(order)))
 
 
 def check_lemform(m: int, k: int, order: int) -> CheckReport:

@@ -1,11 +1,13 @@
 import collections
 import copy
+import functools
 import gc
 import os
 import pickle
 import subprocess
 import sys
 import threading
+import types
 import weakref
 from pathlib import Path
 
@@ -199,6 +201,39 @@ def test_evaluator_images_are_freed_without_the_cyclic_collector():
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+def test_simplex_sweeps_leave_no_functions_to_the_cyclic_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        oracle = posets.OrdmOracle(posets.TamariBinaryFamily(), 2)
+        assert trees.verify_dyck_axioms(2, 4, oracle.product, oracle.basis).ok
+        gc.collect()
+        left = [
+            obj.__qualname__
+            for obj in gc.garbage
+            if isinstance(obj, types.FunctionType) and (obj.__module__ or "").startswith("mdyck")
+        ]
+        assert left == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_clear_caches_finds_every_cache(monkeypatch):
+    @functools.cache
+    def added(n):
+        return n
+
+    monkeypatch.setattr(paths, "_added", added, raising=False)
+    added(1)
+    mdyck.clear_caches()
+    assert added.cache_info().currsize == 0
 
 
 def test_fresh_tree_oracle_recomputes_the_same_products():

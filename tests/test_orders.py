@@ -120,7 +120,7 @@ def test_finite_poset_chains_match_brute_force(dag, data):
     count, covers = dag
     names, poset = _poset(count, covers)
     reach = _reachable(count, covers)
-    masks = data.draw(st.lists(st.integers(0, (1 << count) - 1), min_size=1, max_size=3))
+    masks = data.draw(st.lists(st.integers(0, (1 << count) - 1), min_size=0, max_size=3))
     expected = [
         tuple(names[k] for k in chain)
         for chain in itertools.product(range(count), repeat=len(masks))

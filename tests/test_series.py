@@ -151,6 +151,24 @@ def test_geometric_inverse_relations():
         assert one_plus_x * g == geometric_inverse(m - 1, order)
 
 
+def _inverse_unit(s):
+    # the reference: the multiplicative inverse of a series with constant
+    # term 1 or -1, one coefficient at a time from s * inv = 1
+    c0 = s.coeffs[0]
+    inv = [c0] + [0] * s.order
+    for n in range(1, s.order + 1):
+        inv[n] = -c0 * sum(s.coeffs[k] * inv[n - k] for k in range(1, n + 1))
+    return TruncatedSeries(s.order, tuple(inv))
+
+
+def test_geometric_inverse_matches_the_inverted_power():
+    for order in range(1, 41):
+        one_plus_x = TruncatedSeries.from_coeffs(order, (1, 1))
+        for m in range(9):
+            expected = _inverse_unit(one_plus_x.pow(m + 1)).shift_mul_x()
+            assert geometric_inverse(m, order) == expected, (m, order)
+
+
 def test_all_series_identities():
     report = check_series_identities(4, 10)
     assert report.ok, report.failures
