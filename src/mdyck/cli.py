@@ -270,6 +270,13 @@ def _suite_reports(args) -> list[CheckReport]:
             option="--order",
             unit="coefficient products per series product",
         )
+    if "simplicial" in suites or "series" in suites:
+        tamari.check_size(
+            _given(args.max_m, 5),
+            size_of=simplicial.slot_law_checks,
+            option="--max-m",
+            unit="slot-law checks at the largest m",
+        )
     # the largest basis of each suite: (suite, default --m, bound, default bound)
     for name, m, n, default in (
         ("axioms", 3, args.max_degree, 5),

@@ -89,7 +89,8 @@ class DyckPath:
 
     def is_prime(self) -> bool:
         """No proper return to the axis: prefix sums stay strictly below m*j."""
-        return len(_prime_blocks(self)) == 1
+        # one cut for L(P) and one per prime factor
+        return len(_star_cuts(self)) == 2
 
     def sort_key(self):
         return (self.size, self.levels)
@@ -164,23 +165,34 @@ def concat_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
 
 
 @cache
-def _prime_blocks(P: DyckPath) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # the prime factors, cut after every return to the axis, each as
-    # (its levels before the last, its last level)
-    out = []
+def _star_cuts(Q: DyckPath) -> tuple[tuple[int, int], ...]:
+    """The levels that P *_lam Q changes in the levels of P followed by Q's.
+
+    Entry k is (position, level), the position counted from the end so that
+    it holds for every P: entry 0 is L(P), which lam_0 replaces (level 0),
+    and entry k >= 1 the last level of the k-th prime factor of Q, to which
+    lam_k is added.  Q has one prime factor per return to the axis.
+    """
+    n = len(Q.levels)
+    out = [(-n - 1, 0)]
     total = 0
-    start = 0
-    for j, lv in enumerate(P.levels, start=1):
+    for j, lv in enumerate(Q.levels, start=1):
         total += lv
-        if total == P.m * j:
-            out.append((P.levels[start : j - 1], lv))
-            start = j
+        if total == Q.m * j:
+            out.append((j - 1 - n, lv))
     return tuple(out)
+
+
+def _factor_ends(P: DyckPath) -> list[int]:
+    # 0, then the end of each prime factor in P.levels
+    n = len(P.levels)
+    return [n + pos + 1 for pos, _ in _star_cuts(P)]
 
 
 def prime_factors(P: DyckPath) -> list[DyckPath]:
     """The unique factorization P = P_1 x_0 ... x_0 P_r into prime paths."""
-    return [DyckPath(P.m, body + (last,)) for body, last in _prime_blocks(P)]
+    ends = _factor_ends(P)
+    return [DyckPath(P.m, P.levels[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 def standard_coloring(P: DyckPath) -> tuple[int, ...]:
@@ -288,20 +300,25 @@ def star_lambda(P: DyckPath, Q: DyckPath, lam: WeakComposition) -> DyckPath:
     return result
 
 
-def _star_paths(P: DyckPath, blocks, lams) -> list[DyckPath]:
-    """P *_lam Q for each lam in ``lams``, where ``blocks`` is ``_prime_blocks(Q)``.
+def _star_paths(P: DyckPath, Q: DyckPath, lams) -> list[DyckPath]:
+    """P *_lam Q for each lam in ``lams``.
 
     Unrolling the nested ``concat_i`` chain of :func:`star_lambda` gives
     P *_lam Q directly on level sequences: the levels of P with L(P)
     replaced by lam_0, then for each prime factor of Q its levels with
-    lam_k added to the last one.  Only the finished path is validated.
+    lam_k added to the last one.  These levels form one template per call,
+    the levels of P followed by those of Q, in which only the r+1 cut levels
+    of :func:`_star_cuts` depend on lam; each term sets them and copies the
+    template once.  Only the finished path is validated.
     """
-    m, head, get = P.m, P.levels[:-1], _PATHS.get
+    m, get = P.m, _PATHS.get
+    template = list(P.levels + Q.levels)
+    cuts = _star_cuts(Q)
     out = []
     for lam in lams:
-        levels = head + lam[:1]
-        for (body, last), part in zip(blocks, lam[1:]):
-            levels += body + (last + part,)
+        for (pos, level), part in zip(cuts, lam):
+            template[pos] = level + part
+        levels = tuple(template)
         # DyckPath runs only for a path not yet interned
         out.append(get((m, levels)) or DyckPath(m, levels))
     return out
@@ -310,15 +327,14 @@ def _star_paths(P: DyckPath, blocks, lams) -> list[DyckPath]:
 def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
     """P *_i Q: the sum of P *_lam Q over the class-i compositions.
 
-    Q is factored once per call, the compositions come from the cache shared
-    by every P with the same L(P) and class lengths, and each term is built
-    by :func:`_star_paths` straight into the result's term dict.
+    The compositions come from the cache shared by every P with the same
+    L(P) and class lengths, and each term is built by :func:`_star_paths`
+    straight into the result's term dict.
     """
     if P.m != Q.m:
         raise ValueError("mixed m")
-    blocks = _prime_blocks(Q)
-    lams = _lambda_sets(P.last_level, _multiplicity_class(P, i), len(blocks))
-    paths = _star_paths(P, blocks, lams)
+    lams = _lambda_sets(P.levels[-1], _multiplicity_class(P, i), len(_star_cuts(Q)) - 1)
+    paths = _star_paths(P, Q, lams)
     terms = dict.fromkeys(paths, 1)
     if len(terms) < len(paths):
         # distinct compositions give distinct paths; a repeat is summed, not lost
@@ -380,11 +396,10 @@ def decompose_smaller(P: DyckPath) -> tuple[DyckPath, DyckPath, int]:
     """
     if P.size < 2:
         raise ValueError("size-1 path cannot be decomposed")
-    blocks = _prime_blocks(P)
-    if len(blocks) > 1:
-        body, last = blocks[-1]
-        head = P.levels[: P.size - len(body) - 1]
-        return DyckPath(P.m, head), DyckPath(P.m, body + (last,)), 0
+    ends = _factor_ends(P)
+    if len(ends) > 2:
+        cut = ends[-2]
+        return DyckPath(P.m, P.levels[:cut]), DyckPath(P.m, P.levels[cut:]), 0
     colors = standard_coloring(P)
     steps = P.steps()
     down_positions = [idx for idx, s in enumerate(steps) if s == DOWN]

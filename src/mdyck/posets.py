@@ -206,20 +206,20 @@ def _planar_trees(leaves: int) -> tuple:
     # all planar rooted trees, every internal vertex of arity >= 2
     if leaves == 1:
         return ((),)
-    out = []
-
-    def extend(children, remaining):
-        if remaining == 0:
-            if len(children) >= 2:
-                out.append(tuple(children))
-            return
-        # a child never absorbs every leaf: arity is at least two
-        for take in range(1, min(remaining, leaves - 1) + 1):
-            for child in _planar_trees(take):
-                extend(children + [child], remaining - take)
-
-    extend([], leaves)
-    return tuple(out)
+    # rows[r]: the child sequences on r leaves, in lexicographic order of
+    # (leaves, tree) per child, built level by level from r = 0; a child never
+    # absorbs every leaf, so the arity is at least two
+    rows = [((),)]
+    for r in range(1, leaves + 1):
+        rows.append(
+            tuple(
+                (child,) + rest
+                for take in range(1, min(r, leaves - 1) + 1)
+                for child in _planar_trees(take)
+                for rest in rows[r - take]
+            )
+        )
+    return rows[leaves]
 
 
 class TamariBinaryFamily(PosetFamily):

@@ -16,10 +16,11 @@ from .orders import FinitePoset, mask_indices
 from .paths import (
     DOWN,
     UP,
+    _PATHS,
     DyckPath,
     _multiplicity_class,
     _path_from_steps,
-    _prime_blocks,
+    _star_cuts,
     _star_paths,
     enumerate_paths,
     path_product,
@@ -50,31 +51,41 @@ def _rotations(P: DyckPath):
         yield pos, end, steps[:pos] + steps[pos + 1 : end + 1] + (DOWN,) + steps[end + 1 :]
 
 
-def covers(P: DyckPath) -> list[DyckPath]:
-    """All rotations P -> P_(d): move a pre-up down step past the excursion.
+def _cover_walk(P: DyckPath) -> list[DyckPath]:
+    """All rotations P -> P_(d), in the order the walk finds them.
 
     On level sequences: the last down step of level k (L_k >= 1, k < n)
     precedes up step k+1, whose excursion closes in the first level j > k
     with sum_{t=k+1..j} (m - L_t) <= 0.  The rotation moves that down step
     from level k to level j; :func:`_rotations` is the same walk on steps.
+    A rotated level sequence is looked up among the interned paths before
+    :class:`DyckPath` validates it.
     """
-    m, levels = P.m, P.levels
-    n = len(levels)
+    m, levels, get = P.m, P.levels, _PATHS.get
     out = []
-    for k in range(n - 1):
+    for k in range(len(levels) - 1):
         if not levels[k]:
             continue
-        rise = 0
-        for j in range(k + 1, n):
+        # the excursion closes by the last level, as the path ends on the axis
+        j, rise = k + 1, m - levels[k + 1]
+        while rise > 0:
+            j += 1
             rise += m - levels[j]
-            if rise <= 0:
-                break
         rotated = list(levels)
         rotated[k] -= 1
         rotated[j] += 1
-        out.append(DyckPath(m, tuple(rotated)))
-    out.sort(key=DyckPath.sort_key)
+        key = (m, tuple(rotated))
+        out.append(get(key) or DyckPath(*key))
     return out
+
+
+def covers(P: DyckPath) -> list[DyckPath]:
+    """All rotations P -> P_(d): move a pre-up down step past the excursion.
+
+    The paths of :func:`_cover_walk`, sorted; the lattice takes the walk
+    unsorted, since its order ignores that of the covers.
+    """
+    return sorted(_cover_walk(P), key=DyckPath.sort_key)
 
 
 class TamariLattice(FinitePoset):
@@ -83,7 +94,7 @@ class TamariLattice(FinitePoset):
     __slots__ = ()
 
     def __init__(self, m: int, n: int):
-        super().__init__(enumerate_paths(m, n), covers)
+        super().__init__(enumerate_paths(m, n), _cover_walk)
 
     def interval(self, P: DyckPath, Q: DyckPath) -> list[DyckPath]:
         mask = self.interval_mask(P, Q)
@@ -183,7 +194,7 @@ def build_lattice(m: int, n: int, cap: int = DEFAULT_CAP) -> TamariLattice:
 _lattice = cache(TamariLattice)
 
 
-def _class_lengths(P: DyckPath, i: int) -> list[int]:
+def _class_lengths(P: DyckPath, i: int) -> tuple[int, ...]:
     lengths = _multiplicity_class(P, i)
     if not lengths:
         raise ValueError(f"no suffix of multiplicity {i}")
@@ -203,37 +214,19 @@ def C_bound(P: DyckPath, i: int) -> int:
 def slash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     """Lower interval bound P x_{c_i(P)} Q: P *_lam Q with
     lam = (L - c_i(P), 0, ..., 0, c_i(P)), L = L(P)."""
-    blocks = _prime_blocks(Q)
-    c = c_bound(P, i)
-    return _star_paths(P, blocks, [(P.last_level - c,) + (0,) * (len(blocks) - 1) + (c,)])[0]
+    c = _class_lengths(P, i)[0]
+    # one zero per prime factor of Q but the last
+    zeros = (0,) * (len(_star_cuts(Q)) - 2)
+    return _star_paths(P, Q, [(P.levels[-1] - c,) + zeros + (c,)])[0]
 
 
 def backslash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     """Upper interval bound: all but the last prime factor of Q are pushed
     to the very top of P, and the last one is attached at depth C_i(P):
     P *_lam Q with lam = (0, ..., 0, L - C_i(P), C_i(P))."""
-    blocks = _prime_blocks(Q)
-    C = C_bound(P, i)
-    return _star_paths(P, blocks, [(0,) * (len(blocks) - 1) + (P.last_level - C, C)])[0]
-
-
-def _interval_mask(lattice: TamariLattice, lo: DyckPath, hi: DyckPath) -> int | None:
-    """Bitmask of [lo, hi]; None when a bound is outside the lattice or lo is
-    not below hi (the interval is empty exactly then)."""
-    if lo not in lattice.index or hi not in lattice.index:
-        return None
-    return lattice.interval_mask(lo, hi) or None
-
-
-def _support_mask(lattice: TamariLattice, paths) -> int | None:
-    """Bitmask of a set of paths; None when one is outside the lattice."""
-    mask = 0
-    for path in paths:
-        k = lattice.index.get(path)
-        if k is None:
-            return None
-        mask |= 1 << k
-    return mask
+    C = _class_lengths(P, i)[-1]
+    zeros = (0,) * (len(_star_cuts(Q)) - 2)
+    return _star_paths(P, Q, [zeros + (P.levels[-1] - C, C)])[0]
 
 
 def verify_interval_product(m: int, max_size: int) -> CheckReport:
@@ -249,22 +242,32 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
     lattices = {total: build_lattice(m, total) for total in range(2, max_size + 1)}
     for total in range(2, max_size + 1):
         lattice = lattices[total]
+        index, up, down = lattice.index.get, lattice.up, lattice.down
+        outside = len(up)
+
+        def interval(lo, hi):
+            # 0 when a bound is outside the lattice or lo is not below hi
+            a, b = index(lo), index(hi)
+            return 0 if a is None or b is None else up[a] & down[b]
+
         for n1 in range(1, total):
-            n2 = total - n1
+            right = enumerate_paths(m, total - n1)
             for P in enumerate_paths(m, n1):
-                for Q in enumerate_paths(m, n2):
+                for Q in right:
                     bounds = [(slash_i(P, Q, i), backslash_i(P, Q, i)) for i in range(m + 1)]
                     union = 0
-                    expected_union = _interval_mask(lattice, bounds[0][0], bounds[m][1])
                     for i, (lo, hi) in enumerate(bounds):
                         product = path_product(P, Q, i)
                         report.checks += 1
-                        if any(c != 1 for _, c in product.items()):
-                            report.fail(f"non-unit coefficient in {P!r}*_{i}{Q!r}")
-                            return report
-                        support = _support_mask(lattice, product)
-                        expected = _interval_mask(lattice, lo, hi)
-                        if support is None or support != expected:
+                        support = 0
+                        for path, c in product.items():
+                            if c != 1:
+                                report.fail(f"non-unit coefficient in {P!r}*_{i}{Q!r}")
+                                return report
+                            # a path outside the lattice sets a bit that no interval holds
+                            support |= 1 << index(path, outside)
+                        expected = interval(lo, hi)
+                        if not expected or support != expected:
                             report.fail(
                                 f"support of {P!r} *_{i} {Q!r} is not the interval "
                                 f"[{lo!r}, {hi!r}]"
@@ -275,7 +278,7 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
                             return report
                         union |= support
                     report.checks += 1
-                    if union != expected_union:
+                    if union != interval(bounds[0][0], bounds[m][1]):
                         report.fail(
                             f"classes of {P!r} * {Q!r} do not tile the full interval"
                         )

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import copy
 import functools
 import gc
@@ -184,45 +185,55 @@ def test_tree_memo_is_freed_with_its_oracle():
     assert ref() is None
 
 
-def test_evaluator_images_are_freed_without_the_cyclic_collector():
-    tree = next(t for t in trees.enumerate_Bm(2, 5) if t.left.degree > 1 and t.right.degree > 1)
+@contextlib.contextmanager
+def _garbage_kept():
+    """Automatic collection off; what a collection finds stays in gc.garbage."""
     enabled = gc.isenabled()
     gc.disable()
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
+        yield gc.garbage
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_evaluator_images_are_freed_without_the_cyclic_collector():
+    tree = next(t for t in trees.enumerate_Bm(2, 5) if t.left.degree > 1 and t.right.degree > 1)
+    with _garbage_kept() as garbage:
         image = paths.phi(tree, 2)
         assert image
         del image
         gc.collect()
-        assert not [obj for obj in gc.garbage if isinstance(obj, LinComb)]
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
+        assert not [obj for obj in garbage if isinstance(obj, LinComb)]
+
+
+def _mdyck_functions(garbage):
+    return [
+        obj.__qualname__
+        for obj in garbage
+        if isinstance(obj, types.FunctionType) and (obj.__module__ or "").startswith("mdyck")
+    ]
 
 
 def test_simplex_sweeps_leave_no_functions_to_the_cyclic_collector():
-    enabled = gc.isenabled()
-    gc.disable()
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
+    with _garbage_kept() as garbage:
         oracle = posets.OrdmOracle(posets.TamariBinaryFamily(), 2)
         assert trees.verify_dyck_axioms(2, 4, oracle.product, oracle.basis).ok
         gc.collect()
-        left = [
-            obj.__qualname__
-            for obj in gc.garbage
-            if isinstance(obj, types.FunctionType) and (obj.__module__ or "").startswith("mdyck")
-        ]
-        assert left == []
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
+        assert _mdyck_functions(garbage) == []
+
+
+def test_verify_all_leaves_no_functions_to_the_cyclic_collector(capsys):
+    # with every cache emptied first, each enumeration runs again inside
+    mdyck.clear_caches()
+    with _garbage_kept() as garbage:
+        assert cli.main(["verify", "--suite", "all"]) == 0
+        gc.collect()
+        assert _mdyck_functions(garbage) == []
 
 
 def test_clear_caches_finds_every_cache(monkeypatch):

@@ -520,6 +520,53 @@ def test_verify_order_cap_spares_order_198(monkeypatch):
     assert orders == [198, 10]
 
 
+MAX_M_2000 = (
+    "--max-m 2000 costs more than 20000 slot-law checks at the largest m, "
+    "as --max-m 99 costs 20102"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "series", "--max-m", "2000"], MAX_M_2000),
+        (["--suite", "all", "--max-m", "2000"], MAX_M_2000),
+        (
+            ["--suite", "simplicial", "--max-m", "400"],
+            "--max-m 400 costs more than 20000 slot-law checks at the largest m, "
+            "as --max-m 99 costs 20102",
+        ),
+        (
+            ["--suite", "simplicial", "--max-m", "99"],
+            "--max-m 99 costs 20102 slot-law checks at the largest m, more than 20000",
+        ),
+    ],
+    ids=["series", "all", "simplicial", "simplicial-99"],
+)
+def test_verify_refuses_a_max_m_over_the_cap(monkeypatch, argv, message):
+    def verifier(*args):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    for module, name in VERIFIERS:
+        monkeypatch.setattr(module, name, verifier)
+    assert _usage_error(["verify", *argv]) == (2, "", f"error: {message}\n")
+
+
+def test_verify_max_m_cap_spares_max_m_98(monkeypatch):
+    bounds = []
+
+    def verifier(max_m, *args):
+        bounds.append(max_m)
+        return CheckReport(name="max-m")
+
+    monkeypatch.setattr(simplicial, "verify_simplicial_identities", verifier)
+    monkeypatch.setattr(series, "check_series_identities", verifier)
+    for suite in ("simplicial", "series"):
+        assert run(["verify", "--suite", suite, "--max-m", "98"])[0] == 0
+        assert run(["verify", "--suite", suite])[0] == 0
+    assert bounds == [98, 5, 98, 4]
+
+
 def test_verify_series_at_order_50():
     code, out = run(["verify", "--suite", "series", "--max-m", "1", "--order", "50"])
     assert (code, out) == (0, "series identities m<=1 order=50: ok (300 checks)\n")

@@ -269,6 +269,23 @@ def test_path_product_matches_star_lambda():
                 assert path_product(a, b, i) == expected
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_star_paths_match_star_lambda_on_every_composition(m):
+    # the one template per (P, Q) against the nested concat_i reference, on
+    # every weak composition of L(P) into r+1 parts, not only one class
+    factor_counts = set()
+    for n1 in range(1, 6):
+        for n2 in range(1, 7 - n1):
+            for a in enumerate_paths(m, n1):
+                for b in enumerate_paths(m, n2):
+                    r = len(prime_factors(b))
+                    factor_counts.add(r)
+                    lams = paths._weak_compositions(a.last_level, r + 1)
+                    expected = [star_lambda(a, b, lam) for lam in lams]
+                    assert paths._star_paths(a, b, lams) == expected
+    assert factor_counts >= {1, 2, 3}
+
+
 def test_product_unit_coefficients_disjoint():
     for n1 in (1, 2):
         for n2 in (1, 2, 3):

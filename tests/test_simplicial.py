@@ -1,6 +1,7 @@
 import pytest
 
 from mdyck import simplicial
+from mdyck.reporting import CheckReport
 from mdyck.paths import phi
 from mdyck.series import fuss_catalan
 from mdyck.simplicial import (
@@ -68,6 +69,17 @@ def test_merge_after_insert_is_identity():
 def test_simplicial_identities():
     report = verify_simplicial_identities(5)
     assert report.ok, report.failures
+
+
+def test_slot_law_checks_count_the_laws_of_one_m(monkeypatch):
+    # the functor-level checks do not depend on max_m; without them the
+    # suite makes exactly the slot-law checks of m = 1 .. max_m
+    monkeypatch.setattr(simplicial, "verify_dyck_axioms", lambda *args: CheckReport(name="axioms"))
+    counts = [verify_simplicial_identities(m).checks for m in range(7)]
+    assert counts[0] == 0
+    assert [b - a for a, b in zip(counts, counts[1:])] == [
+        simplicial.slot_law_checks(m) for m in range(1, 7)
+    ]
 
 
 def test_degeneracy_of_dendriform_is_associative():

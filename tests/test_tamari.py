@@ -17,8 +17,10 @@ from mdyck.paths import (
     rho,
     star_lambda,
 )
+from mdyck.orders import FinitePoset
 from mdyck.tamari import (
     C_bound,
+    TamariLattice,
     _rotations,
     build_lattice,
     c_bound,
@@ -49,6 +51,16 @@ def test_covers_match_rotations_on_steps(m, max_n):
             expected = [_path_from_steps(m, steps) for _, _, steps in _rotations(path)]
             expected.sort(key=DyckPath.sort_key)
             assert covers(path) == expected
+
+
+@pytest.mark.parametrize("m, max_n", [(1, 8), (2, 6), (3, 5)])
+def test_lattice_from_the_unsorted_walk_matches_the_sorted_covers(m, max_n):
+    # the order ignores the order of the covers, so both build the same masks
+    for n in range(1, max_n + 1):
+        lattice = TamariLattice(m, n)
+        reference = FinitePoset(enumerate_paths(m, n), covers)
+        assert lattice.elements == reference.elements
+        assert (lattice.up, lattice.down) == (reference.up, reference.down)
 
 
 def test_build_lattice_small():
@@ -114,6 +126,26 @@ def test_c_and_C_bounds():
     assert (c_bound(path, 2), C_bound(path, 2)) == (2, 4)
     for m in (1, 2, 3):
         assert c_bound(rho(m), m) == m == C_bound(rho(m), m)
+
+
+def test_bound_refusals_keep_their_messages(monkeypatch):
+    path = P(2, "1,3")
+    calls = [
+        lambda i: c_bound(path, i),
+        lambda i: C_bound(path, i),
+        lambda i: slash_i(path, rho(2), i),
+        lambda i: backslash_i(path, rho(2), i),
+    ]
+    for call in calls:
+        for i in (-1, 3):
+            with pytest.raises(ValueError, match=r"^class index out of range$"):
+                call(i)
+    # no path has an empty class: its last up step puts m letters of one
+    # color on top, and a suffix gains one letter at a time
+    monkeypatch.setattr(paths, "_classes", lambda P: ((0,), (), (2, 3)))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^no suffix of multiplicity 1$"):
+            call(1)
 
 
 def test_slash_backslash_examples():
