@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 from . import posets, series, simplicial, tamari, trees
 from .paths import PathOracle, enumerate_paths, parse_path, path_product
@@ -276,6 +277,16 @@ def _suite_reports(args) -> list[CheckReport]:
             size_of=simplicial.slot_law_checks,
             option="--max-m",
             unit="slot-law checks at the largest m",
+        )
+    # after both rules above, so that each option alone is refused in its own words
+    if "series" in suites:
+        max_m = _given(args.max_m, 4)
+        tamari.check_size(
+            _given(args.order, 10),
+            cap=series.IDENTITY_COST_CAP,
+            size_of=partial(series.identity_cost, max_m),
+            option=f"--max-m {max_m} --order",
+            unit="coefficient products in all compositions",
         )
     # the largest basis of each suite: (suite, default --m, bound, default bound)
     for name, m, n, default in (

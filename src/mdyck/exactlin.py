@@ -16,13 +16,13 @@ workhorses shared by all the combinatorial models:
   other linear maps (the tree products and relation checks fill plain dicts), and
 * one exact rank routine on sparse integer rows ``{column: entry}``, built
   straight from the terms of a :class:`LinComb` (or from a plain list of
-  equally long rows) by clearing denominators.  Elimination modulo a
-  large prime, always on a row's largest column, comes first: its rank is a
-  lower bound for the rational rank, so reaching ``min(rows, cols)``
-  certifies the answer.  Vectors with distinct leading columns, such as the
-  ``phi`` images of the tree basis, are already in echelon form and cause
-  no fill-in.  Only when that certificate is deficient does fraction-free
-  Bareiss elimination decide.  :func:`rank_of_lincombs`,
+  equally long rows) by clearing denominators.  It is fraction-free
+  elimination over the integers, always on a row's largest column, with
+  every kept row primitive (its content divided out), so entries stay
+  small and no dense matrix is formed.  Vectors with distinct leading
+  columns, such as the ``phi`` images of the tree basis, are already in
+  echelon form and cause no fill-in, and elimination stops once
+  ``min(rows, cols)`` rows are kept.  :func:`rank_of_lincombs`,
   :func:`span_contains`, :func:`matrix_rank` and :func:`has_full_rank` are
   entry points onto it, used for change-of-basis and generation checks;
   the last two take row lists.
@@ -35,8 +35,6 @@ from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
 Rational = Fraction
-
-_CERT_PRIME = (1 << 61) - 1
 
 
 def sort_key(key):
@@ -193,85 +191,51 @@ def _integer_row(terms) -> dict[int, int]:
     return {c: x.numerator * (scale // x.denominator) for c, x in terms if x}
 
 
-def _bareiss_rank(rows: list[list[int]], cols: int) -> int:
-    # A row whose pivot-column entry is zero skips the elimination step,
-    # which would only multiply it by p / prev.  Its Bareiss value is then
-    # row * prev / scale[r]: an integer minor, restored exactly once the
-    # row is used again, so that every later division by prev stays exact.
-    mat = [row[:] for row in rows]
-    scale = [1] * len(mat)
-    prev = 1
-    rank = 0
-
-    def restore(r: int, col: int) -> None:
-        if scale[r] != prev:
-            row, s = mat[r], scale[r]
-            for c in range(col, cols):
-                row[c] = row[c] * prev // s
-            scale[r] = prev
-
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        scale[rank], scale[pivot] = scale[pivot], scale[rank]
-        restore(rank, col)
-        p = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                restore(r, col)
-                factor = mat[r][col]
-                row_r, row_p = mat[r], mat[rank]
-                for c in range(col + 1, cols):
-                    row_r[c] = (p * row_r[c] - factor * row_p[c]) // prev
-                row_r[col] = 0
-                scale[r] = p
-        prev = p
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    # the row divided by its content, the gcd of its entries
+    content = math.gcd(*row.values())
+    return row if content == 1 else {c: x // content for c, x in row.items()}
 
 
 def _sparse_rank(rows: list[dict[int, int]], cols: int) -> int:
     """Exact rank over the rationals of sparse integer rows ``{column: entry}``.
 
-    Rows are reduced one at a time modulo ``_CERT_PRIME``, each on its
-    largest column, against the echelon rows kept so far.  The count of
-    echelon rows is at most the rational rank, so reaching
-    ``min(len(rows), cols)`` certifies it.  Vectors with distinct leading
-    columns (the ``phi`` basis) pass without a single reduction.  Only a
-    deficient count runs the exact Bareiss elimination.
+    Each row is reduced on its largest column against the echelon rows kept
+    so far: with entry a there in the echelon row p and entry b in the row
+    r, r becomes (a*r - b*p) / gcd(a, b).  A row is divided by its content
+    whenever a step scaled it and when it is kept, so every echelon row is
+    primitive and entries stay small.  Vectors with distinct leading columns (the ``phi`` basis) pass
+    without a single reduction, and the loop stops once ``min(len(rows),
+    cols)`` rows are kept, the largest rank possible.
     """
     target = min(len(rows), cols)
-    p = _CERT_PRIME
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
         if len(echelon) == target:
             break
-        row = {c: x % p for c, x in row.items() if x % p}
+        row = dict(row)
         while row:
             col = max(row)
             pivot = echelon.get(col)
             if pivot is None:
-                inv = pow(row[col], -1, p)
-                echelon[col] = {c: x * inv % p for c, x in row.items()}
+                echelon[col] = _primitive(row)
                 break
-            factor = row[col]
+            a, b = pivot[col], row[col]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                row = {c: a * x for c, x in row.items()}
             for c, x in pivot.items():
-                value = (row.get(c, 0) - factor * x) % p
+                value = row.get(c, 0) - b * x
                 if value:
                     row[c] = value
                 else:
                     del row[c]
-    if len(echelon) < target:
-        return _bareiss_rank([[row.get(c, 0) for c in range(cols)] for row in rows], cols)
-    return target
+            if a != 1 and row:
+                row = _primitive(row)
+    return len(echelon)
 
 
 def matrix_rank(rows: Iterable[Iterable]) -> int:

@@ -147,32 +147,31 @@ def pt_encode(t) -> str:
 
 def pt_parse(text: str):
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of tree literal")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "|":
-            return ()
-        if tok != "(":
-            raise ValueError(f"unexpected token {tok!r}")
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(parse())
-        if pos == len(tokens):
-            raise ValueError("expected ')'")
-        pos += 1
-        if len(children) < 2:
-            raise ValueError("internal vertices need at least two children")
-        return tuple(children)
-
-    result = parse()
+    result, pos = _pt_subtree(tokens, 0)
     if pos != len(tokens):
         raise ValueError("trailing tokens")
     return result
+
+
+def _pt_subtree(tokens: list[str], pos: int):
+    # the planar tree whose literal starts at tokens[pos], and the position after it
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of tree literal")
+    tok = tokens[pos]
+    pos += 1
+    if tok == "|":
+        return (), pos
+    if tok != "(":
+        raise ValueError(f"unexpected token {tok!r}")
+    children = []
+    while pos < len(tokens) and tokens[pos] != ")":
+        child, pos = _pt_subtree(tokens, pos)
+        children.append(child)
+    if pos == len(tokens):
+        raise ValueError("expected ')'")
+    if len(children) < 2:
+        raise ValueError("internal vertices need at least two children")
+    return tuple(children), pos + 1
 
 
 def graft_leftmost(t, w):

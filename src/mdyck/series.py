@@ -35,6 +35,19 @@ def product_cost(order: int) -> int:
     return (order + 1) * (order + 2) // 2
 
 
+IDENTITY_COST_CAP = 10**8
+
+
+def identity_cost(max_m: int, order: int) -> int:
+    """The coefficient products of the compositions that
+    :func:`check_series_identities` makes: each m up to ``max_m`` composes
+    d_m(g_m) and its m + 1 substitutions, max_m(max_m + 5)/2 compositions in
+    all, and each takes ``order`` series products of :func:`product_cost`.
+    Capped at ``IDENTITY_COST_CAP``, it bounds the ``--max-m`` and
+    ``--order`` of ``mdyck verify`` jointly."""
+    return max_m * (max_m + 5) // 2 * order * product_cost(order)
+
+
 class TruncatedSeries(FrozenRecord):
     """Integer power series truncated at x^order.
 

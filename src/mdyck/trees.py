@@ -138,36 +138,35 @@ def graft(t: ColoredTree, w: ColoredTree, i: int, m: int | None = None) -> Color
 def parse_tree(text: str) -> ColoredTree:
     """Parse the canonical encoding: leaf `|`, node `(c L R)`."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of tree literal")
-        pos += 1
-        return tokens[pos - 1]
-
-    def parse() -> ColoredTree:
-        tok = take()
-        if tok == "|":
-            return LEAF
-        if tok != "(":
-            raise ValueError(f"unexpected token {tok!r}")
-        tok = take()
-        try:
-            color = int(tok)
-        except ValueError:
-            raise ValueError(f"color {tok!r} is not an integer in tree literal {text!r}") from None
-        left = parse()
-        right = parse()
-        if take() != ")":
-            raise ValueError("expected ')'")
-        return ColoredTree(color, left, right)
-
-    result = parse()
+    result, pos = _parse_subtree(tokens, 0, text)
     if pos != len(tokens):
         raise ValueError("trailing tokens in tree literal")
     return result
+
+
+def _token(tokens: list[str], pos: int) -> str:
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of tree literal")
+    return tokens[pos]
+
+
+def _parse_subtree(tokens: list[str], pos: int, text: str) -> tuple[ColoredTree, int]:
+    # the tree whose literal starts at tokens[pos], and the position after it
+    tok = _token(tokens, pos)
+    if tok == "|":
+        return LEAF, pos + 1
+    if tok != "(":
+        raise ValueError(f"unexpected token {tok!r}")
+    tok = _token(tokens, pos + 1)
+    try:
+        color = int(tok)
+    except ValueError:
+        raise ValueError(f"color {tok!r} is not an integer in tree literal {text!r}") from None
+    left, pos = _parse_subtree(tokens, pos + 2, text)
+    right, pos = _parse_subtree(tokens, pos, text)
+    if _token(tokens, pos) != ")":
+        raise ValueError("expected ')'")
+    return ColoredTree(color, left, right), pos + 1
 
 
 class CombDecomposition(FrozenRecord):

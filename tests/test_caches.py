@@ -236,6 +236,22 @@ def test_verify_all_leaves_no_functions_to_the_cyclic_collector(capsys):
         assert _mdyck_functions(garbage) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "--model", "trees", "--m", "2", "--i", "1", "(1 (2 | |) |)", "(0 | |)"],
+        ["mul", "--model", "paths", "--m", "2", "--i", "0", "1,3", "0,2,4,2"],
+        ["mul", "--model", "ordm", "--m", "2", "--i", "1", "((| |) |);(| (| |))", "(| |);(| |)"],
+    ],
+    ids=["trees", "paths", "ordm"],
+)
+def test_mul_leaves_no_functions_to_the_cyclic_collector(argv, capsys):
+    with _garbage_kept() as garbage:
+        assert cli.main(argv) == 0
+        gc.collect()
+        assert _mdyck_functions(garbage) == []
+
+
 def test_clear_caches_finds_every_cache(monkeypatch):
     @functools.cache
     def added(n):

@@ -480,6 +480,10 @@ def test_verify_poset_cap_spares_degree_6_and_files(monkeypatch, tmp_path):
     assert bounds[4:] == [7]
 
 
+MAX_M_98_ORDER_198 = (
+    "--max-m 98 --order 198 costs more than 100000000 coefficient products in all "
+    "compositions, as --max-m 98 --order 34 costs 108106740"
+)
 ORDER_100000 = (
     "--order 100000 costs more than 20000 coefficient products per series product, "
     "as --order 199 costs 20100"
@@ -495,8 +499,20 @@ ORDER_100000 = (
             ["--suite", "series", "--order", "199"],
             "--order 199 costs 20100 coefficient products per series product, more than 20000",
         ),
+        (["--suite", "series", "--max-m", "98", "--order", "198"], MAX_M_98_ORDER_198),
+        (["--suite", "all", "--max-m", "98", "--order", "198"], MAX_M_98_ORDER_198),
+        (
+            ["--suite", "series", "--max-m", "6", "--order", "198"],
+            "--max-m 6 --order 198 costs 130026600 coefficient products in all "
+            "compositions, more than 100000000",
+        ),
+        (
+            ["--suite", "series", "--max-m", "98", "--order", "34"],
+            "--max-m 98 --order 34 costs 108106740 coefficient products in all "
+            "compositions, more than 100000000",
+        ),
     ],
-    ids=["series", "all", "series-199"],
+    ids=["series", "all", "series-199", "joint", "joint-all", "joint-max-m-6", "joint-order-34"],
 )
 def test_verify_refuses_an_order_over_the_cap(monkeypatch, argv, message):
     def verifier(*args):
@@ -565,6 +581,20 @@ def test_verify_max_m_cap_spares_max_m_98(monkeypatch):
         assert run(["verify", "--suite", suite, "--max-m", "98"])[0] == 0
         assert run(["verify", "--suite", suite])[0] == 0
     assert bounds == [98, 5, 98, 4]
+
+
+def test_verify_joint_cap_spares_its_largest_bounds(monkeypatch):
+    bounds = []
+
+    def verifier(max_m, order):
+        bounds.append((max_m, order))
+        return CheckReport(name="series")
+
+    monkeypatch.setattr(series, "check_series_identities", verifier)
+    for argv in (["--max-m", "98", "--order", "33"], ["--max-m", "5", "--order", "198"]):
+        assert run(["verify", "--suite", "series", *argv])[0] == 0
+    assert bounds == [(98, 33), (5, 198)]
+    assert series.identity_cost(98, 33) <= series.IDENTITY_COST_CAP < series.identity_cost(98, 34)
 
 
 def test_verify_series_at_order_50():

@@ -1,4 +1,4 @@
-import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdyck import exactlin
 from mdyck.exactlin import (
-    _CERT_PRIME,
     LinComb,
-    _bareiss_rank,
     bilinear,
     has_full_rank,
     lincombs_to_matrix,
@@ -170,8 +167,7 @@ def test_matrix_rank_examples():
     assert matrix_rank(proportional) == 1
     # entries are read as exact rationals, whatever Fraction() accepts
     assert matrix_rank([["1/2", Decimal("0.5")], [1, Fraction(1)]]) == 1
-    # the zero entry under the first pivot leaves row 2 unscaled; the
-    # elimination must still divide it exactly at the second pivot
+    # a zero row and a row that needs no reduction step, and the transpose
     skipped = [
         [0] * 8, [0, -1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 1], [-2] + [0] * 7
     ]
@@ -211,15 +207,35 @@ def deficient_rows(draw):
     return draw(st.permutations(base + combos + zeros))
 
 
+def _fraction_rank(rows):
+    """Textbook Gaussian elimination over ``Fraction``: the reference rank."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            factor = mat[r][col] / mat[rank][col]
+            mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
 @given(deficient_rows())
 @settings(max_examples=150, deadline=None)
-def test_sparse_rank_agrees_with_bareiss(rows):
-    cols = len(rows[0])
-    integer_rows = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        integer_rows.append([int(x * scale) for x in row])
-    assert matrix_rank(rows) == _bareiss_rank(integer_rows, cols)
+def test_sparse_rank_agrees_with_fraction_elimination(rows):
+    assert matrix_rank(rows) == _fraction_rank(rows)
+
+
+def test_dense_integer_rank_agrees_with_fraction_elimination():
+    # entries in [-9, 9] fill every row, so each reduction step scales it
+    rng = random.Random(25)
+    rows = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(39)]
+    rows.append([x + y for x, y in zip(rows[3], rows[17])])
+    rng.shuffle(rows)
+    assert matrix_rank(rows) == _fraction_rank(rows) == 39
 
 
 @given(st.lists(lincombs, max_size=5), st.lists(keys, unique=True))
@@ -235,18 +251,14 @@ def test_rank_of_lincombs_matches_dense_matrix(vectors, key_list):
     )
 
 
-def test_rank_falls_back_to_exact_elimination():
-    # the only entry vanishes modulo the certificate prime
-    rows = [[_CERT_PRIME]]
+def test_rank_of_a_large_prime_entry():
+    # a prime near 2**61 is one nonzero entry like any other
+    rows = [[2**61 - 1]]
     assert matrix_rank(rows) == 1
     assert has_full_rank(rows)
 
 
-def test_full_certificate_skips_exact_elimination(monkeypatch):
-    def refuse(rows, cols):
-        raise AssertionError("Bareiss ran on a certified rank")
-
-    monkeypatch.setattr(exactlin, "_bareiss_rank", refuse)
+def test_tall_full_rank_examples():
     tall = [[1, 2], [0, Fraction(1, 3)], [5, 7], [0, 0]]
     assert matrix_rank(tall) == 2
     assert has_full_rank(tall)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mdyck import simplicial
@@ -315,3 +320,35 @@ def test_freeness_fault_injection(monkeypatch):
     report = verify_Sk_freeness(2, 0, 3)
     assert not report.ok
     assert any("degree 2" in msg for msg in report.failures)
+
+
+_DROPPED_AT_DEGREE_6 = """
+from mdyck import simplicial
+
+generators = simplicial.generators_Amk
+
+
+def dropped(m, k, n):
+    gens = generators(m, k, n)
+    return gens[1:] if n == 6 else gens
+
+
+simplicial.generators_Amk = dropped
+report = simplicial.verify_Sk_freeness(3, 1, 6)
+print(report.ok, report.checks)
+print(*report.failures, sep="\\n")
+"""
+
+
+def test_freeness_fault_injection_at_degree_6():
+    # the 11 594 x 7 084 rank-deficient generation matrix, decided in seconds
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _DROPPED_AT_DEGREE_6], env=env, capture_output=True,
+        text=True, timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "False 11",
+        "degree 6: generated subspace has rank 7083, expected 7084",
+    ]
