@@ -61,9 +61,10 @@ def clear_caches() -> None:
     children for the next pass.  What the caller still holds, and every
     subtree of it, stays.
 
-    Basis products are memoised by the ``TreeOracle``, ``PathOracle`` or
-    ``OrdmOracle`` that computes them and freed with it (a ``TreeOracle``
-    stores only the products that cost more than an intern-table lookup);
+    Basis products are memoised, as plain term dicts, by the ``TreeOracle``,
+    ``PathOracle`` or ``OrdmOracle`` that computes them and freed with it (a
+    ``TreeOracle`` stores only the products that cost more than one or two
+    intern-table lookups);
     a ``PosetFamily`` owns its pair memo (``split``) and a
     ``trees.evaluator`` its tree images (those of one ``phi`` or
     ``tree_normal_form`` call) the same way.

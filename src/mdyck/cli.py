@@ -20,16 +20,16 @@ from .reporting import CheckReport
 from .trees import TreeOracle, parse_tree, tree_product
 
 
-def _at_least_one(*options) -> None:
-    """Refuse an option below 1, naming it; ``options`` are (flag, value)
-    pairs, and a value of None is an option not given."""
+def _at_least(least: int, *options) -> None:
+    """Refuse an option below ``least``, naming it; ``options`` are (flag,
+    value) pairs, and a value of None is an option not given."""
     for flag, value in options:
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be >= 1")
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}")
 
 
 def _dims(args) -> int:
-    _at_least_one(("--m", args.m), ("--max-n", args.max_n))
+    _at_least(1, ("--m", args.m), ("--max-n", args.max_n))
     # both bases of the largest degree are enumerated, so they are bounded first
     tamari.check_size(args.max_n, args.m)
     print(f"{'n':>3} {'fuss-catalan':>14} {'trees':>14} {'paths':>14}  status")
@@ -91,7 +91,7 @@ def _product_text(args) -> str:
 
 def _mul(args) -> int:
     m, i = args.m, args.i
-    _at_least_one(("--m", m))
+    _at_least(1, ("--m", m))
     if not 0 <= i <= m:
         raise ValueError(f"product index {i} out of range [0, {m}]")
     # parsing, multiplying and printing all recurse on the tree literals
@@ -104,7 +104,7 @@ def _mul(args) -> int:
 
 
 def _hasse(args) -> int:
-    _at_least_one(("--m", args.m), ("--n", args.n))
+    _at_least(1, ("--m", args.m), ("--n", args.n))
     lattice = tamari.build_lattice(args.m, args.n, cap=args.cap)
     sys.stdout.write(tamari.hasse_dot(lattice))
     return 0
@@ -239,6 +239,13 @@ def _negative_reports(args) -> list[CheckReport]:
     return [_negative_report(m) for m in ((1, 2) if args.m is None else (args.m,))]
 
 
+# the least bound of each option at which a suite checks anything; the
+# verifiers refuse a smaller one too, but in their own parameter's name
+_LEAST_BOUND = {
+    "--max-degree": {"axioms": 3, "ordm": 3, "poset": 2, "freeness": 1},
+    "--max-size": {"tamari-interval": 2},
+}
+
 # every suite, in the order that `verify --suite all` runs them
 _SUITES = {
     "axioms": _axiom_reports,
@@ -254,7 +261,11 @@ _SUITES = {
 
 def _suite_reports(args) -> list[CheckReport]:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    _at_least_one(("--m", args.m), ("--max-m", args.max_m), ("--order", args.order))
+    _at_least(1, ("--m", args.m), ("--max-m", args.max_m), ("--order", args.order))
+    for flag, value in (("--max-degree", args.max_degree), ("--max-size", args.max_size)):
+        least = [n for name, n in _LEAST_BOUND[flag].items() if name in suites]
+        if least:
+            _at_least(max(least), (flag, value))
     # arguments that a later suite would refuse are refused before any suite runs
     if "negative" in suites and args.m not in (None, *_NEGATIVE_CONTROLS):
         raise ValueError("negative suite is defined for m = 1 and m = 2")
@@ -347,7 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", default="dot", choices=("dot",))
-    p.add_argument("--cap", type=int, default=tamari.DEFAULT_CAP)
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=tamari.DEFAULT_CAP,
+        help="the size rule's cap on the paths of size n (default %(default)s); a "
+        "larger cap is the user's deliberate override, with no bound of its own: "
+        "the order's closure costs O(N^2) bits for N paths, so --m 2 --n 8 "
+        "--cap 100000 takes about 481 MB",
+    )
     p.set_defaults(func=_hasse)
     return parser
 

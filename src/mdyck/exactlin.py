@@ -11,12 +11,16 @@ and rank code treat them the same.  This module provides the two
 workhorses shared by all the combinatorial models:
 
 * :class:`LinComb`, a formal finite linear combination of opaque basis keys
-  (trees, lattice paths, chains, ...) with rational coefficients, together
-  with :func:`linear_sum`, the accumulator behind ``bilinear`` and the
-  other linear maps (the tree products and relation checks fill plain dicts), and
+  (trees, lattice paths, chains, ...) with rational coefficients, built
+  where a user sees a result.  Inside, a combination is a plain term dict
+  ``{key: coefficient}`` with no zero value: the product oracles return
+  one, :func:`term_sum` adds them up in one dict, and :func:`linear_sum`,
+  :func:`bilinear` and the arithmetic of :class:`LinComb` wrap its result
+  through the trusted constructor :meth:`LinComb.of_terms`.  No other
+  module reads a ``LinComb``'s private terms or calls ``LinComb.__new__``.
 * one exact rank routine on sparse integer rows ``{column: entry}``, built
-  straight from the terms of a :class:`LinComb` (or from a plain list of
-  equally long rows) by clearing denominators.  It is fraction-free
+  straight from the terms of a :class:`LinComb` or term dict (or from a
+  plain list of equally long rows) by clearing denominators.  It is fraction-free
   elimination over the integers, always on a row's largest column, with
   every kept row primitive (its content divided out), so entries stay
   small and no dense matrix is formed.  Vectors with distinct leading
@@ -85,6 +89,17 @@ class LinComb:
             else:
                 data.pop(key, None)
         self._terms = data
+
+    @classmethod
+    def of_terms(cls, terms: dict) -> "LinComb":
+        """The combination whose term dict is ``terms``, taken without a copy.
+
+        Trusted: every coefficient must be exact and nonzero, and nothing may
+        change the dict afterwards.
+        """
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -158,13 +173,16 @@ class LinComb:
         return f"LinComb({dict(self.items_sorted())!r})"
 
 
-def linear_sum(pairs: Iterable[tuple[LinComb, object]]) -> LinComb:
-    """The combination sum of c*v over ``(v, c)`` pairs, built in one dict."""
+def term_sum(pairs: Iterable[tuple]) -> dict:
+    """The term dict of the sum of c*v over ``(v, c)`` pairs, built in one dict.
+
+    Each v is a term dict or a :class:`LinComb`; none is changed.
+    """
     data: dict = {}
     for v, c in pairs:
         if type(c) is not int:
             c = _exact(c)
-        for key, cv in v._terms.items():
+        for key, cv in v.items():
             acc = data.get(key, 0) + c * cv
             if acc:
                 if type(acc) is not int and acc.denominator == 1:
@@ -172,13 +190,17 @@ def linear_sum(pairs: Iterable[tuple[LinComb, object]]) -> LinComb:
                 data[key] = acc
             else:
                 data.pop(key, None)
-    out = LinComb.__new__(LinComb)
-    out._terms = data
-    return out
+    return data
+
+
+def linear_sum(pairs: Iterable[tuple]) -> LinComb:
+    """The combination sum of c*v over ``(v, c)`` pairs (:func:`term_sum`)."""
+    return LinComb.of_terms(term_sum(pairs))
 
 
 def bilinear(a: LinComb, b: LinComb, product: Callable) -> LinComb:
-    """Extend a product on basis keys bilinearly to linear combinations."""
+    """Extend a product on basis keys, giving term dicts, bilinearly to linear
+    combinations."""
     return linear_sum(
         (product(x, y), cx * cy) for x, cx in a.items() for y, cy in b.items()
     )
@@ -253,10 +275,10 @@ def has_full_rank(rows: list[list]) -> bool:
     return rank == min(len(rows), len(rows[0]) if rows else 0)
 
 
-def _key_universe(vectors: Iterable[LinComb]) -> list:
+def _key_universe(vectors: Iterable) -> list:
     keys = set()
     for v in vectors:
-        keys.update(v.support())
+        keys.update(v)
     return sorted(keys, key=sort_key)
 
 
@@ -267,10 +289,11 @@ def lincombs_to_matrix(vectors: list[LinComb], keys: list | None = None) -> list
     return [[v[k] for k in keys] for v in vectors]
 
 
-def rank_of_lincombs(vectors: list[LinComb], keys: list | None = None) -> int:
+def rank_of_lincombs(vectors: list, keys: list | None = None) -> int:
     """Exact rank of ``vectors`` restricted to ``keys`` (default: their support).
 
-    Rows are built from the terms alone; no dense matrix is formed.
+    Each vector is a :class:`LinComb` or a term dict.  Rows are built from
+    the terms alone; no dense matrix is formed.
     """
     if keys is None:
         keys = _key_universe(vectors)

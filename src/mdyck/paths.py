@@ -324,12 +324,12 @@ def _star_paths(P: DyckPath, Q: DyckPath, lams) -> list[DyckPath]:
     return out
 
 
-def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
-    """P *_i Q: the sum of P *_lam Q over the class-i compositions.
+def _path_terms(P: DyckPath, Q: DyckPath, i: int) -> dict:
+    """The term dict of P *_i Q: the sum of P *_lam Q over the class-i compositions.
 
     The compositions come from the cache shared by every P with the same
     L(P) and class lengths, and each term is built by :func:`_star_paths`
-    straight into the result's term dict.
+    straight into the term dict.
     """
     if P.m != Q.m:
         raise ValueError("mixed m")
@@ -341,27 +341,31 @@ def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
         terms = {}
         for path in paths:
             terms[path] = terms.get(path, 0) + 1
-    result = LinComb.__new__(LinComb)
-    result._terms = terms
-    return result
+    return terms
+
+
+def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
+    """P *_i Q in the path basis (the terms of :func:`_path_terms`)."""
+    return LinComb.of_terms(_path_terms(P, Q, i))
 
 
 class PathOracle:
-    """The path model as a product oracle; its product memo is freed with it."""
+    """The path model as a product oracle: ``product`` gives the term dict of
+    :func:`_path_terms`, shared with its memo, which is freed with it."""
 
     def __init__(self, m: int):
         self.m = m
-        self._memo: dict[tuple[DyckPath, DyckPath, int], LinComb] = {}
+        self._memo: dict[tuple[DyckPath, DyckPath, int], dict] = {}
 
     def basis(self, n: int) -> list[DyckPath]:
         return enumerate_paths(self.m, n)
 
-    def product(self, x: DyckPath, y: DyckPath, i: int) -> LinComb:
+    def product(self, x: DyckPath, y: DyckPath, i: int) -> dict:
         key = (x, y, i)
-        result = self._memo.get(key)
-        if result is None:
-            result = self._memo[key] = path_product(x, y, i)
-        return result
+        terms = self._memo.get(key)
+        if terms is None:
+            terms = self._memo[key] = _path_terms(x, y, i)
+        return terms
 
 
 def phi(t: ColoredTree, m: int) -> LinComb:

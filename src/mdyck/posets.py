@@ -635,8 +635,9 @@ def ordm_simplices(family: PosetFamily, n: int, m: int) -> list[tuple]:
     return poset.chains([(1 << len(poset.elements)) - 1] * m)
 
 
-def ordm_product(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> LinComb:
-    """The i-th simplex product: the last i coordinates use the prec interval.
+def _ordm_terms(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> dict:
+    """The term dict of the i-th simplex product: the last i coordinates use
+    the prec interval.
 
     Terms are the weakly increasing chains (u_1, ..., u_m) with u_j in the
     succ-type interval [x_j/y_j, x_j bot y_j] for j <= m-i and in the
@@ -652,32 +653,36 @@ def ordm_product(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> LinCo
     if any(split[0] != n for split in splits):
         raise ValueError("comparing elements of different degrees")
     masks = [split[_SUCC if j < m - i else _PREC] for j, split in enumerate(splits)]
-    # the chains are distinct, so they go straight into the result's term dict
-    result = LinComb.__new__(LinComb)
-    result._terms = dict.fromkeys(family.poset(n).chains(masks), 1)
-    return result
+    # the chains are distinct, so they go straight into the term dict
+    return dict.fromkeys(family.poset(n).chains(masks), 1)
+
+
+def ordm_product(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> LinComb:
+    """The i-th simplex product in the chain basis (the terms of :func:`_ordm_terms`)."""
+    return LinComb.of_terms(_ordm_terms(family, xbar, ybar, i))
 
 
 class OrdmOracle:
     """Simplex model over a dendriform poset as a product oracle.
 
-    Products are memoised per oracle, so they are freed with it.
+    ``product`` gives the term dict of :func:`_ordm_terms`, shared with its
+    memo, which is freed with the oracle.
     """
 
     def __init__(self, family: PosetFamily, m: int):
         self.family = family
         self.m = m
-        self._memo: dict[tuple[tuple, tuple, int], LinComb] = {}
+        self._memo: dict[tuple[tuple, tuple, int], dict] = {}
 
     def basis(self, n: int) -> list[tuple]:
         return ordm_simplices(self.family, n, self.m)
 
-    def product(self, x: tuple, y: tuple, i: int) -> LinComb:
+    def product(self, x: tuple, y: tuple, i: int) -> dict:
         key = (x, y, i)
-        result = self._memo.get(key)
-        if result is None:
-            result = self._memo[key] = ordm_product(self.family, x, y, i)
-        return result
+        terms = self._memo.get(key)
+        if terms is None:
+            terms = self._memo[key] = _ordm_terms(self.family, x, y, i)
+        return terms
 
 
 # ---------------------------------------------------------------------------

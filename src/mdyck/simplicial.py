@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .exactlin import LinComb, linear_sum, rank_of_lincombs
+from .exactlin import rank_of_lincombs, term_sum
 from .reporting import CheckReport
 from .series import check_lemform, fuss_catalan
 from .trees import (
@@ -69,7 +69,7 @@ class SlotTransformedOracle:
     """Product oracle obtained by re-wiring slots of a base oracle.
 
     ``slots[j]`` lists the base product indices summed into the new slot j
-    (empty tuple = the zero product).
+    (empty tuple = the zero product).  A product is a fresh term dict.
     """
 
     def __init__(self, base, slots: tuple[tuple[int, ...], ...]):
@@ -80,8 +80,8 @@ class SlotTransformedOracle:
     def basis(self, n: int):
         return self.base.basis(n)
 
-    def product(self, x, y, i: int) -> LinComb:
-        return linear_sum((self.base.product(x, y, j), 1) for j in self.slots[i])
+    def product(self, x, y, i: int) -> dict:
+        return term_sum((self.base.product(x, y, j), 1) for j in self.slots[i])
 
 
 def face_oracle(base, i: int) -> SlotTransformedOracle:

@@ -22,8 +22,11 @@ of the partial sums o_i = *_0 + ... + *_i, and the dendriform axioms and the
 CLI's negative controls are tables of the same form.  Each is compiled once
 into lhs - rhs grouped by its outer product (:func:`relation_plan`), and
 :func:`plan_holds` tests on one basis triple whether that sum vanishes,
-accumulating it in one plain dict.  The products of :class:`TreeOracle` are
-likewise built straight into their term dicts.
+accumulating it in one plain dict.  Every product oracle (:class:`TreeOracle`,
+``PathOracle``, ``OrdmOracle``, ``SlotTransformedOracle``) answers
+``product(x, y, i)`` with a plain term dict ``{key: int}`` that its memo may
+share, so a caller must not change it; a ``LinComb`` is built only for a
+result that a user sees (:func:`tree_product`, :func:`evaluator` images).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from functools import cache, partial
 from typing import Callable, Iterable, Sequence
 
-from .exactlin import LinComb, bilinear
+from .exactlin import LinComb, bilinear, term_sum
 from .reporting import CheckReport, FrozenRecord, _immutable
 
 LEFT = "L"
@@ -301,61 +304,59 @@ def _basis(m: int, k: int, n: int) -> tuple[ColoredTree, ...]:
 class TreeOracle:
     """The free algebra on one generator over the basis B(m).
 
-    A product is memoised only when it costs more than the lookup.  A direct
+    ``product(t, w, i)`` is the term dict ``{tree: coefficient}`` of t *_i w.
+    It may be the memo's own dict, so a caller must not change it.  A
+    product is memoised only when it costs more than the lookup.  A direct
     graft t *_i w, with t a leaf or i below t's root color, is the single
-    tree t v_i w, which the intern table already holds: it is answered with
-    a fresh one-term ``LinComb`` and never stored, and inside the recursion
-    it is read as that tree alone.  Every other product is memoised per
-    oracle, so it is freed with the oracle.
+    tree t v_i w, which the intern table already holds.  So is t *_i w with
+    t's root color c below i when t.right *_i w is a direct graft: it is the
+    single tree t.left v_c (t.right v_i w), two lookups away.  Both are
+    answered with a fresh one-term dict and never stored.  Every other
+    product is memoised per oracle, so it is freed with the oracle.
     """
 
     def __init__(self, m: int):
         self.m = m
-        self._memo: dict[tuple[ColoredTree, ColoredTree, int], LinComb] = {}
+        self._memo: dict[tuple[ColoredTree, ColoredTree, int], dict] = {}
 
     def basis(self, n: int) -> list[ColoredTree]:
         return enumerate_Bm(self.m, n)
 
-    def _items(self, t: ColoredTree, w: ColoredTree, i: int):
-        """The (tree, coefficient) pairs of t *_i w; a direct graft builds no ``LinComb``."""
-        if t.color is None or i < t.color:
-            return ((_TREES.get((i, t, w)) or ColoredTree(i, t, w), 1),)
-        return self._product(t, w, i)._terms.items()
-
-    def _product(self, t: ColoredTree, w: ColoredTree, i: int) -> LinComb:
-        # terms go straight into the result's dict; ColoredTree runs only for a new tree
-        if t.color is None or i < t.color:
-            result = LinComb.__new__(LinComb)
-            result._terms = {_TREES.get((i, t, w)) or ColoredTree(i, t, w): 1}
-            return result
-        key = (t, w, i)
-        result = self._memo.get(key)
-        if result is not None:
-            return result
+    def _product(self, t: ColoredTree, w: ColoredTree, i: int) -> dict:
+        # terms go straight into the result dict; ColoredTree runs only for a new tree
         get = _TREES.get
-        if t.color < i:
+        c = t.color
+        if c is None or i < c:
+            return {get((i, t, w)) or ColoredTree(i, t, w): 1}
+        left, right = t.left, t.right
+        if c < i and (right.color is None or i < right.color):
+            u = get((i, right, w)) or ColoredTree(i, right, w)
+            return {get((c, left, u)) or ColoredTree(c, left, u): 1}
+        key = (t, w, i)
+        terms = self._memo.get(key)
+        if terms is not None:
+            return terms
+        if c < i:
             # grafting is injective on interned trees: no two terms merge
-            c, left = t.color, t.left
-            terms = {}
-            for u, cu in self._items(t.right, w, i):
-                terms[get((c, left, u)) or ColoredTree(c, left, u)] = cu
+            terms = {
+                get((c, left, u)) or ColoredTree(c, left, u): cu
+                for u, cu in self._product(right, w, i).items()
+            }
         else:
             # (x *_i y) *_i z rewritten through the mixed-associativity relation
-            left, right, acc = t.left, t.right, {}
+            acc: dict = {}
             for k in range(i + 1):
-                for u, c in self._items(right, w, k):
+                for u, cu in self._product(right, w, k).items():
                     tree = get((i, left, u)) or ColoredTree(i, left, u)
-                    acc[tree] = acc.get(tree, 0) + c
+                    acc[tree] = acc.get(tree, 0) + cu
             for k in range(i + 1, self.m + 1):
-                for u, c in self._items(left, right, k):
+                for u, cu in self._product(left, right, k).items():
                     tree = get((i, u, w)) or ColoredTree(i, u, w)
-                    acc[tree] = acc.get(tree, 0) - c
+                    acc[tree] = acc.get(tree, 0) - cu
             # terms rarely cancel: copy only to drop a zero coefficient
-            terms = {tree: c for tree, c in acc.items() if c} if 0 in acc.values() else acc
-        result = LinComb.__new__(LinComb)
-        result._terms = terms
-        self._memo[key] = result
-        return result
+            terms = {tree: cu for tree, cu in acc.items() if cu} if 0 in acc.values() else acc
+        self._memo[key] = terms
+        return terms
 
     # callers reach the memo directly; a wrapper set on product does not see the recursion
     product = _product
@@ -371,14 +372,15 @@ def tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:
         raise ValueError(f"product index {i} out of range [0, {m}]")
     if not is_basis_Bm(t, m) or not is_basis_Bm(w, m):
         raise ValueError("operands must be basis trees")
-    return TreeOracle(m).product(t, w, i)
+    return LinComb.of_terms(TreeOracle(m).product(t, w, i))
 
 
 def evaluator(product: Callable, generator) -> Callable[[ColoredTree], LinComb]:
     """The map from colored trees that sends the leaf to ``generator`` and a
-    vertex of color i to ``product(a, b, i)``, extended bilinearly, on the
-    images of its children.  Images are memoised in the returned function,
-    so the memo is freed with it; colors are not checked.
+    vertex of color i to ``product(a, b, i)``, a term dict such as an
+    oracle's, extended bilinearly, on the images of its children.  Images
+    are ``LinComb``s memoised in the returned function, so the memo is
+    freed with it; colors are not checked.
     """
     return partial(_image, {LEAF: LinComb.single(generator)}, product)
 
@@ -478,28 +480,29 @@ def relation_plan(lhs: tuple, rhs: tuple) -> tuple:
 def plan_holds(plan: tuple, multiplier: Callable, x, y, z, yz: dict, xy: dict) -> bool:
     """Whether lhs - rhs of the relation compiled to ``plan`` vanishes on (x, y, z).
 
-    Inner sums are term dicts keyed by ``inner``: y *_b z in ``yz`` per triple, x *_a y
-    in ``xy`` per pair, a sum of several products built from the single ``((k, 1),)``."""
+    ``multiplier`` gives term dicts (or anything with ``items()``), which are
+    read, never changed.  Inner sums are term dicts keyed by ``inner``: y *_b z
+    in ``yz`` per triple, x *_a y in ``xy`` per pair, a sum of several products
+    built from the single ``((k, 1),)``."""
     acc: dict = {}
     for kind, outer, inner in plan:
         memo, a, b = (yz, y, z) if kind == LEFT else (xy, x, y)
         terms = memo.get(inner)
         if terms is None:
             if len(inner) == 1 and inner[0][1] == 1:
-                terms = multiplier(a, b, inner[0][0])._terms
+                terms = multiplier(a, b, inner[0][0])
             else:
-                terms = {}
+                singles = []
                 for k, c in inner:
                     single = memo.get(((k, 1),))
                     if single is None:
-                        single = memo[((k, 1),)] = multiplier(a, b, k)._terms
-                    for u, cu in single.items():
-                        terms[u] = terms.get(u, 0) + c * cu
-                terms = {u: c for u, c in terms.items() if c}
+                        single = memo[((k, 1),)] = multiplier(a, b, k)
+                    singles.append((single, c))
+                terms = term_sum(singles)
             memo[inner] = terms
         for u, c in terms.items():
             product = multiplier(x, u, outer) if kind == LEFT else multiplier(u, z, outer)
-            for key, cv in product._terms.items():
+            for key, cv in product.items():
                 acc[key] = acc.get(key, 0) + c * cv
     return not any(acc.values())
 

@@ -6,7 +6,7 @@ All comparisons are exact; the only tolerances are the stated size bounds.
 
 import time
 
-from mdyck.exactlin import LinComb, bilinear
+from mdyck.exactlin import LinComb, bilinear, term_sum
 from mdyck.paths import (
     PathOracle,
     enumerate_paths,
@@ -201,25 +201,23 @@ def test_criterion_10_negative_controls():
 
     oracle = TreeOracle(2)
 
-    def ext_l(a, lc, i):
-        out = LinComb.zero()
-        for u, c in lc.items():
-            out = out + oracle.product(a, u, i).scale(c)
-        return out
+    # products are term dicts; term_sum extends them linearly
+    def ext_l(a, terms, i):
+        return term_sum((oracle.product(a, u, i), c) for u, c in terms.items())
 
-    def ext_r(lc, b, i):
-        out = LinComb.zero()
-        for u, c in lc.items():
-            out = out + oracle.product(u, b, i).scale(c)
-        return out
+    def ext_r(terms, b, i):
+        return term_sum((oracle.product(u, b, i), c) for u, c in terms.items())
+
+    def plus(*terms):
+        return term_sum((t, 1) for t in terms)
 
     u = LEAF
     # (u *_2 v) *_1 w != u *_1 (v *_1 w + v *_0 w)
     lhs = ext_r(oracle.product(u, u, 2), u, 1)
-    rhs = ext_l(u, oracle.product(u, u, 1) + oracle.product(u, u, 0), 1)
+    rhs = ext_l(u, plus(oracle.product(u, u, 1), oracle.product(u, u, 0)), 1)
     assert lhs != rhs, "alternative relation (i) must fail"
     # (u *_1 v + u *_0 v) *_1 w != u *_0 (v *_1 w)
-    lhs = ext_r(oracle.product(u, u, 1) + oracle.product(u, u, 0), u, 1)
+    lhs = ext_r(plus(oracle.product(u, u, 1), oracle.product(u, u, 0)), u, 1)
     rhs = ext_l(u, oracle.product(u, u, 1), 0)
     assert lhs != rhs, "alternative relation (ii) must fail"
     _report("PASS criterion 10: the comparison relations fail as required")

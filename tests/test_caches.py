@@ -311,13 +311,14 @@ def test_each_pair_is_split_once_per_family():
 
 def test_each_simplex_product_is_computed_once_per_oracle(monkeypatch):
     calls = collections.Counter()
-    real = posets.ordm_product
+    real = posets._ordm_terms
 
     def counting(family, x, y, i):
         calls[x, y, i] += 1
         return real(family, x, y, i)
 
-    monkeypatch.setattr(posets, "ordm_product", counting)
+    # the oracle computes its term dicts through _ordm_terms
+    monkeypatch.setattr(posets, "_ordm_terms", counting)
     oracle = posets.OrdmOracle(posets.TamariBinaryFamily(), 2)
     assert trees.verify_dyck_axioms(2, 5, oracle.product, oracle.basis).ok
     assert set(calls.values()) == {1}

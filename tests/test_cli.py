@@ -233,6 +233,15 @@ def test_hasse_cap():
     assert code == 2
 
 
+def test_hasse_help_calls_the_cap_an_override_and_prices_it(capsys):
+    with pytest.raises(SystemExit):
+        main(["hasse", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "deliberate override" in text
+    assert "O(N^2) bits" in text
+    assert "--m 2 --n 8 --cap 100000 takes about 481 MB" in text
+
+
 def test_verify_negative():
     code, out = run(["verify", "--suite", "negative", "--m", "1"])
     assert code == 0
@@ -268,7 +277,28 @@ def test_verify_keeps_explicit_zero_bound():
         code, out = run(["verify", "--suite", "axioms", "--m", "1", "--max-degree", "0"])
     assert code == 2
     assert out == ""
-    assert err.getvalue() == "error: need max_total_degree >= 3\n"
+    assert err.getvalue() == "error: --max-degree must be >= 3\n"
+
+
+@pytest.mark.parametrize(
+    "suite, option, value, least",
+    [
+        ("axioms", "--max-degree", 0, 3),
+        ("axioms", "--max-degree", 2, 3),
+        ("ordm", "--max-degree", 1, 3),
+        ("all", "--max-degree", 2, 3),
+        ("poset", "--max-degree", 0, 2),
+        ("poset", "--max-degree", 1, 2),
+        ("freeness", "--max-degree", 0, 1),
+        ("tamari-interval", "--max-size", 0, 2),
+        ("tamari-interval", "--max-size", 1, 2),
+        ("all", "--max-size", 1, 2),
+    ],
+)
+def test_a_bound_at_which_a_suite_checks_nothing_is_named(suite, option, value, least):
+    # refused before any suite runs, in the option's name, not the verifier's parameter
+    argv = ["verify", "--suite", suite, option, str(value)]
+    assert _usage_error(argv) == (2, "", f"error: {option} must be >= {least}\n")
 
 
 def test_verify_all_matches_golden_output():

@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,21 @@ lincombs = st.dictionaries(keys, rationals, max_size=4).map(LinComb)
 
 def lc(**terms):
     return LinComb(terms)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mdyck"
+
+
+def test_only_exactlin_reads_the_terms_of_a_lincomb():
+    # every other module reads a LinComb through its methods and builds one
+    # through LinComb(...) or the trusted LinComb.of_terms
+    readers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if path.name != "exactlin.py"
+        and any(word in path.read_text(encoding="utf-8") for word in ("._terms", "LinComb.__new__"))
+    )
+    assert readers == []
 
 
 def test_add_cancellation():

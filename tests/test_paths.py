@@ -343,12 +343,14 @@ def test_evaluator_matches_reference_recursion(all_colored_trees):
 
 def test_phi_matrix_computes_each_product_once(monkeypatch):
     calls = []
+    real = paths._path_terms
 
     def counted(P, Q, i):
         calls.append((P, Q, i))
-        return path_product(P, Q, i)
+        return real(P, Q, i)
 
-    monkeypatch.setattr(paths, "path_product", counted)
+    # the oracle computes its term dicts through _path_terms
+    monkeypatch.setattr(paths, "_path_terms", counted)
     assert phi_matrix_full_rank(2, 5)
     assert calls
     assert len(calls) == len(set(calls))

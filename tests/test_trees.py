@@ -1,9 +1,12 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdyck.exactlin import LinComb, linear_sum
-from mdyck.paths import PathOracle
+from mdyck.exactlin import LinComb, linear_sum, term_sum
+from mdyck.paths import PathOracle, path_product
+from mdyck.posets import OrdmOracle, TamariBinaryFamily, ordm_product
 from mdyck.series import fuss_catalan
 from mdyck.simplicial import SlotTransformedOracle
 from mdyck.trees import (
@@ -227,6 +230,16 @@ def _reference_product(m, t, w, i, memo):
     return memo[key]
 
 
+def _direct(t, i):
+    # t *_i w is the graft t v_i w
+    return t.is_leaf or i < t.color
+
+
+def _one_lookup_away(t, i):
+    # t *_i w is the single tree t.left v_c (t.right v_i w), c = t.color < i
+    return not t.is_leaf and t.color < i and _direct(t.right, i)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_tree_products_match_the_graft_reference(m):
     oracle, reference = TreeOracle(m), {}
@@ -236,23 +249,30 @@ def test_tree_products_match_the_graft_reference(m):
                 for y in enumerate_Bm(m, n2):
                     for i in range(m + 1):
                         product = oracle.product(x, y, i)
-                        assert product._terms == _reference_product(m, x, y, i, reference)._terms
-                        assert 0 not in product._terms.values()
-                        if x.is_leaf or i < x.color:
+                        assert type(product) is dict
+                        assert LinComb.of_terms(product) == _reference_product(m, x, y, i, reference)
+                        assert 0 not in product.values()
+                        if _direct(x, i):
                             # a direct graft is read from the intern table, never memoised
                             assert (x, y, i) not in oracle._memo
-                            assert product == LinComb.single(graft(x, y, i))
+                            assert product == {graft(x, y, i): 1}
+                        elif _one_lookup_away(x, i):
+                            # as is x.left v_c (x.right v_i y), two lookups away
+                            assert (x, y, i) not in oracle._memo
+                            inner = graft(x.right, y, i)
+                            assert product == {graft(x.left, inner, x.color): 1}
                         else:
                             assert oracle._memo[(x, y, i)] is product
                             assert oracle.product(x, y, i) is product
 
 
 def test_the_tree_memo_holds_only_computed_products():
-    # pinned: 666 entries before direct grafts left the memo, 323 after
+    # pinned: 666 entries before direct grafts left the memo, 323 after, and
+    # 229 once a graft below a direct graft (two lookups away) left it too
     oracle = TreeOracle(2)
     assert verify_dyck_axioms(2, 5, oracle.product, oracle.basis).checks == 438
-    assert len(oracle._memo) == 323
-    assert not any(t.is_leaf or i < t.color for t, _, i in oracle._memo)
+    assert len(oracle._memo) == 229
+    assert not any(_direct(t, i) or _one_lookup_away(t, i) for t, _, i in oracle._memo)
 
 
 def test_axioms_tree_oracle():
@@ -294,7 +314,7 @@ def test_axioms_corrupted_oracle_reports_counterexample(
     # its first counterexample, here always the triple of leaves
     oracle = TreeOracle(1)
     bad = (LEAF, t(y), i)
-    wrong = LinComb.single(t(replacement)) if replacement else LinComb.zero()
+    wrong = {t(replacement): 1} if replacement else {}
 
     def corrupted(a, b, k):
         if (a, b, k) == bad:
@@ -314,13 +334,66 @@ def test_normal_form():
     # a non-basis tree expands through the product recursion
     bad = t("(1 (0 | |) |)")
     assert tree_normal_form(bad, 1) == tree_product(t("(0 | |)"), LEAF, 1, 1)
-    # the evaluator over an oracle shares its product memo and agrees with it
+    # the evaluator over an oracle shares its product memo and agrees with it;
+    # (0 | |) *_1 | is a graft two lookups away, which no memo holds
     oracle = TreeOracle(1)
     assert evaluator(oracle.product, LEAF)(bad) == tree_normal_form(bad, 1)
+    assert not oracle._memo
+    deeper = t("(1 (0 | (0 | |)) |)")
+    assert evaluator(oracle.product, LEAF)(deeper) == tree_normal_form(deeper, 1)
     assert oracle._memo
     # the evaluator checks no colors; tree_normal_form refuses one above m
     with pytest.raises(ValueError, match="color exceeds m"):
         tree_normal_form(t("(2 | |)"), 1)
+
+
+PROTOCOL_ORACLES = {
+    "trees": (TreeOracle(2), lambda x, y, i: tree_product(x, y, i, 2)),
+    "paths": (PathOracle(2), path_product),
+    "ordm": (
+        OrdmOracle(TamariBinaryFamily(), 2),
+        lambda x, y, i: ordm_product(TamariBinaryFamily(), x, y, i),
+    ),
+    # the partial sums o_i = *_0 + ... + *_i of the tree products
+    "partial-sums": (
+        SlotTransformedOracle(TreeOracle(2), ((0,), (0, 1), (0, 1, 2))),
+        lambda x, y, i: linear_sum((tree_product(x, y, k, 2), 1) for k in range(i + 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PROTOCOL_ORACLES))
+def test_oracle_products_are_the_term_dicts_of_the_public_products(model):
+    # a product is a plain dict with int values and no zero, the terms of the
+    # LinComb that the model's public product gives
+    oracle, public = PROTOCOL_ORACLES[model]
+    pairs = 0
+    for n1 in range(1, 5):
+        for n2 in range(1, 6 - n1):
+            for x in oracle.basis(n1):
+                for y in oracle.basis(n2):
+                    pairs += 1
+                    for i in range(3):
+                        product = oracle.product(x, y, i)
+                        assert type(product) is dict
+                        assert all(type(c) is int and c for c in product.values())
+                        assert LinComb.of_terms(product) == public(x, y, i)
+                        assert oracle.product(x, y, i) == product
+    assert pairs > 0
+
+
+def test_sweeps_and_evaluators_only_read_oracle_products():
+    # a product is shared with the memo: every reader must leave it unchanged,
+    # so each one here is handed a read-only view
+    oracle = TreeOracle(2)
+
+    def read_only(a, b, k):
+        return MappingProxyType(oracle.product(a, b, k))
+
+    assert verify_dyck_axioms(2, 5, read_only, oracle.basis).ok
+    assert verify_circ_relations(2, 5, read_only, oracle.basis).ok
+    tree = t("(1 (0 | (0 | |)) (2 | |))")
+    assert evaluator(read_only, LEAF)(tree) == tree_normal_form(tree, 2)
 
 
 def test_circ_convert():
@@ -329,7 +402,7 @@ def test_circ_convert():
     circ = SlotTransformedOracle(oracle, ((0,), (0, 1), (0, 1, 2)))
     a, b = t("(2 | |)"), LEAF
     assert circ.product(a, b, 0) == oracle.product(a, b, 0)
-    full = oracle.product(a, b, 0) + oracle.product(a, b, 1) + oracle.product(a, b, 2)
+    full = term_sum((oracle.product(a, b, k), 1) for k in range(3))
     assert circ.product(a, b, 2) == full
 
 
@@ -471,7 +544,7 @@ def test_sweep_reports_the_reference_failure(model):
 
     def faulty(u, v, k):
         result = oracle.product(u, v, k)
-        return result.scale(2) if (u, v, k) == (a, b, 1) else result
+        return {w: 2 * c for w, c in result.items()} if (u, v, k) == (a, b, 1) else result
 
     for verifier, relations in (
         (verify_dyck_axioms, dyck_relations(2)),
