@@ -150,10 +150,6 @@ def _negative_report(m: int) -> CheckReport:
     return report
 
 
-def _given(value, default):
-    return default if value is None else value
-
-
 # Each suite runs in its own helper, and the oracles and poset families it
 # makes live only as long as that helper, so their memos are freed before
 # the next suite runs.
@@ -166,36 +162,33 @@ def _axioms_report(name: str, m: int, max_degree: int, oracle) -> CheckReport:
 
 
 def _axiom_reports(args) -> list[CheckReport]:
-    max_degree = _given(args.max_degree, 5)
     reports = []
-    for m in range(1, _given(args.m, 3) + 1):
+    for m in range(1, args.m + 1):
         tree_oracle = TreeOracle(m)
-        reports.append(_axioms_report(f"trees m={m}", m, max_degree, tree_oracle))
-        reports.append(_axioms_report(f"paths m={m}", m, max_degree, PathOracle(m)))
+        reports.append(_axioms_report(f"trees m={m}", m, args.max_degree, tree_oracle))
+        reports.append(_axioms_report(f"paths m={m}", m, args.max_degree, PathOracle(m)))
         reports.append(
-            trees.verify_circ_relations(m, max_degree, tree_oracle.product, tree_oracle.basis)
+            trees.verify_circ_relations(m, args.max_degree, tree_oracle.product, tree_oracle.basis)
         )
     return reports
 
 
 def _ordm_reports(args) -> list[CheckReport]:
-    max_degree = _given(args.max_degree, 5)
-    family = posets.TamariBinaryFamily()
+    family = args.family  # the one on which the size rule counted the simplices
     return [
-        _axioms_report(f"Tamari {m}-simplices", m, max_degree, posets.OrdmOracle(family, m))
-        for m in range(1, _given(args.m, 2) + 1)
+        _axioms_report(f"Tamari {m}-simplices", m, args.max_degree, posets.OrdmOracle(family, m))
+        for m in range(1, args.m + 1)
     ]
 
 
 def _simplicial_reports(args) -> list[CheckReport]:
-    return [simplicial.verify_simplicial_identities(_given(args.max_m, 5))]
+    return [simplicial.verify_simplicial_identities(args.max_m)]
 
 
 def _freeness_reports(args) -> list[CheckReport]:
-    max_degree = _given(args.max_degree, 4)
     return [
-        simplicial.verify_Sk_freeness(m, k, max_degree)
-        for m in range(1, _given(args.m, 2) + 1)
+        simplicial.verify_Sk_freeness(m, k, args.max_degree)
+        for m in range(1, args.m + 1)
         for k in range(m)
     ]
 
@@ -208,12 +201,13 @@ def _poset_reports(args) -> list[CheckReport]:
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
         family = posets.parse_poset_file(text)
-        declared = family.declared_degrees()
-        bound = _given(args.max_degree, max(declared) if declared else 1)
+        bound = args.max_degree or max(family.declared_degrees(), default=1)
+        if bound < 2:
+            raise ValueError(f"--file {args.file} declares no degree >= 2")
         return [posets.verify_dendriform_poset(family, bound)]
     # each family, with its posets and pair memo, is freed before the next is built
     return [
-        posets.verify_dendriform_poset(family(), _given(args.max_degree, bound))
+        posets.verify_dendriform_poset(family(), args.max_degree or bound)
         for family, bound in (
             (posets.PermutationFamily, 4),
             (posets.SurjectionFamily, 3),
@@ -224,90 +218,103 @@ def _poset_reports(args) -> list[CheckReport]:
 
 
 def _interval_reports(args) -> list[CheckReport]:
-    max_size = _given(args.max_size, 6)
-    sizes = [(m, max_size) for m in range(1, _given(args.m, 2) + 1)]
+    sizes = [(m, args.max_size) for m in range(1, args.m + 1)]
     if args.suite == "all":
         sizes.append((3, 4))
     return [tamari.verify_interval_product(m, size) for m, size in sizes]
 
 
 def _series_reports(args) -> list[CheckReport]:
-    return [series.check_series_identities(_given(args.max_m, 4), _given(args.order, 10))]
+    return [series.check_series_identities(args.max_m, args.order)]
 
 
 def _negative_reports(args) -> list[CheckReport]:
     return [_negative_report(m) for m in ((1, 2) if args.m is None else (args.m,))]
 
 
-# the least bound of each option at which a suite checks anything; the
-# verifiers refuse a smaller one too, but in their own parameter's name
-_LEAST_BOUND = {
-    "--max-degree": {"axioms": 3, "ordm": 3, "poset": 2, "freeness": 1},
-    "--max-size": {"tamari-interval": 2},
+# every suite, in the order that `verify --suite all` runs them: its helper,
+# which reads its options with these defaults filled in (a poset family has
+# its own degree), and the option and least value at which it checks anything
+# (the verifiers refuse a smaller one too, but in their own parameter's name)
+_SUITES = {
+    "axioms": (_axiom_reports, {"m": 3, "max_degree": 5}, ("max_degree", 3)),
+    "ordm": (_ordm_reports, {"m": 2, "max_degree": 5}, ("max_degree", 3)),
+    "simplicial": (_simplicial_reports, {"max_m": 5}, None),
+    "freeness": (_freeness_reports, {"m": 2, "max_degree": 4}, ("max_degree", 1)),
+    "poset": (_poset_reports, {}, ("max_degree", 2)),
+    "tamari-interval": (_interval_reports, {"m": 2, "max_size": 6}, ("max_size", 2)),
+    "series": (_series_reports, {"max_m": 4, "order": 10}, None),
+    "negative": (_negative_reports, {}, None),
 }
 
-# every suite, in the order that `verify --suite all` runs them
-_SUITES = {
-    "axioms": _axiom_reports,
-    "ordm": _ordm_reports,
-    "simplicial": _simplicial_reports,
-    "freeness": _freeness_reports,
-    "poset": _poset_reports,
-    "tamari-interval": _interval_reports,
-    "series": _series_reports,
-    "negative": _negative_reports,
-}
+# the most m-simplices of the top degree that the ordm suite sweeps; above
+# tamari.DEFAULT_CAP, since --m 3 --max-degree 6 has 23430 of them
+ORDM_SIMPLEX_CAP = 40_000
+
+
+def _check_simplices(options) -> None:
+    """Refuse an ordm ``--m`` whose simplices of the top degree are more than
+    the cap; they are counted on the family that the suite then sweeps."""
+    options.family = family = posets.TamariBinaryFamily()
+    tamari.check_size(
+        options.m,
+        cap=ORDM_SIMPLEX_CAP,
+        size_of=partial(posets.count_simplices, family, options.max_degree),
+        option=f"--max-degree {options.max_degree} --m",
+        unit=f"Tamari simplices of degree {options.max_degree}",
+    )
 
 
 def _suite_reports(args) -> list[CheckReport]:
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     _at_least(1, ("--m", args.m), ("--max-m", args.max_m), ("--order", args.order))
-    for flag, value in (("--max-degree", args.max_degree), ("--max-size", args.max_size)):
-        least = [n for name, n in _LEAST_BOUND[flag].items() if name in suites]
+    given = {option: value for option, value in vars(args).items() if value is not None}
+    suites = {}
+    for name in list(_SUITES) if args.suite == "all" else [args.suite]:
+        _, defaults, least = _SUITES[name]
         if least:
-            _at_least(max(least), (flag, value))
+            _at_least(least[1], ("--" + least[0].replace("_", "-"), given.get(least[0])))
+        suites[name] = argparse.Namespace(**{**vars(args), **defaults, **given})
     # arguments that a later suite would refuse are refused before any suite runs
     if "negative" in suites and args.m not in (None, *_NEGATIVE_CONTROLS):
         raise ValueError("negative suite is defined for m = 1 and m = 2")
-    if args.max_degree is not None:
-        if "ordm" in suites:
-            tamari.check_size(args.max_degree, poset="Tamari")
-        if "poset" in suites and not args.file:
-            # surjections, the largest built-in family
-            tamari.check_size(args.max_degree, poset="surjections", size_of=_fubini)
+    if "ordm" in suites:
+        tamari.check_size(suites["ordm"].max_degree, poset="Tamari")
+    if "poset" in suites and args.max_degree is not None and not args.file:
+        # surjections, the largest built-in family
+        tamari.check_size(args.max_degree, poset="surjections", size_of=_fubini)
     if "series" in suites:
         tamari.check_size(
-            _given(args.order, 10),
+            suites["series"].order,
             size_of=series.product_cost,
             option="--order",
             unit="coefficient products per series product",
         )
     if "simplicial" in suites or "series" in suites:
         tamari.check_size(
-            _given(args.max_m, 5),
+            max(suites[name].max_m for name in ("simplicial", "series") if name in suites),
             size_of=simplicial.slot_law_checks,
             option="--max-m",
             unit="slot-law checks at the largest m",
         )
     # after both rules above, so that each option alone is refused in its own words
     if "series" in suites:
-        max_m = _given(args.max_m, 4)
+        max_m, order = suites["series"].max_m, suites["series"].order
         tamari.check_size(
-            _given(args.order, 10),
+            order,
             cap=series.IDENTITY_COST_CAP,
             size_of=partial(series.identity_cost, max_m),
             option=f"--max-m {max_m} --order",
             unit="coefficient products in all compositions",
         )
-    # the largest basis of each suite: (suite, default --m, bound, default bound)
-    for name, m, n, default in (
-        ("axioms", 3, args.max_degree, 5),
-        ("freeness", 2, args.max_degree, 4),
-        ("tamari-interval", 2, args.max_size, 6),
-    ):
+    # the largest basis of each suite that enumerates m-Dyck paths, at the option of its least bound
+    for name in ("axioms", "freeness", "tamari-interval"):
         if name in suites:
-            tamari.check_size(_given(n, default), _given(args.m, m))
-    return [report for name in suites for report in _SUITES[name](args)]
+            tamari.check_size(getattr(suites[name], _SUITES[name][2][0]), suites[name].m)
+    # last, so that every rule above keeps its message; the degree is bounded by then
+    if "ordm" in suites:
+        _check_simplices(suites["ordm"])
+    # each suite's options, and the family in them, are dropped once it has run
+    return [report for name in list(suites) for report in _SUITES[name][0](suites.pop(name))]
 
 
 def _verify(args) -> int:

@@ -14,7 +14,8 @@ workhorses shared by all the combinatorial models:
   (trees, lattice paths, chains, ...) with rational coefficients, built
   where a user sees a result.  Inside, a combination is a plain term dict
   ``{key: coefficient}`` with no zero value: the product oracles return
-  one, :func:`term_sum` adds them up in one dict, and :func:`linear_sum`,
+  one, :func:`term_sum`, the one accumulator of coefficients (``LinComb``'s
+  constructor too), adds them up in one dict, and :func:`linear_sum`,
   :func:`bilinear` and the arithmetic of :class:`LinComb` wrap its result
   through the trusted constructor :meth:`LinComb.of_terms`.  No other
   module reads a ``LinComb``'s private terms or calls ``LinComb.__new__``.
@@ -76,19 +77,8 @@ class LinComb:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
-        data: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in items:
-            if type(coeff) is not int:
-                coeff = _exact(coeff)
-            acc = data.get(key, 0) + coeff
-            if acc:
-                if type(acc) is not int and acc.denominator == 1:
-                    acc = acc.numerator
-                data[key] = acc
-            else:
-                data.pop(key, None)
-        self._terms = data
+        self._terms = term_sum(({key: 1}, coeff) for key, coeff in items)
 
     @classmethod
     def of_terms(cls, terms: dict) -> "LinComb":

@@ -13,11 +13,11 @@ path of size one, which is the bridge to the colored-tree model.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .exactlin import LinComb
 from .reporting import _immutable
-from .trees import ColoredTree, enumerate_Bm, evaluator
+from .trees import ColoredTree, MemoOracle, enumerate_Bm, evaluator
 
 UP = "u"
 DOWN = "d"
@@ -349,23 +349,11 @@ def path_product(P: DyckPath, Q: DyckPath, i: int) -> LinComb:
     return LinComb.of_terms(_path_terms(P, Q, i))
 
 
-class PathOracle:
-    """The path model as a product oracle: ``product`` gives the term dict of
-    :func:`_path_terms`, shared with its memo, which is freed with it."""
+class PathOracle(MemoOracle):
+    """The path model as the :class:`~mdyck.trees.MemoOracle` of :func:`_path_terms`."""
 
     def __init__(self, m: int):
-        self.m = m
-        self._memo: dict[tuple[DyckPath, DyckPath, int], dict] = {}
-
-    def basis(self, n: int) -> list[DyckPath]:
-        return enumerate_paths(self.m, n)
-
-    def product(self, x: DyckPath, y: DyckPath, i: int) -> dict:
-        key = (x, y, i)
-        terms = self._memo.get(key)
-        if terms is None:
-            terms = self._memo[key] = _path_terms(x, y, i)
-        return terms
+        super().__init__(m, partial(enumerate_paths, m), _path_terms)
 
 
 def phi(t: ColoredTree, m: int) -> LinComb:

@@ -20,12 +20,12 @@ declarative file format allows user-supplied families to be verified.
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, partial
 
 from .exactlin import LinComb
 from .orders import FinitePoset, mask_indices
 from .reporting import CheckReport
-from .trees import _triples, dyck_relations, plan_holds, relation_plan
+from .trees import MemoOracle, _triples, dyck_relations, plan_holds, relation_plan
 
 SLASH = "/"
 PERP = "bot"
@@ -635,6 +635,28 @@ def ordm_simplices(family: PosetFamily, n: int, m: int) -> list[tuple]:
     return poset.chains([(1 << len(poset.elements)) - 1] * m)
 
 
+def count_simplices(family: PosetFamily, n: int, m: int) -> int:
+    """``len(ordm_simplices(family, n, m))``, counted without listing a chain.
+
+    With f_1(x) = 1 and f_{k+1}(x) the sum of f_k(y) over the up-set of x,
+    the count is the sum of f_m(x) over the degree-n elements x.  Each step
+    splits f_k into bit planes, the mask of the elements whose value has bit
+    b set, so a sum over an up-set is one popcount per plane (f_2(x) is the
+    size of the up-set) instead of a walk over its elements.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    up = family.poset(n).up
+    f = [1] * len(up)
+    for _ in range(m - 1):
+        planes = [
+            int("".join("1" if v >> b & 1 else "0" for v in reversed(f)), 2)
+            for b in range(max(f).bit_length())
+        ]
+        f = [sum((mask & plane).bit_count() << b for b, plane in enumerate(planes)) for mask in up]
+    return sum(f)
+
+
 def _ordm_terms(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> dict:
     """The term dict of the i-th simplex product: the last i coordinates use
     the prec interval.
@@ -662,27 +684,12 @@ def ordm_product(family: PosetFamily, xbar: tuple, ybar: tuple, i: int) -> LinCo
     return LinComb.of_terms(_ordm_terms(family, xbar, ybar, i))
 
 
-class OrdmOracle:
-    """Simplex model over a dendriform poset as a product oracle.
-
-    ``product`` gives the term dict of :func:`_ordm_terms`, shared with its
-    memo, which is freed with the oracle.
-    """
+class OrdmOracle(MemoOracle):
+    """The m-simplices of a family as the :class:`~mdyck.trees.MemoOracle` of
+    :func:`_ordm_terms`."""
 
     def __init__(self, family: PosetFamily, m: int):
-        self.family = family
-        self.m = m
-        self._memo: dict[tuple[tuple, tuple, int], dict] = {}
-
-    def basis(self, n: int) -> list[tuple]:
-        return ordm_simplices(self.family, n, self.m)
-
-    def product(self, x: tuple, y: tuple, i: int) -> dict:
-        key = (x, y, i)
-        terms = self._memo.get(key)
-        if terms is None:
-            terms = self._memo[key] = _ordm_terms(self.family, x, y, i)
-        return terms
+        super().__init__(m, partial(ordm_simplices, family, m=m), partial(_ordm_terms, family))
 
 
 # ---------------------------------------------------------------------------

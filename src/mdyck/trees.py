@@ -23,7 +23,8 @@ CLI's negative controls are tables of the same form.  Each is compiled once
 into lhs - rhs grouped by its outer product (:func:`relation_plan`), and
 :func:`plan_holds` tests on one basis triple whether that sum vanishes,
 accumulating it in one plain dict.  Every product oracle (:class:`TreeOracle`,
-``PathOracle``, ``OrdmOracle``, ``SlotTransformedOracle``) answers
+the :class:`MemoOracle`s ``PathOracle`` and ``OrdmOracle``,
+``SlotTransformedOracle``) answers
 ``product(x, y, i)`` with a plain term dict ``{key: int}`` that its memo may
 share, so a caller must not change it; a ``LinComb`` is built only for a
 result that a user sees (:func:`tree_product`, :func:`evaluator` images).
@@ -360,6 +361,27 @@ class TreeOracle:
 
     # callers reach the memo directly; a wrapper set on product does not see the recursion
     product = _product
+
+
+class MemoOracle:
+    """A product oracle over ``basis(n)`` whose ``product(x, y, i)`` is the term
+    dict ``compute(x, y, i)``, computed once and shared with the memo, which
+    is freed with the oracle.  The path and simplex oracles pass partials, not
+    closures over themselves, so that no reference cycle keeps one alive.
+    """
+
+    def __init__(self, m: int, basis: Callable[[int], list], compute: Callable[..., dict]):
+        self.m = m
+        self.basis = basis
+        self._compute = compute
+        self._memo: dict[tuple, dict] = {}
+
+    def product(self, x, y, i: int) -> dict:
+        key = (x, y, i)
+        terms = self._memo.get(key)
+        if terms is None:
+            terms = self._memo[key] = self._compute(x, y, i)
+        return terms
 
 
 def tree_product(t: ColoredTree, w: ColoredTree, i: int, m: int) -> LinComb:

@@ -687,3 +687,113 @@ def test_verify_unknown_suite_usage_error():
 def test_byte_stability_of_mul():
     args = ["mul", "--model", "paths", "--m", "2", "--i", "1", "2,2", "1,3"]
     assert run(args) == run(args)
+
+
+
+def _recorder(calls, name):
+    # a product by its oracle's class and a basis by its size at degree 3,
+    # a poset family by its name; every other argument as it is
+    def verifier(*args):
+        if name in ("verify_dyck_axioms", "verify_circ_relations"):
+            m, bound, product, basis = args
+            args = (m, bound, type(product.__self__).__name__, len(basis(3)))
+        elif name == "verify_dendriform_poset":
+            args = (args[0].name, *args[1:])
+        calls.append((name, *args))
+        return CheckReport(name=name)
+
+    return verifier
+
+
+# what each suite, run alone with no option, hands its verifiers
+SUITE_DEFAULT_CALLS = {
+    "axioms": [
+        (name, m, 5, oracle, size)
+        for m, size in ((1, 5), (2, 12), (3, 22))
+        for name, oracle in (
+            ("verify_dyck_axioms", "TreeOracle"),
+            ("verify_dyck_axioms", "PathOracle"),
+            ("verify_circ_relations", "TreeOracle"),
+        )
+    ],
+    "ordm": [
+        ("verify_dyck_axioms", 1, 5, "OrdmOracle", 5),
+        ("verify_dyck_axioms", 2, 5, "OrdmOracle", 13),
+    ],
+    "simplicial": [("verify_simplicial_identities", 5)],
+    "freeness": [
+        ("verify_Sk_freeness", 1, 0, 4),
+        ("verify_Sk_freeness", 2, 0, 4),
+        ("verify_Sk_freeness", 2, 1, 4),
+    ],
+    "poset": [
+        ("verify_dendriform_poset", "permutations", 4),
+        ("verify_dendriform_poset", "surjections", 3),
+        ("verify_dendriform_poset", "binary", 5),
+        ("verify_dendriform_poset", "planar", 4),
+    ],
+    "tamari-interval": [("verify_interval_product", 1, 6), ("verify_interval_product", 2, 6)],
+    "series": [("check_series_identities", 4, 10)],
+    "negative": [("_negative_report", 1), ("_negative_report", 2)],
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_DEFAULT_CALLS)
+def test_each_suite_alone_runs_at_its_defaults(monkeypatch, suite):
+    calls = []
+    for module, name in VERIFIERS:
+        monkeypatch.setattr(module, name, _recorder(calls, name))
+    assert run(["verify", "--suite", suite])[0] == 0
+    assert calls == SUITE_DEFAULT_CALLS[suite]
+
+
+@pytest.mark.parametrize("content", ["degree 1\nelem e\n", ""], ids=["degree-1", "empty"])
+def test_a_poset_file_without_degree_2_is_named(tmp_path, content):
+    # without --max-degree the file's largest degree is the bound, which must reach 2
+    path = tmp_path / "family.poset"
+    path.write_text(content, encoding="utf-8")
+    message = f"error: --file {path} declares no degree >= 2\n"
+    assert _usage_error(["verify", "--suite", "poset", "--file", str(path)]) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--m", "8", "--max-degree", "5"],
+            "--max-degree 5 --m 8 costs 429478 Tamari simplices of degree 5, more than 40000",
+        ),
+        (
+            ["--m", "6"],
+            "--max-degree 5 --m 6 costs 74940 Tamari simplices of degree 5, more than 40000",
+        ),
+        (
+            ["--m", str(10**40), "--max-degree", "5"],
+            f"--max-degree 5 --m {10**40} costs more than 40000 Tamari simplices of "
+            "degree 5, as --max-degree 5 --m 6 costs 74940",
+        ),
+        (
+            ["--m", "4", "--max-degree", "6"],
+            "--max-degree 6 --m 4 costs 146053 Tamari simplices of degree 6, more than 40000",
+        ),
+    ],
+    ids=["m-8", "m-6-default-degree", "huge-m", "m-4-degree-6"],
+)
+def test_verify_refuses_an_ordm_m_over_the_simplex_cap(monkeypatch, argv, message):
+    def verifier(*args):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    for module, name in VERIFIERS:
+        monkeypatch.setattr(module, name, verifier)
+    assert _usage_error(["verify", "--suite", "ordm", *argv]) == (2, "", f"error: {message}\n")
+
+
+def test_verify_simplex_cap_spares_m_3_degree_6_and_m_5(monkeypatch):
+    calls = []
+    monkeypatch.setattr(trees, "verify_dyck_axioms", _recorder(calls, "verify_dyck_axioms"))
+    for argv in (["--m", "3", "--max-degree", "6"], ["--m", "5"]):
+        assert run(["verify", "--suite", "ordm", *argv])[0] == 0
+    assert [call[1:3] for call in calls] == [(1, 6), (2, 6), (3, 6), *((m, 5) for m in range(1, 6))]
+    family = posets.TamariBinaryFamily()
+    assert posets.count_simplices(family, 6, 3) == 23430 <= cli.ORDM_SIMPLEX_CAP
+    assert posets.count_simplices(family, 5, 5) == 26947 <= cli.ORDM_SIMPLEX_CAP

@@ -151,6 +151,23 @@ def test_whole_coefficients_are_int():
     assert type(half["x"]) is Fraction
 
 
+def test_pairs_with_a_repeated_key_are_summed():
+    combo = LinComb([("x", 1), ("y", 2), ("x", Fraction(1, 2)), ("z", 3), ("y", -2)])
+    assert dict(combo.items()) == {"x": Fraction(3, 2), "z": 3}
+    assert "y" not in combo and len(combo) == 2
+    assert not LinComb([("x", Fraction(1, 3)), ("x", Fraction(-1, 3))])
+
+
+@pytest.mark.parametrize("half", ["1/2", Decimal("0.5"), Fraction(1, 2)], ids=repr)
+def test_a_coefficient_is_stored_as_its_exact_value(half):
+    assert LinComb({"x": half}) == LinComb([("x", Fraction(1, 2))])
+    assert type(LinComb({"x": half})["x"]) is Fraction
+    # a whole value is stored as its int, also after a sum
+    whole = LinComb([("x", half), ("x", half), ("y", Fraction(4, 2))])
+    assert dict(whole.items()) == {"x": 1, "y": 2}
+    assert {type(c) for _, c in whole.items()} == {int}
+
+
 @given(lincombs, lincombs)
 def test_add_commutative(a, b):
     assert a + b == b + a

@@ -17,6 +17,7 @@ from mdyck.posets import (
     PlanarTreeFamily,
     SurjectionFamily,
     TamariBinaryFamily,
+    count_simplices,
     facial_covers,
     facial_restriction_agrees,
     ordm_product,
@@ -453,6 +454,28 @@ def test_undeclared_token_is_a_value_error():
     family = _declared()
     with pytest.raises(ValueError, match="'zz' is not a declared element"):
         family.leq("zz", "e")
+
+
+@pytest.mark.parametrize(
+    "family", [TamariBinaryFamily, PermutationFamily, SurjectionFamily, PlanarTreeFamily]
+)
+def test_simplices_are_counted_without_listing(family):
+    fam = family()
+    for n in range(1, 5):
+        for m in range(1, 4):
+            assert count_simplices(fam, n, m) == len(ordm_simplices(fam, n, m))
+
+
+def test_simplex_counts_of_the_closed_forms():
+    binary = TamariBinaryFamily()
+    # m = 1: the poset sizes; m = 2: Chapoton's Tamari interval numbers
+    assert [count_simplices(binary, n, 1) for n in range(1, 7)] == [1, 2, 5, 14, 42, 132]
+    assert [count_simplices(binary, n, 2) for n in range(1, 7)] == [1, 3, 13, 68, 399, 2530]
+    assert [count_simplices(SurjectionFamily(), n, 1) for n in range(1, 6)] == [1, 3, 13, 75, 541]
+    weak_order = PermutationFamily()
+    assert [count_simplices(weak_order, n, 2) for n in range(1, 6)] == [1, 3, 17, 151, 1899]
+    with pytest.raises(ValueError):
+        count_simplices(binary, 3, 0)
 
 
 def test_ordm_simplices():

@@ -14,6 +14,7 @@ from mdyck.trees import (
     LEFT,
     RIGHT,
     ColoredTree,
+    MemoOracle,
     TreeOracle,
     _triples,
     circ_relations,
@@ -380,6 +381,23 @@ def test_oracle_products_are_the_term_dicts_of_the_public_products(model):
                         assert LinComb.of_terms(product) == public(x, y, i)
                         assert oracle.product(x, y, i) == product
     assert pairs > 0
+
+
+def test_the_path_and_simplex_oracles_are_memo_oracles():
+    # each states only how it is built; the memo lookup is MemoOracle's
+    for cls in (PathOracle, OrdmOracle):
+        assert cls.__mro__[1] is MemoOracle
+        assert {name for name in vars(cls) if not name.startswith("__")} == set()
+        assert "__init__" in vars(cls)
+    calls = []
+
+    def compute(x, y, i):
+        calls.append((x, y, i))
+        return {x + y: i}
+
+    oracle = MemoOracle(1, range, compute)
+    assert oracle.product("a", "b", 1) is oracle.product("a", "b", 1)
+    assert calls == [("a", "b", 1)] and oracle.basis(2) == range(2)
 
 
 def test_sweeps_and_evaluators_only_read_oracle_products():
