@@ -151,8 +151,8 @@ def _negative_report(m: int) -> CheckReport:
 
 
 # Each suite runs in its own helper, and the oracles and poset families it
-# makes live only as long as that helper, so their memos are freed before
-# the next suite runs.
+# uses live no longer than that helper (the ordm family, from its size rule
+# on), so their memos are freed before the next suite runs.
 
 
 def _axioms_report(name: str, m: int, max_degree: int, oracle) -> CheckReport:
