@@ -201,7 +201,13 @@ def _poset_reports(args) -> list[CheckReport]:
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
         family = posets.parse_poset_file(text)
-        bound = args.max_degree or max(family.declared_degrees(), default=1)
+        top = max(family.declared_degrees(), default=1)
+        bound = args.max_degree or top
+        # refused before the checker lists the pairs of every degree up to it
+        if bound > top:
+            raise ValueError(
+                f"--max-degree {bound} is above every degree that --file {args.file} declares"
+            )
         if bound < 2:
             raise ValueError(f"--file {args.file} declares no degree >= 2")
         return [posets.verify_dendriform_poset(family, bound)]
@@ -250,6 +256,18 @@ _SUITES = {
 # the most m-simplices of the top degree that the ordm suite sweeps; above
 # tamari.DEFAULT_CAP, since --m 3 --max-degree 6 has 23430 of them
 ORDM_SIMPLEX_CAP = 40_000
+
+
+# the most top-degree basis elements, summed over all the runs of --m, that
+# the freeness and interval suites enumerate; above tamari.DEFAULT_CAP, since
+# freeness --m 3 --max-degree 6 costs 24240 of them
+RUNS_CAP = 40_000
+
+
+def _runs_cost(n: int, per_m: int, m: int) -> int:
+    """The sum of m' ** per_m * d(m', n) over 1 <= m' <= m: the interval suite
+    (per_m = 0) runs once per m', the freeness suite (per_m = 1) m' times."""
+    return sum(k**per_m * series.fuss_catalan(k, n) for k in range(1, m + 1))
 
 
 def _check_simplices(options) -> None:
@@ -310,6 +328,18 @@ def _suite_reports(args) -> list[CheckReport]:
     for name in ("axioms", "freeness", "tamari-interval"):
         if name in suites:
             tamari.check_size(getattr(suites[name], _SUITES[name][2][0]), suites[name].m)
+    # and, where the suite runs at every m up to --m, all those bases together
+    for name, per_m in (("freeness", 1), ("tamari-interval", 0)):
+        if name in suites:
+            option = _SUITES[name][2][0]
+            n = getattr(suites[name], option)
+            tamari.check_size(
+                suites[name].m,
+                cap=RUNS_CAP,
+                size_of=partial(_runs_cost, n, per_m),
+                option=f"--{option.replace('_', '-')} {n} --m",
+                unit="top-degree basis elements over all runs",
+            )
     # last, so that every rule above keeps its message; the degree is bounded by then
     if "ordm" in suites:
         _check_simplices(suites["ordm"])

@@ -21,8 +21,9 @@ above, :func:`circ_relations` the difference, bottom and diagonal relations
 of the partial sums o_i = *_0 + ... + *_i, and the dendriform axioms and the
 CLI's negative controls are tables of the same form.  Each is compiled once
 into lhs - rhs grouped by its outer product (:func:`relation_plan`), and
-:func:`plan_holds` tests on one basis triple whether that sum vanishes,
-accumulating it in one plain dict.  Every product oracle (:class:`TreeOracle`,
+:func:`plan_holds` tests on one basis triple whether that sum vanishes: it
+builds no inner sum, but adds the outer product of each single inner product
+straight into one plain dict.  Every product oracle (:class:`TreeOracle`,
 the :class:`MemoOracle`s ``PathOracle`` and ``OrdmOracle``,
 ``SlotTransformedOracle``) answers
 ``product(x, y, i)`` with a plain term dict ``{key: int}`` that its memo may
@@ -35,7 +36,7 @@ from __future__ import annotations
 from functools import cache, partial
 from typing import Callable, Iterable, Sequence
 
-from .exactlin import LinComb, bilinear, term_sum
+from .exactlin import LinComb, bilinear
 from .reporting import CheckReport, FrozenRecord, _immutable
 
 LEFT = "L"
@@ -503,29 +504,28 @@ def plan_holds(plan: tuple, multiplier: Callable, x, y, z, yz: dict, xy: dict) -
     """Whether lhs - rhs of the relation compiled to ``plan`` vanishes on (x, y, z).
 
     ``multiplier`` gives term dicts (or anything with ``items()``), which are
-    read, never changed.  Inner sums are term dicts keyed by ``inner``: y *_b z
-    in ``yz`` per triple, x *_a y in ``xy`` per pair, a sum of several products
-    built from the single ``((k, 1),)``."""
+    read, never changed.  No inner sum is built: by bilinearity, each term
+    cu * u of y *_k z (or x *_k y), k of coefficient c, adds c * cu times
+    x *_a u (or u *_b z) to one dict, the single products kept by k as the
+    multiplier gave them: y *_k z in ``yz`` per triple, x *_k y in ``xy`` per pair."""
     acc: dict = {}
     for kind, outer, inner in plan:
-        memo, a, b = (yz, y, z) if kind == LEFT else (xy, x, y)
-        terms = memo.get(inner)
-        if terms is None:
-            if len(inner) == 1 and inner[0][1] == 1:
-                terms = multiplier(a, b, inner[0][0])
-            else:
-                singles = []
-                for k, c in inner:
-                    single = memo.get(((k, 1),))
-                    if single is None:
-                        single = memo[((k, 1),)] = multiplier(a, b, k)
-                    singles.append((single, c))
-                terms = term_sum(singles)
-            memo[inner] = terms
-        for u, c in terms.items():
-            product = multiplier(x, u, outer) if kind == LEFT else multiplier(u, z, outer)
-            for key, cv in product.items():
-                acc[key] = acc.get(key, 0) + c * cv
+        if kind == LEFT:
+            for k, c in inner:
+                terms = yz.get(k)
+                if terms is None:
+                    terms = yz[k] = multiplier(y, z, k)
+                for u, cu in terms.items():
+                    for key, cv in multiplier(x, u, outer).items():
+                        acc[key] = acc.get(key, 0) + c * cu * cv
+        else:
+            for k, c in inner:
+                terms = xy.get(k)
+                if terms is None:
+                    terms = xy[k] = multiplier(x, y, k)
+                for u, cu in terms.items():
+                    for key, cv in multiplier(u, z, outer).items():
+                        acc[key] = acc.get(key, 0) + c * cu * cv
     return not any(acc.values())
 
 

@@ -504,7 +504,7 @@ def test_verify_poset_cap_spares_degree_6_and_files(monkeypatch, tmp_path):
     assert run(["verify", "--suite", "poset", "--max-degree", "6"])[0] == 0
     assert bounds == [6, 6, 6, 6]
     path = tmp_path / "family.poset"
-    path.write_text("degree 1\nelem e\n", encoding="utf-8")
+    path.write_text("degree 1\nelem e\ndegree 7\n", encoding="utf-8")
     argv = ["verify", "--suite", "poset", "--file", str(path), "--max-degree", "7"]
     assert run(argv)[0] == 0
     assert bounds[4:] == [7]
@@ -797,3 +797,88 @@ def test_verify_simplex_cap_spares_m_3_degree_6_and_m_5(monkeypatch):
     family = posets.TamariBinaryFamily()
     assert posets.count_simplices(family, 6, 3) == 23430 <= cli.ORDM_SIMPLEX_CAP
     assert posets.count_simplices(family, 5, 5) == 26947 <= cli.ORDM_SIMPLEX_CAP
+
+
+@pytest.mark.parametrize("bound", ["3", "100000"])
+def test_a_poset_file_bound_above_its_degrees_is_refused(monkeypatch, tmp_path, bound):
+    # refused before the checker lists the degree pairs up to the bound
+    def verifier(*args):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    monkeypatch.setattr(posets, "verify_dendriform_poset", verifier)
+    path = tmp_path / "family.poset"
+    path.write_text("degree 1\nelem e\ndegree 2\nelem a\n", encoding="utf-8")
+    argv = ["verify", "--suite", "poset", "--file", str(path), "--max-degree", bound]
+    message = f"error: --max-degree {bound} is above every degree that --file {path} declares\n"
+    assert _usage_error(argv) == (2, "", message)
+
+
+RUNS = "top-degree basis elements over all runs"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["freeness", "--max-degree", "1", "--m", "100000"],
+            f"--max-degree 1 --m 100000 costs more than 40000 {RUNS}, "
+            "as --max-degree 1 --m 283 costs 40186",
+        ),
+        (
+            ["freeness", "--max-degree", "1", "--m", HUGE_M],
+            f"--max-degree 1 --m {HUGE_M} costs more than 40000 {RUNS}, "
+            "as --max-degree 1 --m 283 costs 40186",
+        ),
+        (
+            ["freeness", "--max-degree", "1", "--m", "283"],
+            f"--max-degree 1 --m 283 costs 40186 {RUNS}, more than 40000",
+        ),
+        (
+            ["freeness", "--max-degree", "2", "--m", "49"],
+            f"--max-degree 2 --m 49 costs 41650 {RUNS}, more than 40000",
+        ),
+        (
+            ["tamari-interval", "--max-size", "2", "--m", "19999"],
+            f"--max-size 2 --m 19999 costs more than 40000 {RUNS}, "
+            "as --max-size 2 --m 282 costs 40185",
+        ),
+        (
+            ["tamari-interval", "--max-size", "2", "--m", "282"],
+            f"--max-size 2 --m 282 costs 40185 {RUNS}, more than 40000",
+        ),
+    ],
+    ids=[
+        "freeness",
+        "freeness-huge-m",
+        "freeness-283",
+        "freeness-degree-2",
+        "interval",
+        "interval-282",
+    ],
+)
+def test_verify_refuses_an_m_whose_runs_exceed_the_cap(monkeypatch, argv, message):
+    # the largest basis is within the cap, but the suite runs once per m'
+    # (freeness once per (m', k), k < m') up to --m
+    def verifier(*args):
+        raise AssertionError("a suite ran before the arguments were checked")
+
+    for module, name in VERIFIERS:
+        monkeypatch.setattr(module, name, verifier)
+    assert _usage_error(["verify", "--suite", *argv]) == (2, "", f"error: {message}\n")
+
+
+def test_verify_runs_cap_spares_the_largest_ci_runs(monkeypatch):
+    calls = []
+    for module, name in VERIFIERS:
+        monkeypatch.setattr(module, name, _recorder(calls, name))
+    for argv in (
+        ["freeness", "--m", "3", "--max-degree", "6"],
+        ["tamari-interval", "--m", "3", "--max-size", "6"],
+        ["tamari-interval", "--m", "2", "--max-size", "7"],
+        ["freeness", "--max-degree", "1", "--m", "282"],
+        ["tamari-interval", "--max-size", "2", "--m", "281"],
+    ):
+        assert run(["verify", "--suite", *argv])[0] == 0
+    assert len(calls) == 6 + 3 + 2 + 282 * 283 // 2 + 281
+    assert cli._runs_cost(6, 1, 3) == 24240 <= cli.RUNS_CAP
+    assert cli._runs_cost(6, 0, 3) == 8644 and cli._runs_cost(7, 0, 2) == 8181

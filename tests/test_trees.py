@@ -527,6 +527,40 @@ def test_plan_holds_is_the_zero_test_of_linear_sum(data, triple, lhs, rhs):
     assert plan_holds(plan + negated, product, x, y, z, {}, {})
 
 
+def test_plan_holds_keeps_the_multipliers_single_products_by_k():
+    # no inner sum is built: y *_k z and x *_k y are kept under the int k,
+    # as the very dicts that the multiplier returned
+    oracle = TreeOracle(2)
+    returned = {}
+
+    def product(a, b, k):
+        return returned.setdefault((a, b, k), oracle.product(a, b, k))
+
+    x, y, z = oracle.basis(2)[-1], oracle.basis(2)[0], oracle.basis(2)[1]
+    yz, xy = {}, {}
+    for _, lhs, rhs in dyck_relations(2):
+        assert plan_holds(relation_plan(lhs, rhs), product, x, y, z, yz, xy)
+    assert sorted(yz) == sorted(xy) == [0, 1, 2]
+    assert all(type(k) is int for k in (*yz, *xy))
+    assert all(yz[k] is returned[y, z, k] and xy[k] is returned[x, y, k] for k in range(3))
+
+
+@pytest.mark.parametrize("model", sorted(ORACLES))
+def test_axiom_sweep_multiplier_calls_are_pinned(model):
+    # one multiplier call per outer product of each inner term, and no more
+    oracle = ORACLES[model]
+    counts = [0, 0]
+
+    def product(a, b, k):
+        result = oracle.product(a, b, k)
+        counts[0] += 1
+        counts[1] += len(result)
+        return result
+
+    assert verify_dyck_axioms(2, 5, product, oracle.basis).ok
+    assert counts == [2217, 4161]
+
+
 @pytest.mark.parametrize("max_total_degree", [2, 3, 5, 6])
 def test_triples_match_the_nested_loop_reference(max_total_degree):
     # degree triple outermost, then x, y, z; one fresh xy dict per (n3, x, y)
