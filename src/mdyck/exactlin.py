@@ -21,12 +21,13 @@ workhorses shared by all the combinatorial models:
   module reads a ``LinComb``'s private terms or calls ``LinComb.__new__``.
 * one exact rank routine on sparse integer rows ``{column: entry}``, built
   straight from the terms of a :class:`LinComb` or term dict (or from a
-  plain list of equally long rows) by clearing denominators.  It is fraction-free
-  elimination over the integers, always on a row's largest column, with
-  every kept row primitive (its content divided out), so entries stay
-  small and no dense matrix is formed.  Vectors with distinct leading
-  columns, such as the ``phi`` images of the tree basis, are already in
-  echelon form and cause no fill-in, and elimination stops once
+  plain list of equally long rows); an integer row is taken as it is, and
+  only a row with a ``Fraction`` entry is scaled to clear denominators.  It
+  is fraction-free elimination over the integers, always on a row's largest
+  column, with every kept row primitive (its content divided out), so
+  entries stay small and no dense matrix is formed.  Vectors with distinct
+  leading columns, such as the ``phi`` images of the tree basis, are
+  already in echelon form and cause no fill-in, and elimination stops once
   ``min(rows, cols)`` rows are kept.  :func:`rank_of_lincombs`,
   :func:`span_contains`, :func:`matrix_rank` and :func:`has_full_rank` are
   entry points onto it, used for change-of-basis and generation checks;
@@ -190,7 +191,9 @@ def linear_sum(pairs: Iterable[tuple]) -> LinComb:
 
 def bilinear(a: LinComb, b: LinComb, product: Callable) -> LinComb:
     """Extend a product on basis keys, giving term dicts, bilinearly to linear
-    combinations."""
+    combinations.  The library's own loops (``trees.evaluator``,
+    ``trees.plan_holds``) extend their products in place; this is the plain
+    reference that checks them."""
     return linear_sum(
         (product(x, y), cx * cy) for x, cx in a.items() for y, cy in b.items()
     )
@@ -282,16 +285,20 @@ def lincombs_to_matrix(vectors: list[LinComb], keys: list | None = None) -> list
 def rank_of_lincombs(vectors: list, keys: list | None = None) -> int:
     """Exact rank of ``vectors`` restricted to ``keys`` (default: their support).
 
-    Each vector is a :class:`LinComb` or a term dict.  Rows are built from
-    the terms alone; no dense matrix is formed.
+    Each vector is a :class:`LinComb` or a term dict, so it holds no zero.
+    Rows are built from the terms alone; no dense matrix is formed.  An
+    integer row is taken as it is; only a row with a ``Fraction`` entry is
+    scaled to integers.
     """
     if keys is None:
         keys = _key_universe(vectors)
     index = {k: i for i, k in enumerate(keys)}
-    rows = [
-        _integer_row([(index[k], c) for k, c in v.items() if k in index])
-        for v in vectors
-    ]
+    rows = []
+    for v in vectors:
+        row = {index[k]: c for k, c in v.items() if k in index}
+        if not all(type(c) is int for c in row.values()):
+            row = _integer_row(row.items())
+        rows.append(row)
     return _sparse_rank(rows, len(keys))
 
 

@@ -13,6 +13,7 @@ inner series, take most of its time.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .reporting import CheckReport, FrozenRecord
 
@@ -173,12 +174,24 @@ def geometric_inverse(m: int, order: int) -> TruncatedSeries:
 
 
 def check_lemform(m: int, k: int, order: int) -> CheckReport:
-    """Verify d_k(x * (1 + d_m(x))^(m-k)) = d_m(x) up to x^order."""
+    """Verify d_k(x * (1 + d_m(x))^(m-k)) = d_m(x) up to x^order.
+
+    The outcome is computed once per (m, k, order) and returned as a fresh
+    report each call."""
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
+    name, ok, checks, failures = _lemform(m, k, order)
+    return CheckReport(name, ok, checks, list(failures))
+
+
+@cache
+def _lemform(m: int, k: int, order: int) -> tuple:
+    # the fields of check_lemform's report; the freeness check of every k at
+    # one m asks for the same identity
     d_m = series_solve_free(m, order)
     d_k = d_m if k == m else series_solve_free(k, order)
-    return _substitution(m, k, order, d_m, d_k)
+    report = _substitution(m, k, order, d_m, d_k)
+    return report.name, report.ok, report.checks, tuple(report.failures)
 
 
 def _substitution(m: int, k: int, order: int, d_m: TruncatedSeries, d_k: TruncatedSeries) -> CheckReport:

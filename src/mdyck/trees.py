@@ -28,7 +28,8 @@ the :class:`MemoOracle`s ``PathOracle`` and ``OrdmOracle``,
 ``SlotTransformedOracle``) answers
 ``product(x, y, i)`` with a plain term dict ``{key: int}`` that its memo may
 share, so a caller must not change it; a ``LinComb`` is built only for a
-result that a user sees (:func:`tree_product`, :func:`evaluator` images).
+result that a user sees (:func:`tree_product`, the results of an
+:func:`evaluator`, whose images are term dicts).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from functools import cache, partial
 from typing import Callable, Iterable, Sequence
 
-from .exactlin import LinComb, bilinear
+from .exactlin import LinComb, term_sum
 from .reporting import CheckReport, FrozenRecord, _immutable
 
 LEFT = "L"
@@ -299,8 +300,23 @@ def _basis(m: int, k: int, n: int) -> tuple[ColoredTree, ...]:
                 for c in range(m + 1):
                     if _fits(c, left, right, m, k):
                         out.append(ColoredTree(c, left, right))
-    out.sort(key=ColoredTree.sort_key)
+    out.sort(key=partial(_nested_key, {}))
     return tuple(out)
+
+
+def _nested_key(keys: dict, t: ColoredTree) -> tuple:
+    # (0,) for the leaf, (1 + color, key(left), key(right)) for a vertex, each
+    # computed once per sort.  It orders trees of one degree as sort_key does:
+    # prefix words of complete binary trees are prefix-free, so comparing
+    # word(left) + word(right) reduces to comparing left, then right.
+    key = keys.get(t)
+    if key is None:
+        if t.color is None:
+            key = (0,)
+        else:
+            key = (1 + t.color, _nested_key(keys, t.left), _nested_key(keys, t.right))
+        keys[t] = key
+    return key
 
 
 class TreeOracle:
@@ -402,22 +418,37 @@ def evaluator(product: Callable, generator) -> Callable[[ColoredTree], LinComb]:
     """The map from colored trees that sends the leaf to ``generator`` and a
     vertex of color i to ``product(a, b, i)``, a term dict such as an
     oracle's, extended bilinearly, on the images of its children.  Images
-    are ``LinComb``s memoised in the returned function, so the memo is
-    freed with it; colors are not checked.
+    are plain term dicts memoised in the returned function, so the memo is
+    freed with it, and each result is wrapped once into a ``LinComb``;
+    colors are not checked.
     """
-    return partial(_image, {LEAF: LinComb.single(generator)}, product)
+    return partial(_evaluate, {LEAF: {generator: 1}}, product)
 
 
-def _image(images: dict, product: Callable, t: ColoredTree) -> LinComb:
-    # a module function, so the evaluator holds no reference to itself and
+def _evaluate(images: dict, product: Callable, t: ColoredTree) -> LinComb:
+    # module functions, so the evaluator holds no reference to itself and
     # its images are freed with it, without the cyclic collector
-    if t not in images:
-        images[t] = bilinear(
-            _image(images, product, t.left),
-            _image(images, product, t.right),
-            lambda a, b: product(a, b, t.color),
-        )
-    return images[t]
+    return LinComb.of_terms(_image(images, product, t))
+
+
+def _image(images: dict, product: Callable, t: ColoredTree) -> dict:
+    # the term dict of t's image, shared with the memo: callers must not change it
+    terms = images.get(t)
+    if terms is None:
+        left = _image(images, product, t.left)
+        right = _image(images, product, t.right)
+        color = t.color
+        acc: dict = {}
+        for a, ca in left.items():
+            for b, cb in right.items():
+                c = ca * cb
+                for key, cv in product(a, b, color).items():
+                    acc[key] = acc.get(key, 0) + c * cv
+        if 0 in acc.values() or not all(type(cv) is int for cv in acc.values()):
+            # drop the zeros and store a whole Fraction as its int
+            acc = term_sum(((acc, 1),))
+        terms = images[t] = acc
+    return terms
 
 
 def tree_normal_form(t: ColoredTree, m: int) -> LinComb:

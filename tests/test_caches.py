@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def _caches():
     return [
         value
-        for module in (trees, paths, posets, simplicial, tamari)
+        for module in (trees, paths, posets, series, simplicial, tamari)
         for value in vars(module).values()
         if hasattr(value, "cache_clear")
     ]
@@ -41,6 +41,7 @@ def _results():
         tamari.build_lattice(2, 3).interval_count(),
         posets.TamariBinaryFamily().elements(3),
         posets.PlanarTreeFamily().elements(3),
+        series.check_lemform(2, 1, 10),
     )
 
 
@@ -208,7 +209,37 @@ def test_evaluator_images_are_freed_without_the_cyclic_collector():
         assert image
         del image
         gc.collect()
-        assert not [obj for obj in garbage if isinstance(obj, LinComb)]
+        # the images are term dicts keyed by tree, the leaf's among them
+        assert not [
+            obj
+            for obj in garbage
+            if isinstance(obj, LinComb) or (isinstance(obj, dict) and trees.LEAF in obj)
+        ]
+
+
+def test_freeness_checks_each_series_identity_once_per_m(monkeypatch, capsys):
+    # the identity merged into every k's report depends on m alone
+    mdyck.clear_caches()
+    calls = []
+    real = series._substitution
+
+    def counted(m, k, order, d_m, d_k):
+        calls.append((m, k, order))
+        return real(m, k, order, d_m, d_k)
+
+    monkeypatch.setattr(series, "_substitution", counted)
+    assert cli.main(["verify", "--suite", "freeness", "--m", "4", "--max-degree", "2"]) == 0
+    assert calls == [(m, m - 1, 10) for m in range(1, 5)]
+    assert capsys.readouterr().out.splitlines() == [
+        f"freeness of merged products m={m} k={k}: ok (14 checks)"
+        for m in range(1, 5)
+        for k in range(m)
+    ]
+    # each call still returns its own report
+    first, second = series.check_lemform(4, 3, 10), series.check_lemform(4, 3, 10)
+    assert first == second and first is not second
+    first.fail("changed")
+    assert series.check_lemform(4, 3, 10).ok
 
 
 def _mdyck_functions(garbage):

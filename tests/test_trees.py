@@ -22,6 +22,7 @@ from mdyck.trees import (
     comb_reassemble,
     dyck_relations,
     enumerate_Bm,
+    enumerate_Bmk,
     evaluator,
     graft,
     is_basis_Bm,
@@ -127,6 +128,17 @@ def test_sort_key_matches_reference_on_basis_trees():
             assert [t.sort_key() for t in basis] == [_reference_sort_key(t) for t in basis]
             assert basis == sorted(basis, key=_reference_sort_key)
             assert sorted(basis[::-1]) == basis
+
+
+def test_every_basis_is_strictly_increasing_in_sort_key_order():
+    # _basis sorts by a nested key; the order must be sort_key's
+    for m in (1, 2, 3):
+        for k in range(m + 1):
+            for n in range(1, 7 if m == 3 else 8):
+                basis = enumerate_Bmk(m, k, n)
+                assert basis == sorted(basis, key=ColoredTree.sort_key), (m, k, n)
+                keys = [tree.sort_key() for tree in basis]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (m, k, n)
 
 
 colored_trees = st.recursive(
