@@ -20,18 +20,18 @@ workhorses shared by all the combinatorial models:
   through the trusted constructor :meth:`LinComb.of_terms`.  No other
   module reads a ``LinComb``'s private terms or calls ``LinComb.__new__``.
 * one exact rank routine on sparse integer rows ``{column: entry}``, built
-  straight from the terms of a :class:`LinComb` or term dict (or from a
-  plain list of equally long rows); an integer row is taken as it is, and
-  only a row with a ``Fraction`` entry is scaled to clear denominators.  It
-  is fraction-free elimination over the integers, always on a row's largest
-  column, with every kept row primitive (its content divided out), so
-  entries stay small and no dense matrix is formed.  Vectors with distinct
-  leading columns, such as the ``phi`` images of the tree basis, are
-  already in echelon form and cause no fill-in, and elimination stops once
-  ``min(rows, cols)`` rows are kept.  :func:`rank_of_lincombs`,
-  :func:`span_contains`, :func:`matrix_rank` and :func:`has_full_rank` are
-  entry points onto it, used for change-of-basis and generation checks;
-  the last two take row lists.
+  straight from the terms of a :class:`LinComb` or term dict, less any
+  zero (or from a plain list of equally long rows); an integer row is taken
+  as it is, and only a row with a ``Fraction`` entry is scaled to clear
+  denominators.  It is fraction-free elimination over the integers, always
+  on a row's largest column, with every kept row primitive (its content
+  divided out), so entries stay small and no dense matrix is formed.
+  Vectors with distinct leading columns, such as the ``phi`` images of the
+  tree basis, are already in echelon form and cause no fill-in, and
+  elimination stops once ``min(rows, cols)`` rows are kept.
+  :func:`rank_of_lincombs`, :func:`span_contains`, :func:`matrix_rank` and
+  :func:`has_full_rank` are entry points onto it, used for change-of-basis
+  and generation checks; the last two take row lists.
 """
 
 from __future__ import annotations
@@ -215,6 +215,9 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 def _sparse_rank(rows: list[dict[int, int]], cols: int) -> int:
     """Exact rank over the rationals of sparse integer rows ``{column: entry}``.
 
+    The rows hold no zero entry, and elimination keeps it so: a reduction
+    deletes each entry it cancels.
+
     Each row is reduced on its largest column against the echelon rows kept
     so far: with entry a there in the echelon row p and entry b in the row
     r, r becomes (a*r - b*p) / gcd(a, b).  A row is divided by its content
@@ -285,17 +288,17 @@ def lincombs_to_matrix(vectors: list[LinComb], keys: list | None = None) -> list
 def rank_of_lincombs(vectors: list, keys: list | None = None) -> int:
     """Exact rank of ``vectors`` restricted to ``keys`` (default: their support).
 
-    Each vector is a :class:`LinComb` or a term dict, so it holds no zero.
-    Rows are built from the terms alone; no dense matrix is formed.  An
-    integer row is taken as it is; only a row with a ``Fraction`` entry is
-    scaled to integers.
+    Each vector is a :class:`LinComb` or a term dict; a term dict may hold
+    zeros, which are dropped as its row is built.  Rows are built from the
+    terms alone; no dense matrix is formed.  An integer row is taken as it
+    is; only a row with a ``Fraction`` entry is scaled to integers.
     """
     if keys is None:
         keys = _key_universe(vectors)
     index = {k: i for i, k in enumerate(keys)}
     rows = []
     for v in vectors:
-        row = {index[k]: c for k, c in v.items() if k in index}
+        row = {index[k]: c for k, c in v.items() if c and k in index}
         if not all(type(c) is int for c in row.values()):
             row = _integer_row(row.items())
         rows.append(row)

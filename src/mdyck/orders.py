@@ -85,8 +85,10 @@ class FinitePoset:
     __setattr__ = __delattr__ = _immutable
 
     def interval_mask(self, lo, hi) -> int:
-        """Bitmask of [lo, hi]; 0 exactly when lo is not below hi."""
-        return self.up[self.index[lo]] & self.down[self.index[hi]]
+        """Bitmask of [lo, hi]; 0 exactly when lo is not below hi or a bound is
+        not an element."""
+        a, b = self.index.get(lo), self.index.get(hi)
+        return 0 if a is None or b is None else self.up[a] & self.down[b]
 
     def leq(self, x, y) -> bool:
         return bool(self.up[self.index[x]] >> self.index[y] & 1)

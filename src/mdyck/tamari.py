@@ -105,35 +105,27 @@ class TamariLattice(FinitePoset):
     def interval_count(self) -> int:
         return sum(self.up[i].bit_count() for i in range(len(self.elements)))
 
+    def _extreme(self, masks, common: int, message: str) -> DyckPath:
+        # the one index of common whose mask holds all of common
+        best = [i for i in mask_indices(common) if common & ~masks[i] == 0]
+        if len(best) != 1:
+            raise ValueError(message)
+        return self.elements[best[0]]
+
     def minimum(self) -> DyckPath:
-        full = (1 << len(self.elements)) - 1
-        mins = [i for i in range(len(self.elements)) if self.up[i] == full]
-        if len(mins) != 1:
-            raise ValueError("no unique minimum")
-        return self.elements[mins[0]]
+        return self._extreme(self.up, (1 << len(self.elements)) - 1, "no unique minimum")
 
     def maximum(self) -> DyckPath:
-        full = (1 << len(self.elements)) - 1
-        maxs = [i for i in range(len(self.elements)) if self.down[i] == full]
-        if len(maxs) != 1:
-            raise ValueError("no unique maximum")
-        return self.elements[maxs[0]]
+        return self._extreme(self.down, (1 << len(self.elements)) - 1, "no unique maximum")
 
     def meet(self, P: DyckPath, Q: DyckPath) -> DyckPath:
         """Greatest common lower bound (experimental: existence is checked)."""
         common = self.down[self.index[P]] & self.down[self.index[Q]]
-        # the meet is the lower bound that dominates all other lower bounds
-        best = [i for i in mask_indices(common) if common & ~self.down[i] == 0]
-        if len(best) != 1:
-            raise ValueError("meet does not exist or is not unique")
-        return self.elements[best[0]]
+        return self._extreme(self.down, common, "meet does not exist or is not unique")
 
     def join(self, P: DyckPath, Q: DyckPath) -> DyckPath:
         common = self.up[self.index[P]] & self.up[self.index[Q]]
-        best = [i for i in mask_indices(common) if common & ~self.up[i] == 0]
-        if len(best) != 1:
-            raise ValueError("join does not exist or is not unique")
-        return self.elements[best[0]]
+        return self._extreme(self.up, common, "join does not exist or is not unique")
 
 
 DEFAULT_CAP = 20000
@@ -214,7 +206,7 @@ def C_bound(P: DyckPath, i: int) -> int:
 def slash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     """Lower interval bound P x_{c_i(P)} Q: P *_lam Q with
     lam = (L - c_i(P), 0, ..., 0, c_i(P)), L = L(P)."""
-    c = _class_lengths(P, i)[0]
+    c = c_bound(P, i)
     # one zero per prime factor of Q but the last
     zeros = (0,) * (len(_star_cuts(Q)) - 2)
     return _star_paths(P, Q, [(P.levels[-1] - c,) + zeros + (c,)])[0]
@@ -224,7 +216,7 @@ def backslash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     """Upper interval bound: all but the last prime factor of Q are pushed
     to the very top of P, and the last one is attached at depth C_i(P):
     P *_lam Q with lam = (0, ..., 0, L - C_i(P), C_i(P))."""
-    C = _class_lengths(P, i)[-1]
+    C = C_bound(P, i)
     zeros = (0,) * (len(_star_cuts(Q)) - 2)
     return _star_paths(P, Q, [zeros + (P.levels[-1] - C, C)])[0]
 
@@ -242,14 +234,7 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
     lattices = {total: build_lattice(m, total) for total in range(2, max_size + 1)}
     for total in range(2, max_size + 1):
         lattice = lattices[total]
-        index, up, down = lattice.index.get, lattice.up, lattice.down
-        outside = len(up)
-
-        def interval(lo, hi):
-            # 0 when a bound is outside the lattice or lo is not below hi
-            a, b = index(lo), index(hi)
-            return 0 if a is None or b is None else up[a] & down[b]
-
+        index, outside = lattice.index.get, len(lattice.elements)
         for n1 in range(1, total):
             right = enumerate_paths(m, total - n1)
             for P in enumerate_paths(m, n1):
@@ -266,7 +251,7 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
                                 return report
                             # a path outside the lattice sets a bit that no interval holds
                             support |= 1 << index(path, outside)
-                        expected = interval(lo, hi)
+                        expected = lattice.interval_mask(lo, hi)
                         if not expected or support != expected:
                             report.fail(
                                 f"support of {P!r} *_{i} {Q!r} is not the interval "
@@ -278,7 +263,7 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
                             return report
                         union |= support
                     report.checks += 1
-                    if union != interval(bounds[0][0], bounds[m][1]):
+                    if union != lattice.interval_mask(bounds[0][0], bounds[m][1]):
                         report.fail(
                             f"classes of {P!r} * {Q!r} do not tile the full interval"
                         )

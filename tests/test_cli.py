@@ -93,6 +93,27 @@ def _usage_error(argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["mul", "--model", "ordm", "--m", "2", "--i", "0"]
+            + ["(| (| |));((| |) |)", "(| |);(| |)"],
+            "simplex coordinates not increasing: '(| (| |));((| |) |)'",
+        ),
+        (
+            ["mul", "--model", "ordm", "--m", "2", "--i", "0", "(| |)", "(| |)"],
+            "simplices must have 2 coordinates",
+        ),
+    ],
+    ids=["decreasing", "too-few-coordinates"],
+)
+def test_mul_ordm_refuses_a_simplex_it_cannot_multiply(argv, message):
+    code, out, err = _usage_error(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["mul", "--model", "trees", "--m", "2", "--i", "0", "(1 | |", "|"],

@@ -66,6 +66,7 @@ def test_scale_zero_and_identity():
 def test_render_is_sorted_and_signed():
     assert lc(y=-1, x=Fraction(3, 2)).render() == "+3/2*[x] -1*[y]"
     assert LinComb.zero().render() == "0"
+    assert repr(LinComb({"b": Fraction(1, 2), "a": 1})) == "LinComb({'a': 1, 'b': Fraction(1, 2)})"
 
 
 def _reference(pairs):
@@ -181,6 +182,8 @@ def test_add_associative(a, b, c):
 @given(lincombs, lincombs, rationals)
 def test_scale_distributes(a, b, c):
     assert (a + b).scale(c) == a.scale(c) + b.scale(c)
+    assert -a == a.scale(-1)
+    assert a * c == c * a == a.scale(c)
 
 
 @given(st.lists(st.tuples(lincombs, rationals), max_size=4))
@@ -289,6 +292,23 @@ def test_rank_of_a_large_prime_entry():
     rows = [[2**61 - 1]]
     assert matrix_rank(rows) == 1
     assert has_full_rank(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([{"y": 0}], 0),
+        # a zero left in a column that no pivot clears
+        ([{"z": 1}, {"y": 0, "z": 2}], 1),
+        ([{"y": 0, "z": 0}, {"y": 3}], 1),
+        # a zero in a kept row, and one met after a scaled reduction step
+        ([{"y": 0, "z": 2}, {"z": 1}], 1),
+        ([{"z": 2}, {"y": 0, "z": 3}], 1),
+    ],
+    ids=["zero-row", "zero-left", "zeros-then-pivot", "zero-in-pivot", "zero-after-scaling"],
+)
+def test_rank_of_term_dicts_holding_zeros(rows, rank):
+    assert rank_of_lincombs(rows, ["y", "z"]) == rank
 
 
 def test_tall_full_rank_examples():

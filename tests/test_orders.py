@@ -112,6 +112,10 @@ def test_finite_poset_matches_reachability(dag):
         assert poset.members(poset.interval_mask(names[a], names[b])) == between
         if b not in reach[a]:
             assert poset.interval_mask(names[a], names[b]) == 0
+    # the mask is total: a bound that is not an element gives 0
+    for x in names:
+        assert poset.interval_mask(x, "absent") == poset.interval_mask("absent", x) == 0
+    assert poset.interval_mask("absent", "absent") == 0
 
 
 @given(dags(), st.data())

@@ -322,6 +322,36 @@ def test_freeness_fault_injection(monkeypatch):
     assert any("degree 2" in msg for msg in report.failures)
 
 
+def test_freeness_fault_injection_at_the_generator_count(monkeypatch):
+    # a repeated generator leaves the rank as it is; only the count fails
+    def repeated(m, k, n):
+        gens = generators_Amk(m, k, n)
+        return gens + gens[:1] if n == 2 else gens
+
+    monkeypatch.setattr(simplicial, "generators_Amk", repeated)
+    assert verify_Sk_freeness(2, 0, 3).summary() == (
+        "freeness of merged products m=2 k=0: FAILED (4 checks)\n"
+        "  degree 2: generator count 2, expected 1"
+    )
+
+
+def test_a_failed_degeneracy_sweep_reaches_the_report(monkeypatch):
+    # the merged report names the failing sub-sweep before its own message
+    def broken(base, i):
+        oracle = degeneracy_oracle(base, i)
+        product = oracle.product
+        oracle.product = lambda x, y, j: {} if x == y == LEAF else product(x, y, j)
+        return oracle
+
+    monkeypatch.setattr(simplicial, "degeneracy_oracle", broken)
+    report = verify_simplicial_identities(1)
+    assert not report.ok
+    assert report.failures[0].startswith(
+        "degeneracy transform i=0 of tree products m=1: "
+        "mixed associativity fails at i=0"
+    )
+
+
 _DROPPED_AT_DEGREE_6 = """
 from mdyck import simplicial
 
