@@ -132,9 +132,10 @@ def parse_path(m: int, text: str) -> DyckPath:
 
 @cache
 def _enumerate_levels(m: int, n: int, remaining_slack: int) -> tuple[tuple[int, ...], ...]:
-    # sequences of n further levels given current height remaining_slack = m*j - sum
-    if n == 0:
-        return ((),) if remaining_slack == 0 else ()
+    # sequences of n further levels given current height remaining_slack = m*j - sum;
+    # only the level remaining_slack + m brings the last one back to the axis
+    if n == 1:
+        return ((remaining_slack + m,),)
     out = []
     for lv in range(remaining_slack + m + 1):
         for rest in _enumerate_levels(m, n - 1, remaining_slack + m - lv):

@@ -4,7 +4,9 @@ The covering relation rotates a down step past the excursion of the up step
 that follows it.  The resulting poset is a lattice whose intervals describe
 every product on the path model: P *_i Q is the sum of all paths between a
 lower bound P /_i Q and an upper bound P \\_i Q, read off from suffix
-statistics of the top color word.
+statistics of the top color word.  Both bounds are P *_lam Q for an extreme
+composition lam; :func:`interval_bounds` builds all 2(m+1) of a pair from
+one star template, and :func:`slash_i`/:func:`backslash_i` each build one.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from .paths import (
     UP,
     _PATHS,
     DyckPath,
+    _classes,
     _multiplicity_class,
     _path_from_steps,
+    _path_terms,
     _star_cuts,
     _star_paths,
     enumerate_paths,
-    path_product,
     standard_coloring,
 )
 from .reporting import CheckReport
@@ -38,15 +41,14 @@ def _rotations(P: DyckPath):
     (matching) down step.
     """
     steps = P.steps()
-    height = 0
     for pos in range(len(steps) - 1):
-        height += P.m if steps[pos] == UP else -1
         if steps[pos] != DOWN or steps[pos + 1] != UP:
             continue
-        h = height
+        # height relative to the start of the excursion
+        h = 0
         for end in range(pos + 1, len(steps)):
             h += P.m if steps[end] == UP else -1
-            if h == height:
+            if h == 0:
                 break
         yield pos, end, steps[:pos] + steps[pos + 1 : end + 1] + (DOWN,) + steps[end + 1 :]
 
@@ -203,22 +205,46 @@ def C_bound(P: DyckPath, i: int) -> int:
     return _class_lengths(P, i)[-1]
 
 
+def _bound_compositions(L: int, r: int, lengths: tuple[int, ...]):
+    """The compositions of the two class bounds, each with r + 1 parts:
+    (L - c, 0, ..., 0, c) and (0, ..., 0, L - C, C), where c and C are the
+    least and the largest of the (non-empty) class lengths."""
+    c, C = lengths[0], lengths[-1]
+    zeros = (0,) * (r - 1)
+    return (L - c,) + zeros + (c,), zeros + (L - C, C)
+
+
+def _class_bound_compositions(P: DyckPath, Q: DyckPath, i: int):
+    # r is the number of prime factors of Q: one cut each, and one for L(P)
+    return _bound_compositions(P.levels[-1], len(_star_cuts(Q)) - 1, _class_lengths(P, i))
+
+
 def slash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     """Lower interval bound P x_{c_i(P)} Q: P *_lam Q with
     lam = (L - c_i(P), 0, ..., 0, c_i(P)), L = L(P)."""
-    c = c_bound(P, i)
-    # one zero per prime factor of Q but the last
-    zeros = (0,) * (len(_star_cuts(Q)) - 2)
-    return _star_paths(P, Q, [(P.levels[-1] - c,) + zeros + (c,)])[0]
+    return _star_paths(P, Q, _class_bound_compositions(P, Q, i)[:1])[0]
 
 
 def backslash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     """Upper interval bound: all but the last prime factor of Q are pushed
     to the very top of P, and the last one is attached at depth C_i(P):
     P *_lam Q with lam = (0, ..., 0, L - C_i(P), C_i(P))."""
-    C = C_bound(P, i)
-    zeros = (0,) * (len(_star_cuts(Q)) - 2)
-    return _star_paths(P, Q, [zeros + (P.levels[-1] - C, C)])[0]
+    return _star_paths(P, Q, _class_bound_compositions(P, Q, i)[1:])[0]
+
+
+def interval_bounds(P: DyckPath, Q: DyckPath) -> list[tuple[DyckPath, DyckPath]]:
+    """The m+1 pairs (P /_i Q, P \\_i Q), i = 0..m, from one star template.
+
+    The classes of P are read once, and one :func:`_star_paths` call builds
+    all 2(m+1) bounds; an empty class raises as :func:`c_bound` does.
+    """
+    L, r = P.levels[-1], len(_star_cuts(Q)) - 1
+    lams = []
+    for i, lengths in enumerate(_classes(P)):
+        # _class_lengths raises for an empty class
+        lams += _bound_compositions(L, r, lengths or _class_lengths(P, i))
+    bounds = _star_paths(P, Q, lams)
+    return list(zip(bounds[::2], bounds[1::2]))
 
 
 def verify_interval_product(m: int, max_size: int) -> CheckReport:
@@ -232,20 +258,20 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
         raise ValueError("need max_size >= 2")
     report = CheckReport(name=f"interval products m={m} size<={max_size}")
     lattices = {total: build_lattice(m, total) for total in range(2, max_size + 1)}
+    sizes = {n: enumerate_paths(m, n) for n in range(1, max_size)}
     for total in range(2, max_size + 1):
         lattice = lattices[total]
         index, outside = lattice.index.get, len(lattice.elements)
         for n1 in range(1, total):
-            right = enumerate_paths(m, total - n1)
-            for P in enumerate_paths(m, n1):
+            right = sizes[total - n1]
+            for P in sizes[n1]:
                 for Q in right:
-                    bounds = [(slash_i(P, Q, i), backslash_i(P, Q, i)) for i in range(m + 1)]
+                    bounds = interval_bounds(P, Q)
                     union = 0
                     for i, (lo, hi) in enumerate(bounds):
-                        product = path_product(P, Q, i)
                         report.checks += 1
                         support = 0
-                        for path, c in product.items():
+                        for path, c in _path_terms(P, Q, i).items():
                             if c != 1:
                                 report.fail(f"non-unit coefficient in {P!r}*_{i}{Q!r}")
                                 return report

@@ -64,6 +64,32 @@ def test_enumerate():
             assert len(enumerate_paths(m, n)) == fuss_catalan(m, n)
 
 
+def _levels_reference(m, n, slack=0):
+    # every level at every step, kept when the sequence ends on the axis
+    if n == 0:
+        return [()] if slack == 0 else []
+    return [
+        (lv,) + rest
+        for lv in range(slack + m + 1)
+        for rest in _levels_reference(m, n - 1, slack + m - lv)
+    ]
+
+
+def test_enumerate_matches_the_reference_in_level_order():
+    for m in (1, 2, 3, 4):
+        for n in range(1, 7):
+            assert [p.levels for p in enumerate_paths(m, n)] == _levels_reference(m, n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+def test_the_closing_level_is_not_searched(m):
+    # only one value closes the last level, so the paths of size 2 cost
+    # m + 2 cached calls, not one per value tried at the last level
+    paths._enumerate_levels.cache_clear()
+    assert len(enumerate_paths(m, 2)) == m + 1
+    assert paths._enumerate_levels.cache_info().currsize == m + 2
+
+
 def test_concat():
     r2 = rho(2)
     assert concat_i(r2, r2, 0).levels == (2, 2)

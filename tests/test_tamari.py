@@ -5,7 +5,6 @@ import pytest
 
 from mdyck import paths, tamari
 from mdyck.cli import main
-from mdyck.exactlin import LinComb
 from mdyck.paths import (
     DyckPath,
     _path_from_steps,
@@ -27,6 +26,7 @@ from mdyck.tamari import (
     covers,
     hasse_dot,
     backslash_i,
+    interval_bounds,
     rotation_preserves_colors,
     slash_i,
     verify_interval_product,
@@ -143,7 +143,8 @@ def test_bound_refusals_keep_their_messages(monkeypatch):
     # no path has an empty class: its last up step puts m letters of one
     # color on top, and a suffix gains one letter at a time
     monkeypatch.setattr(paths, "_classes", lambda P: ((0,), (), (2, 3)))
-    for call in calls:
+    monkeypatch.setattr(tamari, "_classes", paths._classes)
+    for call in calls + [lambda i: interval_bounds(path, rho(2))]:
         with pytest.raises(ValueError, match=r"^no suffix of multiplicity 1$"):
             call(1)
 
@@ -160,8 +161,8 @@ def test_slash_backslash_examples():
 
 
 def test_slash_is_extreme_composition():
-    # both bounds are built on level sequences; star_lambda is the nested
-    # concat_i reference
+    # both bounds are built on level sequences, one by one and all m+1
+    # pairs from one template; star_lambda is the nested concat_i reference
     for m in (1, 2, 3):
         for n1 in range(1, 5):
             for n2 in range(1, 5):
@@ -169,13 +170,18 @@ def test_slash_is_extreme_composition():
                     for Q in enumerate_paths(m, n2):
                         r = len(prime_factors(Q))
                         L = path.last_level
+                        bounds = interval_bounds(path, Q)
+                        assert len(bounds) == m + 1
                         for i in range(m + 1):
                             c = c_bound(path, i)
                             lam = (L - c,) + (0,) * (r - 1) + (c,)
-                            assert slash_i(path, Q, i) == star_lambda(path, Q, lam)
+                            lo = star_lambda(path, Q, lam)
+                            assert slash_i(path, Q, i) == lo
                             C = C_bound(path, i)
                             lam = (0,) * (r - 1) + (L - C, C)
-                            assert backslash_i(path, Q, i) == star_lambda(path, Q, lam)
+                            hi = star_lambda(path, Q, lam)
+                            assert backslash_i(path, Q, i) == hi
+                            assert bounds[i] == (lo, hi)
 
 
 def test_interval_product_theorem():
@@ -187,43 +193,48 @@ def test_interval_product_theorem():
         verify_interval_product(2, 1)
 
 
-REAL_PRODUCT, REAL_SLASH, REAL_BACKSLASH = tamari.path_product, tamari.slash_i, tamari.backslash_i
+REAL_TERMS, REAL_BOUNDS = tamari._path_terms, tamari.interval_bounds
 
 
 def _only_class_m_upper_bound(P, Q, i):
     # class m shrinks to its upper bound, so the classes miss part of the
     # full interval while each class still matches its own bounds
     if i == P.m:
-        return LinComb.single(REAL_BACKSLASH(P, Q, i))
-    return REAL_PRODUCT(P, Q, i)
+        return {REAL_BOUNDS(P, Q)[i][1]: 1}
+    return REAL_TERMS(P, Q, i)
+
+
+def _class_m_from_its_upper_bound(P, Q):
+    bounds = REAL_BOUNDS(P, Q)
+    bounds[P.m] = (bounds[P.m][1], bounds[P.m][1])
+    return bounds
 
 
 BROKEN_THEOREMS = {
     "non-unit-coefficient": (
-        dict(path_product=lambda P, Q, i: REAL_PRODUCT(P, Q, i).scale(2)),
+        dict(_path_terms=lambda P, Q, i: {k: 2 * c for k, c in REAL_TERMS(P, Q, i).items()}),
         "non-unit coefficient in ((1))*_0((1))",
     ),
     "support-outside-the-lattice": (
-        dict(path_product=lambda P, Q, i: REAL_PRODUCT(P, Q, i) + LinComb.single(rho(P.m))),
+        dict(_path_terms=lambda P, Q, i: {**REAL_TERMS(P, Q, i), rho(P.m): 1}),
         "support of ((1)) *_0 ((1)) is not the interval [((1,1)), ((1,1))]",
     ),
     "overlapping-classes": (
         dict(
-            path_product=lambda P, Q, i: REAL_PRODUCT(P, Q, 0),
-            slash_i=lambda P, Q, i: REAL_SLASH(P, Q, 0),
-            backslash_i=lambda P, Q, i: REAL_BACKSLASH(P, Q, 0),
+            _path_terms=lambda P, Q, i: REAL_TERMS(P, Q, 0),
+            interval_bounds=lambda P, Q: [REAL_BOUNDS(P, Q)[0]] * (P.m + 1),
         ),
         "overlapping classes at ((1)), ((1)), i=1",
     ),
     "classes-do-not-tile": (
         dict(
-            path_product=_only_class_m_upper_bound,
-            slash_i=lambda P, Q, i: (REAL_BACKSLASH if i == P.m else REAL_SLASH)(P, Q, i),
+            _path_terms=_only_class_m_upper_bound,
+            interval_bounds=_class_m_from_its_upper_bound,
         ),
         "classes of ((0,2)) * ((1)) do not tile the full interval",
     ),
     "unordered-bounds": (
-        dict(slash_i=REAL_BACKSLASH, backslash_i=REAL_SLASH),
+        dict(interval_bounds=lambda P, Q: [(hi, lo) for lo, hi in REAL_BOUNDS(P, Q)]),
         "support of ((1)) *_0 ((1,1)) is not the interval [((0,2,1)), ((1,1,1))]",
     ),
 }
@@ -239,6 +250,26 @@ def test_broken_interval_theorem_is_a_failed_report(monkeypatch, capsys, patches
     # a failed theorem exits 1, never 2 (the usage-error code)
     assert main(["verify", "--suite", "tamari-interval", "--m", "1", "--max-size", "4"]) == 1
     assert capsys.readouterr().out.endswith(f"\n  {message}\n")
+
+
+def test_the_interval_check_builds_the_lattices_of_sizes_2_to_max_size(monkeypatch, capsys):
+    # one lattice per product size, none beyond the sizes that are checked
+    calls = []
+    real = tamari.build_lattice
+
+    def record(m, n, *args, **kwargs):
+        calls.append((m, n))
+        return real(m, n, *args, **kwargs)
+
+    monkeypatch.setattr(tamari, "build_lattice", record)
+    for m, max_size in ((1, 2), (2, 4), (3, 3)):
+        calls.clear()
+        assert verify_interval_product(m, max_size).ok
+        assert calls == [(m, n) for n in range(2, max_size + 1)]
+    calls.clear()
+    assert main(["verify", "--suite", "tamari-interval", "--m", "3", "--max-size", "4"]) == 0
+    assert calls == [(m, n) for m in (1, 2, 3) for n in range(2, 5)]
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_a_repeated_term_is_summed_into_coefficient_two(monkeypatch):
