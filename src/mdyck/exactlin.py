@@ -299,7 +299,8 @@ def rank_of_lincombs(vectors: list, keys: list | None = None) -> int:
     rows = []
     for v in vectors:
         row = {index[k]: c for k, c in v.items() if c and k in index}
-        if not all(type(c) is int for c in row.values()):
+        # a sum of ints is an int, and one Fraction makes it a Fraction
+        if type(sum(row.values())) is not int:
             row = _integer_row(row.items())
         rows.append(row)
     return _sparse_rank(rows, len(keys))

@@ -13,7 +13,9 @@ by a structural recursion and satisfy
 the defining relations of an order-m Dyck algebra (m = 0 is associativity,
 m = 1 the dendriform splitting).  B(m) is the case k = m of the alternative
 bases B(m, k), which one vertex rule (:func:`_fits`) defines and one cached
-recursion enumerates.
+recursion enumerates in canonical order, that of
+:meth:`ColoredTree.sort_key`: the trees of one degree by root color, then by
+left subtree, then by right subtree, each subtree compared by prefix word.
 
 This module also hosts the one relation checker used for every product
 oracle.  Relations are data: :func:`dyck_relations` holds the two families
@@ -274,14 +276,16 @@ def is_basis_Bmk(t: ColoredTree, m: int, k: int) -> bool:
 
 
 def enumerate_Bm(m: int, n: int) -> list[ColoredTree]:
-    """All basis trees of degree n, canonically ordered; |result| = d(m, n)."""
+    """All basis trees of degree n in canonical order (by root color, left
+    subtree, right subtree; :meth:`ColoredTree.sort_key`); |result| = d(m, n)."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     return list(_basis(m, m, n))
 
 
 def enumerate_Bmk(m: int, k: int, n: int) -> list[ColoredTree]:
-    """All trees of B(m, k) of degree n, canonically ordered."""
+    """All trees of B(m, k) of degree n in canonical order (by root color,
+    left subtree, right subtree; :meth:`ColoredTree.sort_key`)."""
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
     return list(_basis(m, k, n))
@@ -289,34 +293,27 @@ def enumerate_Bmk(m: int, k: int, n: int) -> list[ColoredTree]:
 
 @cache
 def _basis(m: int, k: int, n: int) -> tuple[ColoredTree, ...]:
-    # B(m, k) is closed under subtrees: its trees of degree n are the
-    # graftings of two smaller ones whose root meets the vertex rule
-    if n == 1:
+    # the degree-n trees keep the canonical order of _ordered
+    return tuple(t for t in _ordered(m, k, n) if t.degree == n)
+
+
+@cache
+def _ordered(m: int, k: int, top: int) -> tuple[ColoredTree, ...]:
+    # every tree of B(m, k) of degree <= top by prefix word: the leaf, then
+    # vertices by color, left subtree and right subtree, both from this same
+    # list, as B(m, k) is closed under subtrees.  Prefix words of complete
+    # binary trees are prefix-free, so word(left) + word(right) compares the
+    # lefts first, and each degree comes in sort_key's order.
+    if top == 1:
         return (LEAF,)
-    out = []
-    for n_left in range(1, n):
-        for left in _basis(m, k, n_left):
-            for right in _basis(m, k, n - n_left):
-                for c in range(m + 1):
-                    if _fits(c, left, right, m, k):
-                        out.append(ColoredTree(c, left, right))
-    out.sort(key=partial(_nested_key, {}))
+    out = [LEAF]
+    lefts = _ordered(m, k, top - 1)
+    for c in range(m + 1):
+        for left in lefts:
+            for right in _ordered(m, k, top - left.degree):
+                if _fits(c, left, right, m, k):
+                    out.append(ColoredTree(c, left, right))
     return tuple(out)
-
-
-def _nested_key(keys: dict, t: ColoredTree) -> tuple:
-    # (0,) for the leaf, (1 + color, key(left), key(right)) for a vertex, each
-    # computed once per sort.  It orders trees of one degree as sort_key does:
-    # prefix words of complete binary trees are prefix-free, so comparing
-    # word(left) + word(right) reduces to comparing left, then right.
-    key = keys.get(t)
-    if key is None:
-        if t.color is None:
-            key = (0,)
-        else:
-            key = (1 + t.color, _nested_key(keys, t.left), _nested_key(keys, t.right))
-        keys[t] = key
-    return key
 
 
 class TreeOracle:
@@ -444,7 +441,8 @@ def _image(images: dict, product: Callable, t: ColoredTree) -> dict:
                 c = ca * cb
                 for key, cv in product(a, b, color).items():
                     acc[key] = acc.get(key, 0) + c * cv
-        if 0 in acc.values() or not all(type(cv) is int for cv in acc.values()):
+        # a sum of ints is an int, and one Fraction makes it a Fraction
+        if 0 in acc.values() or type(sum(acc.values())) is not int:
             # drop the zeros and store a whole Fraction as its int
             acc = term_sum(((acc, 1),))
         terms = images[t] = acc

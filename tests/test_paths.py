@@ -366,23 +366,48 @@ def test_evaluator_matches_reference_recursion(all_colored_trees):
     assert others
     for tree in others:
         assert image(tree) == _phi_reference(tree, 2) == phi(tree, 2), tree
-    # an oracle with Fraction values: the root's coefficients of s and t sum
-    # to whole numbers, those of z cancel, and the image holds ints and no zero
-    table = {
-        ("g", "g", 0): {"a": Fraction(1, 2), "b": Fraction(1, 2)},
-        ("g", "a", 1): {"s": 1, "t": Fraction(1, 3), "z": 1},
-        ("g", "b", 1): {"s": 1, "t": Fraction(5, 3), "z": -1},
-    }
+    # oracles whose root image tests each clause of the normalisation: with
+    # Fraction values whose sums are whole and a cancelling z (both clauses),
+    # with int values and a cancelling z (the zero is dropped), and with
+    # whole Fraction sums and no cancellation (they are stored as ints)
+    half = Fraction(1, 2)
+    cases = [
+        (
+            {
+                ("g", "g", 0): {"a": half, "b": half},
+                ("g", "a", 1): {"s": 1, "t": Fraction(1, 3), "z": 1},
+                ("g", "b", 1): {"s": 1, "t": Fraction(5, 3), "z": -1},
+            },
+            {"s": 1, "t": 1},
+        ),
+        (
+            {
+                ("g", "g", 0): {"a": 1, "b": 1},
+                ("g", "a", 1): {"s": 1, "z": 1},
+                ("g", "b", 1): {"s": 1, "z": -1},
+            },
+            {"s": 2},
+        ),
+        (
+            {
+                ("g", "g", 0): {"a": half, "b": half},
+                ("g", "a", 1): {"s": 1, "t": Fraction(1, 3)},
+                ("g", "b", 1): {"s": 1, "t": Fraction(5, 3)},
+            },
+            {"s": 1, "t": 1},
+        ),
+    ]
     tree = node(1, LEAF, node(0, LEAF, LEAF))
-    terms = evaluator(lambda a, b, i: table[a, b, i], "g")(tree)
-    assert terms == LinComb({"s": 1, "t": 1})
-    assert all(type(c) is int for _, c in terms.items())
-    reference = bilinear(
-        LinComb.single("g"),
-        bilinear(LinComb.single("g"), LinComb.single("g"), lambda a, b: table[a, b, 0]),
-        lambda a, b: table[a, b, 1],
-    )
-    assert terms == reference
+    for table, expected in cases:
+        terms = evaluator(lambda a, b, i: table[a, b, i], "g")(tree)
+        assert terms == LinComb(expected) and "z" not in terms, table
+        assert all(type(c) is int for _, c in terms.items()), table
+        reference = bilinear(
+            LinComb.single("g"),
+            bilinear(LinComb.single("g"), LinComb.single("g"), lambda a, b: table[a, b, 0]),
+            lambda a, b: table[a, b, 1],
+        )
+        assert terms == reference
 
 
 def test_phi_matrix_computes_each_product_once(monkeypatch):

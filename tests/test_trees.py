@@ -131,10 +131,11 @@ def test_sort_key_matches_reference_on_basis_trees():
 
 
 def test_every_basis_is_strictly_increasing_in_sort_key_order():
-    # _basis sorts by a nested key; the order must be sort_key's
-    for m in (1, 2, 3):
+    # _basis lists each degree in the order it builds, with no sort: that
+    # order must be sort_key's
+    for m in (1, 2, 3, 4):
         for k in range(m + 1):
-            for n in range(1, 7 if m == 3 else 8):
+            for n in range(1, {3: 7, 4: 6}.get(m, 8)):
                 basis = enumerate_Bmk(m, k, n)
                 assert basis == sorted(basis, key=ColoredTree.sort_key), (m, k, n)
                 keys = [tree.sort_key() for tree in basis]
@@ -355,9 +356,12 @@ def test_normal_form():
     deeper = t("(1 (0 | (0 | |)) |)")
     assert evaluator(oracle.product, LEAF)(deeper) == tree_normal_form(deeper, 1)
     assert oracle._memo
-    # the evaluator checks no colors; tree_normal_form refuses one above m
+    # the evaluator checks no colors; tree_normal_form refuses one above m,
+    # as read by max_color, which is -1 on the leaf
     with pytest.raises(ValueError, match="color exceeds m"):
         tree_normal_form(t("(2 | |)"), 1)
+    assert LEAF.max_color() == -1
+    assert deeper.max_color() == 1
 
 
 PROTOCOL_ORACLES = {
