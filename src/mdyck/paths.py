@@ -271,6 +271,24 @@ def _lambda_sets(L: int, lengths: tuple[int, ...], r: int) -> tuple[WeakComposit
     )
 
 
+@cache
+def _class_table(L: int, classes: tuple[tuple[int, ...], ...], r: int):
+    """The class-i compositions of every class i, listed class by class.
+
+    Returns the compositions of :func:`_lambda_sets` for each entry of
+    ``classes`` in turn and the index where each class ends among them;
+    together they are every weak composition of L with r+1 parts, each
+    once.  Keyed, like ``_lambda_sets``, by L(P), the class lengths and r,
+    so the paths that share them share one table.
+    """
+    lams: list[WeakComposition] = []
+    ends = []
+    for lengths in classes:
+        lams += _lambda_sets(L, lengths, r)
+        ends.append(len(lams))
+    return tuple(lams), tuple(ends)
+
+
 def lambda_sets(P: DyckPath, r: int, i: int) -> list[WeakComposition]:
     """Weak compositions of L(P) with r+1 parts in the multiplicity class i.
 

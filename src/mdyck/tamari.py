@@ -5,8 +5,11 @@ that follows it.  The resulting poset is a lattice whose intervals describe
 every product on the path model: P *_i Q is the sum of all paths between a
 lower bound P /_i Q and an upper bound P \\_i Q, read off from suffix
 statistics of the top color word.  Both bounds are P *_lam Q for an extreme
-composition lam; :func:`interval_bounds` builds all 2(m+1) of a pair from
-one star template, and :func:`slash_i`/:func:`backslash_i` each build one.
+composition lam.  Per pair (P, Q), one star template builds every class of
+P *_i Q, i = 0..m, and both bounds of each are read from it: the check of
+the theorem and :func:`interval_bounds` share that table, and
+:func:`slash_i`/:func:`backslash_i` each build one bound on its own.  The
+DOT rendering reads the covers alone and builds no lattice.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from .paths import (
     UP,
     _PATHS,
     DyckPath,
-    _classes,
+    _class_table,
     _multiplicity_class,
     _path_from_steps,
-    _path_terms,
     _star_cuts,
     _star_paths,
     enumerate_paths,
@@ -84,8 +86,9 @@ def _cover_walk(P: DyckPath) -> list[DyckPath]:
 def covers(P: DyckPath) -> list[DyckPath]:
     """All rotations P -> P_(d): move a pre-up down step past the excursion.
 
-    The paths of :func:`_cover_walk`, sorted; the lattice takes the walk
-    unsorted, since its order ignores that of the covers.
+    The paths of :func:`_cover_walk`, sorted; the lattice and
+    :func:`hasse_dot` take the walk unsorted, since neither the order nor
+    the sorted edge list depends on that of the covers.
     """
     return sorted(_cover_walk(P), key=DyckPath.sort_key)
 
@@ -205,18 +208,15 @@ def C_bound(P: DyckPath, i: int) -> int:
     return _class_lengths(P, i)[-1]
 
 
-def _bound_compositions(L: int, r: int, lengths: tuple[int, ...]):
-    """The compositions of the two class bounds, each with r + 1 parts:
+def _class_bound_compositions(P: DyckPath, Q: DyckPath, i: int):
+    """The compositions of the two bounds of class i, each with r + 1 parts:
     (L - c, 0, ..., 0, c) and (0, ..., 0, L - C, C), where c and C are the
     least and the largest of the (non-empty) class lengths."""
+    L, lengths = P.levels[-1], _class_lengths(P, i)
     c, C = lengths[0], lengths[-1]
-    zeros = (0,) * (r - 1)
-    return (L - c,) + zeros + (c,), zeros + (L - C, C)
-
-
-def _class_bound_compositions(P: DyckPath, Q: DyckPath, i: int):
     # r is the number of prime factors of Q: one cut each, and one for L(P)
-    return _bound_compositions(P.levels[-1], len(_star_cuts(Q)) - 1, _class_lengths(P, i))
+    zeros = (0,) * (len(_star_cuts(Q)) - 2)
+    return (L - c,) + zeros + (c,), zeros + (L - C, C)
 
 
 def slash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
@@ -232,27 +232,46 @@ def backslash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
     return _star_paths(P, Q, _class_bound_compositions(P, Q, i)[1:])[0]
 
 
+def _checked_classes(P: DyckPath) -> tuple[tuple[int, ...], ...]:
+    # the m+1 classes of P; _class_lengths raises for an empty one
+    return tuple(_class_lengths(P, i) for i in range(P.m + 1))
+
+
+def _class_bounds(seq, start: int, end: int):
+    """(lo, hi) of the class at seq[start:end] of a table of
+    :func:`~mdyck.paths._class_table`.
+
+    A class lists its compositions in lexicographic order, so the first is
+    (0, ..., 0, L - C_i, C_i), that of hi = P \\_i Q, and the last is
+    (L - c_i, 0, ..., 0, c_i), that of lo = P /_i Q.  ``seq`` holds the
+    paths built from the table, or their lattice indices.
+    """
+    return seq[end - 1], seq[start]
+
+
 def interval_bounds(P: DyckPath, Q: DyckPath) -> list[tuple[DyckPath, DyckPath]]:
     """The m+1 pairs (P /_i Q, P \\_i Q), i = 0..m, from one star template.
 
-    The classes of P are read once, and one :func:`_star_paths` call builds
-    all 2(m+1) bounds; an empty class raises as :func:`c_bound` does.
+    One :func:`_star_paths` call builds P *_lam Q over the class table of P,
+    and each pair is read from its class by :func:`_class_bounds`, as
+    :func:`verify_interval_product` reads it; an empty class raises as
+    :func:`c_bound` does.
     """
-    L, r = P.levels[-1], len(_star_cuts(Q)) - 1
-    lams = []
-    for i, lengths in enumerate(_classes(P)):
-        # _class_lengths raises for an empty class
-        lams += _bound_compositions(L, r, lengths or _class_lengths(P, i))
-    bounds = _star_paths(P, Q, lams)
-    return list(zip(bounds[::2], bounds[1::2]))
+    lams, ends = _class_table(P.levels[-1], _checked_classes(P), len(_star_cuts(Q)) - 1)
+    built = _star_paths(P, Q, lams)
+    return [_class_bounds(built, start, end) for start, end in zip((0,) + ends, ends)]
 
 
 def verify_interval_product(m: int, max_size: int) -> CheckReport:
     """Products are exactly interval sums, and the classes tile the big interval.
 
-    Supports and intervals are compared as bitmasks over the lattice index.
-    A support path outside the lattice or an unordered bound pair is a
-    failed check, never an exception.
+    Per pair (P, Q), one :func:`_star_paths` call builds P *_lam Q over the
+    class table of P: class i lists P *_i Q, one path per term, and
+    :func:`_class_bounds` reads its bounds.  The paths are mapped to lattice
+    indices once, and supports and intervals are compared as bitmasks over
+    them; a repeated path in a class, found by popcount, is a non-unit
+    coefficient.  A support path outside the lattice or an unordered bound
+    pair is a failed check, never an exception.
     """
     if max_size < 2:
         raise ValueError("need max_size >= 2")
@@ -262,23 +281,34 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
     for total in range(2, max_size + 1):
         lattice = lattices[total]
         index, outside = lattice.index.get, len(lattice.elements)
+        # a path outside the lattice gets index `outside`, whose interval is empty
+        up, down = lattice.up + (0,), lattice.down + (0,)
         for n1 in range(1, total):
-            right = sizes[total - n1]
+            right = [(Q, len(_star_cuts(Q)) - 1) for Q in sizes[total - n1]]
             for P in sizes[n1]:
-                for Q in right:
-                    bounds = interval_bounds(P, Q)
-                    union = 0
-                    for i, (lo, hi) in enumerate(bounds):
+                L, classes = P.levels[-1], _checked_classes(P)
+                for Q, r in right:
+                    lams, ends = _class_table(L, classes, r)
+                    built = _star_paths(P, Q, lams)
+                    found = [index(path, outside) for path in built]
+                    union = start = 0
+                    for i, end in enumerate(ends):
                         report.checks += 1
                         support = 0
-                        for path, c in _path_terms(P, Q, i).items():
-                            if c != 1:
-                                report.fail(f"non-unit coefficient in {P!r}*_{i}{Q!r}")
-                                return report
-                            # a path outside the lattice sets a bit that no interval holds
-                            support |= 1 << index(path, outside)
-                        expected = lattice.interval_mask(lo, hi)
+                        for k in found[start:end]:
+                            support |= 1 << k
+                        # paths outside the lattice share one bit: only a
+                        # repeated path is a coefficient above one
+                        count = end - start
+                        if support.bit_count() < count and len(set(built[start:end])) < count:
+                            report.fail(f"non-unit coefficient in {P!r}*_{i}{Q!r}")
+                            return report
+                        lo, hi = _class_bounds(found, start, end)
+                        if not i:
+                            bottom = lo
+                        expected = up[lo] & down[hi]
                         if not expected or support != expected:
+                            lo, hi = _class_bounds(built, start, end)
                             report.fail(
                                 f"support of {P!r} *_{i} {Q!r} is not the interval "
                                 f"[{lo!r}, {hi!r}]"
@@ -288,8 +318,10 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
                             report.fail(f"overlapping classes at {P!r}, {Q!r}, i={i}")
                             return report
                         union |= support
+                        start = end
                     report.checks += 1
-                    if union != lattice.interval_mask(bounds[0][0], bounds[m][1]):
+                    # the full interval runs from the lo of class 0 to the hi of class m
+                    if union != up[bottom] & down[hi]:
                         report.fail(
                             f"classes of {P!r} * {Q!r} do not tile the full interval"
                         )
@@ -297,15 +329,21 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
     return report
 
 
-def hasse_dot(lattice: TamariLattice) -> str:
-    """Canonical DOT rendering of the covering relation (edges point up)."""
+def hasse_dot(m: int, n: int) -> str:
+    """Canonical DOT rendering of the m-Tamari covers on the paths of size n.
+
+    Edges point up.  Only the paths and the rotation walk of each are read,
+    so no lattice, and none of its closure, is built; the edges are sorted
+    as a whole, so the walk need not sort the covers of each path.
+    """
+    code = {p: p.encode() for p in enumerate_paths(m, n)}
     lines = [
         "digraph tamari {",
         "  rankdir=BT;",
     ]
-    for p in lattice.elements:
-        lines.append(f'  "{p.encode()}";')
-    edges = sorted((p.encode(), q.encode()) for p in lattice.elements for q in covers(p))
+    for text in code.values():
+        lines.append(f'  "{text}";')
+    edges = sorted((text, code[q]) for p, text in code.items() for q in _cover_walk(p))
     for a, b in edges:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")

@@ -39,6 +39,7 @@ def _results():
         [simplicial.theta_basis(t, 2, 1) for t in basis],
         simplicial.enumerate_Bmk(2, 1, 3),
         tamari.build_lattice(2, 3).interval_count(),
+        tamari.interval_bounds(paths.rho(2), paths.rho(2)),
         posets.TamariBinaryFamily().elements(3),
         posets.PlanarTreeFamily().elements(3),
         series.check_lemform(2, 1, 10),

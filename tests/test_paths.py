@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -311,6 +312,24 @@ def test_star_paths_match_star_lambda_on_every_composition(m):
                     expected = [star_lambda(a, b, lam) for lam in lams]
                     assert paths._star_paths(a, b, lams) == expected
     assert factor_counts >= {1, 2, 3}
+
+
+@pytest.mark.parametrize("m, max_total", [(1, 6), (2, 6), (3, 5)])
+def test_class_table_lists_each_product_class_by_class(m, max_total):
+    # one star call over the class table against the term dict of each class
+    for total in range(2, max_total + 1):
+        for n1 in range(1, total):
+            for a in enumerate_paths(m, n1):
+                L = a.last_level
+                for b in enumerate_paths(m, total - n1):
+                    r = len(prime_factors(b))
+                    lams, ends = paths._class_table(L, paths._classes(a), r)
+                    assert sorted(lams) == list(paths._weak_compositions(L, r + 1))
+                    built = paths._star_paths(a, b, lams)
+                    assert len(ends) == m + 1 and ends[-1] == len(built)
+                    for i, (start, end) in enumerate(zip((0,) + ends, ends)):
+                        terms = dict(collections.Counter(built[start:end]))
+                        assert terms == paths._path_terms(a, b, i)
 
 
 def test_product_unit_coefficients_disjoint():

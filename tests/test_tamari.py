@@ -143,7 +143,6 @@ def test_bound_refusals_keep_their_messages(monkeypatch):
     # no path has an empty class: its last up step puts m letters of one
     # color on top, and a suffix gains one letter at a time
     monkeypatch.setattr(paths, "_classes", lambda P: ((0,), (), (2, 3)))
-    monkeypatch.setattr(tamari, "_classes", paths._classes)
     for call in calls + [lambda i: interval_bounds(path, rho(2))]:
         with pytest.raises(ValueError, match=r"^no suffix of multiplicity 1$"):
             call(1)
@@ -193,49 +192,68 @@ def test_interval_product_theorem():
         verify_interval_product(2, 1)
 
 
-REAL_TERMS, REAL_BOUNDS = tamari._path_terms, tamari.interval_bounds
+REAL_TABLE, REAL_STAR = tamari._class_table, tamari._star_paths
 
 
-def _only_class_m_upper_bound(P, Q, i):
-    # class m shrinks to its upper bound, so the classes miss part of the
-    # full interval while each class still matches its own bounds
-    if i == P.m:
-        return {REAL_BOUNDS(P, Q)[i][1]: 1}
-    return REAL_TERMS(P, Q, i)
+def _each_composition_twice(L, classes, r):
+    # every path of every class comes twice: each coefficient is 2
+    lams, ends = REAL_TABLE(L, classes, r)
+    return tuple(lam for lam in lams for _ in range(2)), tuple(2 * end for end in ends)
 
 
-def _class_m_from_its_upper_bound(P, Q):
-    bounds = REAL_BOUNDS(P, Q)
-    bounds[P.m] = (bounds[P.m][1], bounds[P.m][1])
-    return bounds
+def _stranger(path):
+    # the same level sequence outside the intern table, so no lattice holds it
+    twin = object.__new__(DyckPath)
+    object.__setattr__(twin, "m", path.m)
+    object.__setattr__(twin, "levels", path.levels)
+    return twin
+
+
+def _class_m_cut_to_its_upper_bound(L, classes, r):
+    # class m keeps only its first composition, that of its upper bound, so
+    # the classes miss part of the full interval while each class still
+    # matches its own bounds
+    lams, ends = REAL_TABLE(L, classes, r)
+    start = ends[-2]
+    return lams[: start + 1], ends[:-1] + (start + 1,)
+
+
+def _each_class_reversed(L, classes, r):
+    # the first and the last composition of each class swap places, and so
+    # do the bounds read from them
+    lams, ends = REAL_TABLE(L, classes, r)
+    return tuple(lam for a, b in zip((0,) + ends, ends) for lam in reversed(lams[a:b])), ends
 
 
 BROKEN_THEOREMS = {
     "non-unit-coefficient": (
-        dict(_path_terms=lambda P, Q, i: {k: 2 * c for k, c in REAL_TERMS(P, Q, i).items()}),
+        dict(_class_table=_each_composition_twice),
         "non-unit coefficient in ((1))*_0((1))",
     ),
     "support-outside-the-lattice": (
-        dict(_path_terms=lambda P, Q, i: {**REAL_TERMS(P, Q, i), rho(P.m): 1}),
+        dict(_star_paths=lambda P, Q, lams: list(map(_stranger, REAL_STAR(P, Q, lams)))),
         "support of ((1)) *_0 ((1)) is not the interval [((1,1)), ((1,1))]",
     ),
     "overlapping-classes": (
-        dict(
-            _path_terms=lambda P, Q, i: REAL_TERMS(P, Q, 0),
-            interval_bounds=lambda P, Q: [REAL_BOUNDS(P, Q)[0]] * (P.m + 1),
-        ),
+        dict(_class_table=lambda L, classes, r: REAL_TABLE(L, classes[:1] * len(classes), r)),
         "overlapping classes at ((1)), ((1)), i=1",
     ),
     "classes-do-not-tile": (
-        dict(
-            _path_terms=_only_class_m_upper_bound,
-            interval_bounds=_class_m_from_its_upper_bound,
-        ),
+        dict(_class_table=_class_m_cut_to_its_upper_bound),
         "classes of ((0,2)) * ((1)) do not tile the full interval",
     ),
     "unordered-bounds": (
-        dict(interval_bounds=lambda P, Q: [(hi, lo) for lo, hi in REAL_BOUNDS(P, Q)]),
+        dict(_class_table=_each_class_reversed),
         "support of ((1)) *_0 ((1,1)) is not the interval [((0,2,1)), ((1,1,1))]",
+    ),
+    # both distinct paths lie outside the lattice and share its one outside
+    # bit, yet neither is repeated: a failed support, not a coefficient 2
+    "two-size-one-paths-in-one-class": (
+        dict(
+            _class_table=_each_composition_twice,
+            _star_paths=lambda P, Q, lams: [rho(k) for k in range(1, len(lams) + 1)],
+        ),
+        "support of ((1)) *_0 ((1)) is not the interval [((2)), ((1))]",
     ),
 }
 
@@ -274,7 +292,8 @@ def test_the_interval_check_builds_the_lattices_of_sizes_2_to_max_size(monkeypat
 
 def test_a_repeated_term_is_summed_into_coefficient_two(monkeypatch):
     # distinct compositions give distinct paths; were one repeated, the
-    # product would count it twice and the interval check would reject it
+    # product would count it twice, and the interval check, which reads each
+    # class from the class table, would reject it
     P = rho(1)
     plain = paths.path_product(P, P, 0)
     real = paths._star_paths
@@ -283,6 +302,12 @@ def test_a_repeated_term_is_summed_into_coefficient_two(monkeypatch):
     first = next(iter(plain))
     assert doubled.support() == plain.support()
     assert {path: doubled[path] for path in plain} == {path: 1 + (path is first) for path in plain}
+
+    def first_composition_twice(L, classes, r):
+        lams, ends = REAL_TABLE(L, classes, r)
+        return lams[:1] + lams, tuple(end + 1 for end in ends)
+
+    monkeypatch.setattr(tamari, "_class_table", first_composition_twice)
     report = verify_interval_product(1, 4)
     assert report.failures == ["non-unit coefficient in ((1))*_0((1))"]
 
@@ -373,10 +398,24 @@ def test_rotation_preserves_colors():
 
 
 def test_hasse_dot():
-    single = hasse_dot(build_lattice(2, 1))
+    single = hasse_dot(2, 1)
     assert '"2"' in single and "->" not in single
-    chain = hasse_dot(build_lattice(2, 2))
+    chain = hasse_dot(2, 2)
     assert chain.count("->") == 2
-    assert chain == hasse_dot(build_lattice(2, 2))
-    pentagon = hasse_dot(build_lattice(1, 3))
+    assert chain == hasse_dot(2, 2)
+    pentagon = hasse_dot(1, 3)
     assert pentagon.count("->") == 5
+
+
+def test_hasse_builds_no_lattice(monkeypatch, capsys):
+    # the DOT text reads only the paths and their covers, never the closure
+    expected = hasse_dot(2, 4)
+
+    def refuse(*args):
+        raise AssertionError("hasse built a lattice")
+
+    monkeypatch.setattr(tamari, "build_lattice", refuse)
+    monkeypatch.setattr(tamari, "TamariLattice", refuse)
+    assert main(["hasse", "--m", "2", "--n", "4"]) == 0
+    assert capsys.readouterr().out == expected
+    assert expected.count("->") == sum(len(covers(p)) for p in enumerate_paths(2, 4))
