@@ -255,7 +255,7 @@ def _classes(P: DyckPath) -> tuple[tuple[int, ...], ...]:
 def _multiplicity_class(P: DyckPath, i: int) -> tuple[int, ...]:
     """The suffix lengths of the top word whose maximal letter multiplicity is i.
 
-    The lengths come in increasing order; the class may be empty.
+    The lengths come in increasing order; no class is empty.
     """
     if not 0 <= i <= P.m:
         raise ValueError("class index out of range")
@@ -330,6 +330,8 @@ def _star_paths(P: DyckPath, Q: DyckPath, lams) -> list[DyckPath]:
     of :func:`_star_cuts` depend on lam; each term sets them and copies the
     template once.  Only the finished path is validated.
     """
+    if P.m != Q.m:
+        raise ValueError("mixed m")
     m, get = P.m, _PATHS.get
     template = list(P.levels + Q.levels)
     cuts = _star_cuts(Q)
@@ -350,8 +352,6 @@ def _path_terms(P: DyckPath, Q: DyckPath, i: int) -> dict:
     L(P) and class lengths, and each term is built by :func:`_star_paths`
     straight into the term dict.
     """
-    if P.m != Q.m:
-        raise ValueError("mixed m")
     lams = _lambda_sets(P.levels[-1], _multiplicity_class(P, i), len(_star_cuts(Q)) - 1)
     paths = _star_paths(P, Q, lams)
     terms = dict.fromkeys(paths, 1)

@@ -5,11 +5,11 @@ that follows it.  The resulting poset is a lattice whose intervals describe
 every product on the path model: P *_i Q is the sum of all paths between a
 lower bound P /_i Q and an upper bound P \\_i Q, read off from suffix
 statistics of the top color word.  Both bounds are P *_lam Q for an extreme
-composition lam.  Per pair (P, Q), one star template builds every class of
-P *_i Q, i = 0..m, and both bounds of each are read from it: the check of
-the theorem and :func:`interval_bounds` share that table, and
-:func:`slash_i`/:func:`backslash_i` each build one bound on its own.  The
-DOT rendering reads the covers alone and builds no lattice.
+composition lam of class i, its last for the lower bound and its first
+for the upper one; :func:`_class_bounds` is that rule, and both
+:func:`slash_i`/:func:`backslash_i` and the check of the theorem, which
+builds every class of a pair from one star template, read it.  The DOT
+rendering reads the covers alone and builds no lattice.
 """
 
 from __future__ import annotations
@@ -24,11 +24,13 @@ from .paths import (
     _PATHS,
     DyckPath,
     _class_table,
+    _classes,
     _multiplicity_class,
     _path_from_steps,
     _star_cuts,
     _star_paths,
     enumerate_paths,
+    lambda_sets,
     standard_coloring,
 )
 from .reporting import CheckReport
@@ -191,50 +193,14 @@ def build_lattice(m: int, n: int, cap: int = DEFAULT_CAP) -> TamariLattice:
 _lattice = cache(TamariLattice)
 
 
-def _class_lengths(P: DyckPath, i: int) -> tuple[int, ...]:
-    lengths = _multiplicity_class(P, i)
-    if not lengths:
-        raise ValueError(f"no suffix of multiplicity {i}")
-    return lengths
-
-
 def c_bound(P: DyckPath, i: int) -> int:
     """Minimal suffix length of the top word with maximal multiplicity i."""
-    return _class_lengths(P, i)[0]
+    return _multiplicity_class(P, i)[0]
 
 
 def C_bound(P: DyckPath, i: int) -> int:
     """Maximal suffix length of the top word with maximal multiplicity i."""
-    return _class_lengths(P, i)[-1]
-
-
-def _class_bound_compositions(P: DyckPath, Q: DyckPath, i: int):
-    """The compositions of the two bounds of class i, each with r + 1 parts:
-    (L - c, 0, ..., 0, c) and (0, ..., 0, L - C, C), where c and C are the
-    least and the largest of the (non-empty) class lengths."""
-    L, lengths = P.levels[-1], _class_lengths(P, i)
-    c, C = lengths[0], lengths[-1]
-    # r is the number of prime factors of Q: one cut each, and one for L(P)
-    zeros = (0,) * (len(_star_cuts(Q)) - 2)
-    return (L - c,) + zeros + (c,), zeros + (L - C, C)
-
-
-def slash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
-    """Lower interval bound P x_{c_i(P)} Q: P *_lam Q with
-    lam = (L - c_i(P), 0, ..., 0, c_i(P)), L = L(P)."""
-    return _star_paths(P, Q, _class_bound_compositions(P, Q, i)[:1])[0]
-
-
-def backslash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
-    """Upper interval bound: all but the last prime factor of Q are pushed
-    to the very top of P, and the last one is attached at depth C_i(P):
-    P *_lam Q with lam = (0, ..., 0, L - C_i(P), C_i(P))."""
-    return _star_paths(P, Q, _class_bound_compositions(P, Q, i)[1:])[0]
-
-
-def _checked_classes(P: DyckPath) -> tuple[tuple[int, ...], ...]:
-    # the m+1 classes of P; _class_lengths raises for an empty one
-    return tuple(_class_lengths(P, i) for i in range(P.m + 1))
+    return _multiplicity_class(P, i)[-1]
 
 
 def _class_bounds(seq, start: int, end: int):
@@ -244,22 +210,28 @@ def _class_bounds(seq, start: int, end: int):
     A class lists its compositions in lexicographic order, so the first is
     (0, ..., 0, L - C_i, C_i), that of hi = P \\_i Q, and the last is
     (L - c_i, 0, ..., 0, c_i), that of lo = P /_i Q.  ``seq`` holds the
-    paths built from the table, or their lattice indices.
+    compositions, the paths built from them, or their lattice indices.
     """
     return seq[end - 1], seq[start]
 
 
-def interval_bounds(P: DyckPath, Q: DyckPath) -> list[tuple[DyckPath, DyckPath]]:
-    """The m+1 pairs (P /_i Q, P \\_i Q), i = 0..m, from one star template.
+def _bound_lams(P: DyckPath, Q: DyckPath, i: int):
+    # the class-i compositions of lo and hi, as _class_bounds picks them
+    lams = lambda_sets(P, len(_star_cuts(Q)) - 1, i)
+    return _class_bounds(lams, 0, len(lams))
 
-    One :func:`_star_paths` call builds P *_lam Q over the class table of P,
-    and each pair is read from its class by :func:`_class_bounds`, as
-    :func:`verify_interval_product` reads it; an empty class raises as
-    :func:`c_bound` does.
-    """
-    lams, ends = _class_table(P.levels[-1], _checked_classes(P), len(_star_cuts(Q)) - 1)
-    built = _star_paths(P, Q, lams)
-    return [_class_bounds(built, start, end) for start, end in zip((0,) + ends, ends)]
+
+def slash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
+    """Lower interval bound P x_{c_i(P)} Q: P *_lam Q with
+    lam = (L - c_i(P), 0, ..., 0, c_i(P)), L = L(P)."""
+    return _star_paths(P, Q, _bound_lams(P, Q, i)[:1])[0]
+
+
+def backslash_i(P: DyckPath, Q: DyckPath, i: int) -> DyckPath:
+    """Upper interval bound: all but the last prime factor of Q are pushed
+    to the very top of P, and the last one is attached at depth C_i(P):
+    P *_lam Q with lam = (0, ..., 0, L - C_i(P), C_i(P))."""
+    return _star_paths(P, Q, _bound_lams(P, Q, i)[1:])[0]
 
 
 def verify_interval_product(m: int, max_size: int) -> CheckReport:
@@ -286,7 +258,7 @@ def verify_interval_product(m: int, max_size: int) -> CheckReport:
         for n1 in range(1, total):
             right = [(Q, len(_star_cuts(Q)) - 1) for Q in sizes[total - n1]]
             for P in sizes[n1]:
-                L, classes = P.levels[-1], _checked_classes(P)
+                L, classes = P.levels[-1], _classes(P)
                 for Q, r in right:
                     lams, ends = _class_table(L, classes, r)
                     built = _star_paths(P, Q, lams)

@@ -39,7 +39,7 @@ def _results():
         [simplicial.theta_basis(t, 2, 1) for t in basis],
         simplicial.enumerate_Bmk(2, 1, 3),
         tamari.build_lattice(2, 3).interval_count(),
-        tamari.interval_bounds(paths.rho(2), paths.rho(2)),
+        tamari.verify_interval_product(2, 3),
         posets.TamariBinaryFamily().elements(3),
         posets.PlanarTreeFamily().elements(3),
         series.check_lemform(2, 1, 10),
@@ -47,6 +47,8 @@ def _results():
 
 
 def test_clear_caches_empties_memos_and_keeps_results():
+    # from empty caches, so that _results alone must fill each one
+    mdyck.clear_caches()
     before = _results()
     assert all(cache.cache_info().currsize for cache in _caches())
     mdyck.clear_caches()

@@ -197,10 +197,7 @@ def _scan_lambda_sets(path, r, i):
 
 
 def _scan_bound(path, i, pick):
-    lengths = _scan_class(path, i)
-    if not lengths:
-        raise ValueError(f"no suffix of multiplicity {i}")
-    return pick(lengths)
+    return pick(_scan_class(path, i))
 
 
 def _outcome(fn, *args):

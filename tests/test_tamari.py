@@ -12,6 +12,7 @@ from mdyck.paths import (
     enumerate_paths,
     lambda_sets,
     parse_path,
+    path_product,
     prime_factors,
     rho,
     star_lambda,
@@ -26,7 +27,6 @@ from mdyck.tamari import (
     covers,
     hasse_dot,
     backslash_i,
-    interval_bounds,
     rotation_preserves_colors,
     slash_i,
     verify_interval_product,
@@ -128,7 +128,7 @@ def test_c_and_C_bounds():
         assert c_bound(rho(m), m) == m == C_bound(rho(m), m)
 
 
-def test_bound_refusals_keep_their_messages(monkeypatch):
+def test_bound_refusals_keep_their_messages():
     path = P(2, "1,3")
     calls = [
         lambda i: c_bound(path, i),
@@ -140,12 +140,25 @@ def test_bound_refusals_keep_their_messages(monkeypatch):
         for i in (-1, 3):
             with pytest.raises(ValueError, match=r"^class index out of range$"):
                 call(i)
-    # no path has an empty class: its last up step puts m letters of one
-    # color on top, and a suffix gains one letter at a time
-    monkeypatch.setattr(paths, "_classes", lambda P: ((0,), (), (2, 3)))
-    for call in calls + [lambda i: interval_bounds(path, rho(2))]:
-        with pytest.raises(ValueError, match=r"^no suffix of multiplicity 1$"):
-            call(1)
+    # no class is empty, so no bound needs a refusal of its own: the last up
+    # step puts m letters of one color on top, and a suffix gains one letter
+    # at a time, so the m+1 classes split 0..L(P) in order
+    for m in (1, 2, 3):
+        for n in range(1, 7):
+            for other in enumerate_paths(m, n):
+                classes = paths._classes(other)
+                assert len(classes) == m + 1 and all(classes)
+                assert sum(classes, ()) == tuple(range(other.last_level + 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [path_product, slash_i, backslash_i, concat_i],
+    ids=["path_product", "slash_i", "backslash_i", "concat_i"],
+)
+def test_mixed_m_is_refused(call):
+    with pytest.raises(ValueError, match=r"^mixed m$"):
+        call(rho(2), rho(1), 0)
 
 
 def test_slash_backslash_examples():
@@ -161,7 +174,8 @@ def test_slash_backslash_examples():
 
 def test_slash_is_extreme_composition():
     # both bounds are built on level sequences, one by one and all m+1
-    # pairs from one template; star_lambda is the nested concat_i reference
+    # pairs from one template, each picked by the one rule of _class_bounds;
+    # star_lambda is the nested concat_i reference
     for m in (1, 2, 3):
         for n1 in range(1, 5):
             for n2 in range(1, 5):
@@ -169,8 +183,9 @@ def test_slash_is_extreme_composition():
                     for Q in enumerate_paths(m, n2):
                         r = len(prime_factors(Q))
                         L = path.last_level
-                        bounds = interval_bounds(path, Q)
-                        assert len(bounds) == m + 1
+                        lams, ends = paths._class_table(L, paths._classes(path), r)
+                        built = paths._star_paths(path, Q, lams)
+                        assert len(ends) == m + 1
                         for i in range(m + 1):
                             c = c_bound(path, i)
                             lam = (L - c,) + (0,) * (r - 1) + (c,)
@@ -180,7 +195,8 @@ def test_slash_is_extreme_composition():
                             lam = (0,) * (r - 1) + (L - C, C)
                             hi = star_lambda(path, Q, lam)
                             assert backslash_i(path, Q, i) == hi
-                            assert bounds[i] == (lo, hi)
+                            start = ends[i - 1] if i else 0
+                            assert tamari._class_bounds(built, start, ends[i]) == (lo, hi)
 
 
 def test_interval_product_theorem():
@@ -316,8 +332,6 @@ def test_partition_example():
     # the three class supports tile the full interval
     lattice = build_lattice(2, 4)
     path, Q = P(2, "1,3"), P(2, "2,2")
-    from mdyck.paths import path_product
-
     union = set()
     for i in range(3):
         support = path_product(path, Q, i).support()
