@@ -200,6 +200,8 @@ def _poset_reports(args) -> list[CheckReport]:
                 text = handle.read()
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read {args.file}: not UTF-8 text") from exc
         family = posets.parse_poset_file(text)
         top = max(family.declared_degrees(), default=1)
         bound = args.max_degree or top
@@ -239,18 +241,18 @@ def _negative_reports(args) -> list[CheckReport]:
 
 
 # every suite, in the order that `verify --suite all` runs them: its helper,
-# which reads its options with these defaults filled in (a poset family has
-# its own degree), and the option and least value at which it checks anything
+# which reads the options listed, with these defaults filled in (None where it
+# has its own), and the option and least value at which it checks anything
 # (the verifiers refuse a smaller one too, but in their own parameter's name)
 _SUITES = {
     "axioms": (_axiom_reports, {"m": 3, "max_degree": 5}, ("max_degree", 3)),
     "ordm": (_ordm_reports, {"m": 2, "max_degree": 5}, ("max_degree", 3)),
     "simplicial": (_simplicial_reports, {"max_m": 5}, None),
     "freeness": (_freeness_reports, {"m": 2, "max_degree": 4}, ("max_degree", 1)),
-    "poset": (_poset_reports, {}, ("max_degree", 2)),
+    "poset": (_poset_reports, {"max_degree": None, "file": None}, ("max_degree", 2)),
     "tamari-interval": (_interval_reports, {"m": 2, "max_size": 6}, ("max_size", 2)),
     "series": (_series_reports, {"max_m": 4, "order": 10}, None),
-    "negative": (_negative_reports, {}, None),
+    "negative": (_negative_reports, {"m": None}, None),
 }
 
 # the most m-simplices of the top degree that the ordm suite sweeps; above
@@ -284,6 +286,12 @@ def _check_simplices(options) -> None:
 
 
 def _suite_reports(args) -> list[CheckReport]:
+    # an option that no chosen suite reads is refused, the first in the parser's order
+    every = {option for _, defaults, _ in _SUITES.values() for option in defaults}
+    read = every if args.suite == "all" else _SUITES[args.suite][1]
+    for option, value in vars(args).items():
+        if value is not None and option in every and option not in read:
+            raise ValueError(f"--{option.replace('_', '-')} is not read by --suite {args.suite}")
     _at_least(1, ("--m", args.m), ("--max-m", args.max_m), ("--order", args.order))
     given = {option: value for option, value in vars(args).items() if value is not None}
     suites = {}

@@ -87,11 +87,6 @@ class DyckPath:
             out.extend(DOWN * lv)
         return tuple(out)
 
-    def is_prime(self) -> bool:
-        """No proper return to the axis: prefix sums stay strictly below m*j."""
-        # one cut for L(P) and one per prime factor
-        return len(_star_cuts(self)) == 2
-
     def sort_key(self):
         return (self.size, self.levels)
 

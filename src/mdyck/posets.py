@@ -221,30 +221,6 @@ def _planar_trees(leaves: int) -> tuple:
     return rows[leaves]
 
 
-class TamariBinaryFamily(PosetFamily):
-    """Planar binary trees with the rotation-generated Tamari order."""
-
-    name = "binary"
-
-    def degree(self, x) -> int:
-        return pt_size(x)
-
-    def _build_elements(self, n: int) -> list:
-        return sorted(_binary_trees(n + 1))
-
-    def _above(self, x):
-        return _binary_rotations(x)
-
-    def _product(self, op, x, y):
-        if op == SLASH:
-            return graft_leftmost(x, y)
-        if op == BACKSLASH:
-            return graft_rightmost(x, y)
-        if op == PERP:
-            return (graft_rightmost(x, y[0]), y[1])
-        return (x[0], graft_leftmost(x[1], y))
-
-
 def _binary_rotations(t):
     # right rotation ((a,b),c) -> (a,(b,c)) applied at any vertex
     if t == ():
@@ -289,6 +265,24 @@ class PlanarTreeFamily(PosetFamily):
         if op == PERP:
             return (graft_rightmost(x, y[0]),) + y[1:]
         return x[:-1] + (graft_leftmost(x[-1], y[0]),) + y[1:]
+
+
+class TamariBinaryFamily(PlanarTreeFamily):
+    """Planar binary trees with the rotation-generated Tamari order; the planar
+    /, \\ and bot keep them binary, but the planar top merges two roots."""
+
+    name = "binary"
+
+    def _build_elements(self, n: int) -> list:
+        return sorted(_binary_trees(n + 1))
+
+    def _above(self, x):
+        return _binary_rotations(x)
+
+    def _product(self, op, x, y):
+        if op == TOP:
+            return (x[0], graft_leftmost(x[1], y))
+        return super()._product(op, x, y)
 
 
 def _planar_upsteps(t):

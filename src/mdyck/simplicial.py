@@ -187,8 +187,7 @@ def _theta(t: ColoredTree, m: int, k: int) -> ColoredTree:
     color = t.color
     if color != k:
         return ColoredTree(color, _theta(t.left, m, k), _theta(t.right, m, k))
-    spine = comb_decompose(t, RIGHT)
-    jcolors, jhangs = spine.colors, spine.subtrees  # jcolors[0] == k
+    jcolors, jhangs = comb_decompose(t, RIGHT)  # jcolors[0] == k
     bad = [idx for idx in range(1, len(jcolors)) if jcolors[idx] > k]
     if not bad:
         return ColoredTree(k, _theta(t.left, m, k), _theta(t.right, m, k))
@@ -196,14 +195,14 @@ def _theta(t: ColoredTree, m: int, k: int) -> ColoredTree:
     # of that node absorbs the skipped prefix and the old left child,
     # preserving the algebra element
     l0 = bad[0]
-    upper = comb_decompose(jhangs[l0], LEFT)
+    upper_colors, upper_subs = comb_decompose(jhangs[l0], LEFT)
     skipped = from_right_comb(jcolors[1:l0], jhangs[1:l0])
-    lower = comb_decompose(t.left, LEFT)
+    lower_colors, lower_subs = comb_decompose(t.left, LEFT)
     big = from_left_comb(
-        upper.colors + (k,) + lower.colors,
-        tuple(_theta(x, m, k) for x in upper.subtrees)
+        upper_colors + (k,) + lower_colors,
+        tuple(_theta(x, m, k) for x in upper_subs)
         + (_theta(skipped, m, k),)
-        + tuple(_theta(x, m, k) for x in lower.subtrees),
+        + tuple(_theta(x, m, k) for x in lower_subs),
     )
     rest = from_right_comb(jcolors[l0 + 1 :], jhangs[l0 + 1 :])
     return ColoredTree(jcolors[l0], big, _theta(rest, m, k))
@@ -249,30 +248,28 @@ def little_theta(t: ColoredTree, m: int, k: int) -> ColoredTree:
     if t.is_leaf:
         return ColoredTree(k, LEAF, LEAF)
     if t.color > k:
-        dec = comb_decompose(t, LEFT)
-        if k not in dec.colors:
+        colors, subs = comb_decompose(t, LEFT)
+        if k not in colors:
             return ColoredTree(k, t, LEAF)
-        s = dec.colors.index(k)
-        upper = from_left_comb(dec.colors[:s], dec.subtrees[:s])
-        lower = from_left_comb(dec.colors[s:], dec.subtrees[s:])
+        s = colors.index(k)
+        upper = from_left_comb(colors[:s], subs[:s])
+        lower = from_left_comb(colors[s:], subs[s:])
         return ColoredTree(k, upper, lower)
-    dec = comb_decompose(t, RIGHT)
-    above = [idx for idx in range(len(dec.colors)) if dec.colors[idx] > k]
+    colors, subs = comb_decompose(t, RIGHT)
+    above = [idx for idx in range(len(colors)) if colors[idx] > k]
     if not above:
         return ColoredTree(k, LEAF, t)
     s = above[0]
-    suffix = from_right_comb(dec.colors[s:], dec.subtrees[s:])
-    left_dec = comb_decompose(suffix, LEFT)
-    if k in left_dec.colors:
-        pos = left_dec.colors.index(k)
-        high = from_left_comb(left_dec.colors[:pos], left_dec.subtrees[:pos])
-        low = from_left_comb(left_dec.colors[pos:], left_dec.subtrees[pos:])
-        low_dec = comb_decompose(low, RIGHT)
-        tail = from_right_comb(
-            dec.colors[:s] + low_dec.colors, dec.subtrees[:s] + low_dec.subtrees
-        )
+    suffix = from_right_comb(colors[s:], subs[s:])
+    left_colors, left_subs = comb_decompose(suffix, LEFT)
+    if k in left_colors:
+        pos = left_colors.index(k)
+        high = from_left_comb(left_colors[:pos], left_subs[:pos])
+        low = from_left_comb(left_colors[pos:], left_subs[pos:])
+        low_colors, low_subs = comb_decompose(low, RIGHT)
+        tail = from_right_comb(colors[:s] + low_colors, subs[:s] + low_subs)
         return ColoredTree(k, high, tail)
-    tail = from_right_comb(dec.colors[:s], dec.subtrees[:s])
+    tail = from_right_comb(colors[:s], subs[:s])
     return ColoredTree(k, suffix, tail)
 
 
@@ -286,22 +283,20 @@ def little_theta_inverse(u: ColoredTree, m: int, k: int) -> ColoredTree:
     if b.is_leaf:
         return a
     if b.color == k:
-        da = comb_decompose(a, LEFT)
-        db = comb_decompose(b, LEFT)
-        return from_left_comb(da.colors + db.colors, da.subtrees + db.subtrees)
-    db = comb_decompose(b, RIGHT)
-    if k in db.colors:
-        pos = db.colors.index(k)
-        low = from_right_comb(db.colors[pos:], db.subtrees[pos:])
-        da = comb_decompose(a, LEFT)
-        dlow = comb_decompose(low, LEFT)
-        suffix = from_left_comb(da.colors + dlow.colors, da.subtrees + dlow.subtrees)
-        ds = comb_decompose(suffix, RIGHT)
-        return from_right_comb(
-            db.colors[:pos] + ds.colors, db.subtrees[:pos] + ds.subtrees
-        )
-    ds = comb_decompose(a, RIGHT)
-    return from_right_comb(db.colors + ds.colors, db.subtrees + ds.subtrees)
+        a_colors, a_subs = comb_decompose(a, LEFT)
+        b_colors, b_subs = comb_decompose(b, LEFT)
+        return from_left_comb(a_colors + b_colors, a_subs + b_subs)
+    b_colors, b_subs = comb_decompose(b, RIGHT)
+    if k in b_colors:
+        pos = b_colors.index(k)
+        low = from_right_comb(b_colors[pos:], b_subs[pos:])
+        a_colors, a_subs = comb_decompose(a, LEFT)
+        low_colors, low_subs = comb_decompose(low, LEFT)
+        suffix = from_left_comb(a_colors + low_colors, a_subs + low_subs)
+        s_colors, s_subs = comb_decompose(suffix, RIGHT)
+        return from_right_comb(b_colors[:pos] + s_colors, b_subs[:pos] + s_subs)
+    a_colors, a_subs = comb_decompose(a, RIGHT)
+    return from_right_comb(b_colors + a_colors, b_subs + a_subs)
 
 
 def verify_Sk_freeness(m: int, k: int, max_degree: int) -> CheckReport:

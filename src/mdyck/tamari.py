@@ -1,15 +1,15 @@
 """The m-Tamari order on m-Dyck paths and its interval description of products.
 
 The covering relation rotates a down step past the excursion of the up step
-that follows it.  The resulting poset is a lattice whose intervals describe
-every product on the path model: P *_i Q is the sum of all paths between a
-lower bound P /_i Q and an upper bound P \\_i Q, read off from suffix
-statistics of the top color word.  Both bounds are P *_lam Q for an extreme
-composition lam of class i, its last for the lower bound and its first
-for the upper one; :func:`_class_bounds` is that rule, and both
-:func:`slash_i`/:func:`backslash_i` and the check of the theorem, which
-builds every class of a pair from one star template, read it.  The DOT
-rendering reads the covers alone and builds no lattice.
+that follows it.  The resulting poset is a lattice, and only its intervals
+are read: they describe every product on the path model, as P *_i Q is the
+sum of all paths between a lower bound P /_i Q and an upper bound P \\_i Q,
+read off from suffix statistics of the top color word.  Both bounds are
+P *_lam Q for an extreme composition lam of class i, its last for the lower
+bound and its first for the upper one; :func:`_class_bounds` is that rule,
+and both :func:`slash_i`/:func:`backslash_i` and the check of the theorem,
+which builds every class of a pair from one star template, read it.  The
+DOT rendering reads the covers alone and builds no lattice.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cache, partial
 
 from . import series
-from .orders import FinitePoset, mask_indices
+from .orders import FinitePoset
 from .paths import (
     DOWN,
     UP,
@@ -111,28 +111,6 @@ class TamariLattice(FinitePoset):
 
     def interval_count(self) -> int:
         return sum(self.up[i].bit_count() for i in range(len(self.elements)))
-
-    def _extreme(self, masks, common: int, message: str) -> DyckPath:
-        # the one index of common whose mask holds all of common
-        best = [i for i in mask_indices(common) if common & ~masks[i] == 0]
-        if len(best) != 1:
-            raise ValueError(message)
-        return self.elements[best[0]]
-
-    def minimum(self) -> DyckPath:
-        return self._extreme(self.up, (1 << len(self.elements)) - 1, "no unique minimum")
-
-    def maximum(self) -> DyckPath:
-        return self._extreme(self.down, (1 << len(self.elements)) - 1, "no unique maximum")
-
-    def meet(self, P: DyckPath, Q: DyckPath) -> DyckPath:
-        """Greatest common lower bound (experimental: existence is checked)."""
-        common = self.down[self.index[P]] & self.down[self.index[Q]]
-        return self._extreme(self.down, common, "meet does not exist or is not unique")
-
-    def join(self, P: DyckPath, Q: DyckPath) -> DyckPath:
-        common = self.up[self.index[P]] & self.up[self.index[Q]]
-        return self._extreme(self.up, common, "join does not exist or is not unique")
 
 
 DEFAULT_CAP = 20000

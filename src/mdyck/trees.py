@@ -40,7 +40,7 @@ from functools import cache, partial
 from typing import Callable, Iterable, Sequence
 
 from .exactlin import LinComb, term_sum
-from .reporting import CheckReport, FrozenRecord, _immutable
+from .reporting import CheckReport, _immutable
 
 LEFT = "L"
 RIGHT = "R"
@@ -132,10 +132,6 @@ class ColoredTree:
 LEAF = ColoredTree()
 
 
-def node(color: int, left: ColoredTree, right: ColoredTree) -> ColoredTree:
-    return ColoredTree(color, left, right)
-
-
 def graft(t: ColoredTree, w: ColoredTree, i: int, m: int | None = None) -> ColoredTree:
     """The grafting t v_i w: new root of color i, t left, w right."""
     if i < 0 or (m is not None and i > m):
@@ -177,24 +173,15 @@ def _parse_subtree(tokens: list[str], pos: int, text: str) -> tuple[ColoredTree,
     return ColoredTree(color, left, right), pos + 1
 
 
-class CombDecomposition(FrozenRecord):
-    """A tree written as an iterated one-sided comb.
+def comb_decompose(t: ColoredTree, side: str) -> tuple[tuple, tuple]:
+    """``(colors, subtrees)`` of t written as an iterated one-sided comb.
 
     Left comb with colors (i_1, ..., i_p) and hanging subtrees (t_1, ..., t_p):
     (((| v_{i_p} t_p) v_{i_p-1} t_p-1) ...) v_{i_1} t_1; the colors run along
     the left spine from the root up, the subtrees hang off on the right.
     The right comb is the mirror image.  p = 0 encodes the bare leaf.
+    :func:`from_left_comb` and :func:`from_right_comb` rebuild t.
     """
-
-    __slots__ = ("colors", "subtrees", "side")
-
-    def __init__(self, colors: tuple[int, ...], subtrees: tuple[ColoredTree, ...], side: str):
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "subtrees", subtrees)
-        object.__setattr__(self, "side", side)
-
-
-def comb_decompose(t: ColoredTree, side: str) -> CombDecomposition:
     if side not in (LEFT, RIGHT):
         raise ValueError("side must be LEFT or RIGHT")
     colors: list[int] = []
@@ -208,7 +195,7 @@ def comb_decompose(t: ColoredTree, side: str) -> CombDecomposition:
         else:
             subs.append(cur.left)
             cur = cur.right
-    return CombDecomposition(tuple(colors), tuple(subs), side)
+    return tuple(colors), tuple(subs)
 
 
 def from_left_comb(colors: Sequence[int], subtrees: Sequence[ColoredTree]) -> ColoredTree:
@@ -227,12 +214,6 @@ def from_right_comb(colors: Sequence[int], subtrees: Sequence[ColoredTree]) -> C
     for color, sub in zip(reversed(colors), reversed(subtrees)):
         cur = ColoredTree(color, sub, cur)
     return cur
-
-
-def comb_reassemble(dec: CombDecomposition) -> ColoredTree:
-    if dec.side == LEFT:
-        return from_left_comb(dec.colors, dec.subtrees)
-    return from_right_comb(dec.colors, dec.subtrees)
 
 
 def _fits(c: int, left: ColoredTree, right: ColoredTree, m: int, k: int) -> bool:

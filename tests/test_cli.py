@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # literals nested beyond the interpreter's default recursion limit
 DEEP_TREE = "(0 " * 1500 + "|" + " |)" * 1500
 DEEP_PLANAR = "( " * 1500 + "|" + " |)" * 1500
+# a poset file whose bytes are not UTF-8
+NOT_UTF8 = ROOT / "tests" / "data" / "not_utf8.poset"
 
 
 def run(argv):
@@ -114,20 +116,27 @@ def test_mul_ordm_refuses_a_simplex_it_cannot_multiply(argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["mul", "--model", "trees", "--m", "2", "--i", "0", "(1 | |", "|"],
-        ["mul", "--model", "trees", "--m", "2", "--i", "0", "(", "|"],
-        ["mul", "--model", "ordm", "--m", "2", "--i", "0", "(| |", "|"],
-        ["mul", "--model", "paths", "--m", "2", "--i", "0", "1,,3", "2"],
-        ["mul", "--model", "paths", "--m", "2", "--i", "0", "2", "2,"],
-        ["mul", "--model", "ordm", "--m", "2", "--i", "0", "|;|", "|;|"],
-        ["mul", "--model", "ordm", "--m", "1", "--i", "0", "|", "(| |)"],
-        ["mul", "--model", "ordm", "--m", "2", "--i", "0", "(| | |);(| | |)", "(| |);(| |)"],
-        ["dims", "--m", "2", "--max-n", "-3"],
-        ["verify", "--suite", "poset", "--file", "/nonexistent/family.poset"],
-        ["mul", "--model", "trees", "--m", "1", "--i", "0", DEEP_TREE, "|"],
-        ["mul", "--model", "ordm", "--m", "1", "--i", "0", DEEP_PLANAR, "(| |)"],
+        (["mul", "--model", "trees", "--m", "2", "--i", "0", "(1 | |", "|"], None),
+        (["mul", "--model", "trees", "--m", "2", "--i", "0", "(", "|"], None),
+        (["mul", "--model", "ordm", "--m", "2", "--i", "0", "(| |", "|"], None),
+        (["mul", "--model", "paths", "--m", "2", "--i", "0", "1,,3", "2"], None),
+        (["mul", "--model", "paths", "--m", "2", "--i", "0", "2", "2,"], None),
+        (["mul", "--model", "ordm", "--m", "2", "--i", "0", "|;|", "|;|"], None),
+        (["mul", "--model", "ordm", "--m", "1", "--i", "0", "|", "(| |)"], None),
+        (
+            ["mul", "--model", "ordm", "--m", "2", "--i", "0", "(| | |);(| | |)", "(| |);(| |)"],
+            None,
+        ),
+        (["dims", "--m", "2", "--max-n", "-3"], None),
+        (["verify", "--suite", "poset", "--file", "/nonexistent/family.poset"], None),
+        (["mul", "--model", "trees", "--m", "1", "--i", "0", DEEP_TREE, "|"], None),
+        (["mul", "--model", "ordm", "--m", "1", "--i", "0", DEEP_PLANAR, "(| |)"], None),
+        (
+            ["verify", "--suite", "poset", "--file", str(NOT_UTF8)],
+            f"cannot read {NOT_UTF8}: not UTF-8 text",
+        ),
     ],
     ids=[
         "tree-unclosed",
@@ -142,13 +151,16 @@ def test_mul_ordm_refuses_a_simplex_it_cannot_multiply(argv, message):
         "missing-file",
         "tree-deep",
         "ordm-deep",
+        "not-utf8",
     ],
 )
-def test_malformed_input_is_usage_error(argv):
+def test_malformed_input_is_usage_error(argv, message):
     code, out, err = _usage_error(argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -269,6 +281,16 @@ def test_verify_negative():
     assert "ok" in out
 
 
+def test_a_negative_control_that_holds_fails(monkeypatch):
+    # the m = 1 interchange x *_0 (y *_1 z) = (x *_0 y) *_1 z holds in the free algebra
+    control = ("interchange unexpectedly holds", ((1, "L", 0, 1),), ((1, "R", 0, 1),))
+    monkeypatch.setitem(cli._NEGATIVE_CONTROLS, 1, (control,))
+    assert run(["verify", "--suite", "negative", "--m", "1"]) == (
+        1,
+        "negative controls m=1: FAILED (1 checks)\n  interchange unexpectedly holds\n",
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -380,8 +402,27 @@ CAP_MESSAGE = "the Tamari poset of degree 11 has 58786 elements, more than 20000
         (["--suite", "ordm", "--max-degree", "11"], CAP_MESSAGE),
         (["--suite", "all", "--max-degree", "11"], CAP_MESSAGE),
         (["--suite", "all", "--m", "3"], "negative suite is defined for m = 1 and m = 2"),
+        (
+            ["--suite", "axioms", "--m", "1", "--max-degree", "3", "--file", "/nonexistent"],
+            "--file is not read by --suite axioms",
+        ),
+        (["--suite", "series", "--max-size", "3"], "--max-size is not read by --suite series"),
+        (["--suite", "poset", "--m", "2"], "--m is not read by --suite poset"),
+        # the first unread option in the parser's order, before any is bounded
+        (
+            ["--suite", "simplicial", "--order", "5", "--m", "0"],
+            "--m is not read by --suite simplicial",
+        ),
     ],
-    ids=["ordm-above-cap", "all-above-cap", "all-negative-m"],
+    ids=[
+        "ordm-above-cap",
+        "all-above-cap",
+        "all-negative-m",
+        "axioms-file",
+        "series-max-size",
+        "poset-m",
+        "simplicial-two-unread",
+    ],
 )
 def test_verify_refuses_before_any_suite_runs(monkeypatch, argv, message):
     def sweep(*args):
@@ -681,6 +722,20 @@ def test_verify_poset_file(tmp_path):
         ["verify", "--suite", "poset", "--file", str(path), "--max-degree", "2"]
     )
     assert code == 0
+
+
+def test_condition4_skips_elements_in_no_interval(tmp_path):
+    # c lies in no interval, so condition 4 pairs only a and b: 2 of the 8 checks
+    path = tmp_path / "family.poset"
+    path.write_text(
+        "degree 1\nelem e\ndegree 2\nelem a\nelem c\nelem b\ncover a c\ncover a b\n"
+        "prod / e e -> a\nprod bot e e -> a\nprod top e e -> b\nprod \\ e e -> b\n",
+        encoding="utf-8",
+    )
+    assert run(["verify", "--suite", "poset", "--file", str(path)]) == (
+        0,
+        "dendriform poset declared degree<=2: ok (8 checks)\n",
+    )
 
 
 def test_condition5_report_is_independent_of_hash_seed():

@@ -7,7 +7,6 @@ import pytest
 
 from mdyck.reporting import CheckReport
 from mdyck.series import TruncatedSeries
-from mdyck.trees import LEAF, LEFT, RIGHT, CombDecomposition, comb_decompose, parse_tree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -46,13 +45,6 @@ FROZEN = [
         TruncatedSeries(2, (0, 1, 4)),
         "TruncatedSeries(order=2, coeffs=(0, 1, 3))",
         id="TruncatedSeries",
-    ),
-    pytest.param(
-        comb_decompose(parse_tree("(1 (2 | |) |)"), LEFT),
-        CombDecomposition(colors=(1, 2), subtrees=(LEAF, LEAF), side=LEFT),
-        CombDecomposition((1, 2), (LEAF, LEAF), RIGHT),
-        "CombDecomposition(colors=(1, 2), subtrees=(|, |), side='L')",
-        id="CombDecomposition",
     ),
 ]
 

@@ -33,7 +33,6 @@ from mdyck.trees import (
     comb_decompose,
     enumerate_Bm,
     is_basis_Bm,
-    node,
     parse_tree,
     verify_dyck_axioms,
 )
@@ -118,13 +117,13 @@ def _spine_reading(t, m, k):
     # from the root, i_1 != k asks i_2 = k or i_2 > i_1, and i_1 = k asks
     # i_2, i_3, ... > k and j_2, j_3, ... <= k
     for v in t.subtrees():
-        lc = comb_decompose(v, LEFT).colors
+        lc = comb_decompose(v, LEFT)[0]
         if lc[0] != k:
             if len(lc) >= 2 and not (lc[1] == k or lc[1] > lc[0]):
                 return False
         elif any(c <= k for c in lc[1:]):
             return False
-        elif any(c > k for c in comb_decompose(v, RIGHT).colors[1:]):
+        elif any(c > k for c in comb_decompose(v, RIGHT)[0][1:]):
             return False
     return True
 
@@ -172,8 +171,8 @@ def test_theta_small_case():
     for m in (1, 2):
         for k in range(m + 1):
             for i in range(k + 1, m + 1):
-                tree = node(k, LEAF, node(i, LEAF, LEAF))
-                expected = node(i, node(k, LEAF, LEAF), LEAF)
+                tree = ColoredTree(k, LEAF, ColoredTree(i, LEAF, LEAF))
+                expected = ColoredTree(i, ColoredTree(k, LEAF, LEAF), LEAF)
                 assert theta_basis(tree, m, k) == expected
 
 
@@ -248,7 +247,7 @@ def test_generators():
     assert generators_Amk(2, 0, 1) == [LEAF]
     for m in (2, 3):
         for k in range(m):
-            assert generators_Amk(m, k, 2) == [node(k, LEAF, LEAF)]
+            assert generators_Amk(m, k, 2) == [ColoredTree(k, LEAF, LEAF)]
     for m in (1, 2, 3):
         for k in range(m):
             for n in range(2, 6):
@@ -260,10 +259,10 @@ def test_generators():
 def test_little_theta_base_cases():
     for m in (2, 3):
         for k in range(m):
-            assert little_theta(LEAF, m, k) == node(k, LEAF, LEAF)
+            assert little_theta(LEAF, m, k) == ColoredTree(k, LEAF, LEAF)
             # root color above k with an increasing comb: graft a leaf
-            tree = node(k + 1, LEAF, LEAF)
-            assert little_theta(tree, m, k) == node(k, tree, LEAF)
+            tree = ColoredTree(k + 1, LEAF, LEAF)
+            assert little_theta(tree, m, k) == ColoredTree(k, tree, LEAF)
 
 
 def test_little_theta_bijective():

@@ -81,7 +81,7 @@ def test_intervals():
     lattice = build_lattice(1, 3)
     x = lattice.elements[0]
     assert lattice.interval(x, x) == [x]
-    lo, hi = lattice.minimum(), lattice.maximum()
+    lo, hi = P(1, "1,1,1"), P(1, "0,0,3")
     assert set(lattice.interval(lo, hi)) == set(lattice.elements)
     assert lattice.interval_count() == 13
     with pytest.raises(ValueError):
@@ -98,22 +98,30 @@ def test_interval_count_matches_closed_form(m):
 
 
 def test_min_max_elements():
+    # the minimum's up-set and the maximum's down-set hold every index
     for m in (1, 2, 3):
         for n in range(1, 6):
             lattice = build_lattice(m, n)
-            assert lattice.minimum().levels == (m,) * n
-            assert lattice.maximum().levels == (0,) * (n - 1) + (m * n,)
+            every = (1 << len(lattice.elements)) - 1
+            index = lattice.index
+            assert [i for i, mask in enumerate(lattice.up) if mask == every] == [
+                index[DyckPath(m, (m,) * n)]
+            ]
+            assert [i for i, mask in enumerate(lattice.down) if mask == every] == [
+                index[DyckPath(m, (0,) * (n - 1) + (m * n,))]
+            ]
 
 
 def test_meet_join_exist():
+    # the common lower bounds of a and b are the down-set of one element, the
+    # meet, and the common upper bounds the up-set of one element, the join
     for m, n in ((1, 4), (2, 3), (3, 2)):
         lattice = build_lattice(m, n)
-        for a in lattice.elements:
-            for b in lattice.elements:
-                meet = lattice.meet(a, b)
-                join = lattice.join(a, b)
-                assert lattice.leq(meet, a) and lattice.leq(meet, b)
-                assert lattice.leq(a, join) and lattice.leq(b, join)
+        up, down = set(lattice.up), set(lattice.down)
+        for a in range(len(lattice.elements)):
+            for b in range(len(lattice.elements)):
+                assert lattice.down[a] & lattice.down[b] in down
+                assert lattice.up[a] & lattice.up[b] in up
 
 
 def test_c_and_C_bounds():
@@ -172,7 +180,7 @@ def test_slash_backslash_examples():
             assert backslash_i(rho(m), rho(m), i) == expected
 
 
-def test_slash_is_extreme_composition():
+def test_both_bounds_are_the_class_bound_compositions():
     # both bounds are built on level sequences, one by one and all m+1
     # pairs from one template, each picked by the one rule of _class_bounds;
     # star_lambda is the nested concat_i reference
@@ -351,7 +359,7 @@ def test_concatenation_monotone():
                 small = build_lattice(m, n2)
                 for path in enumerate_paths(m, n1):
                     for Q in enumerate_paths(m, n2):
-                        if Q.is_prime():
+                        if len(prime_factors(Q)) == 1:
                             steps = [
                                 concat_i(path, Q, i)
                                 for i in range(path.last_level + 1)

@@ -19,15 +19,15 @@ from mdyck.trees import (
     _triples,
     circ_relations,
     comb_decompose,
-    comb_reassemble,
     dyck_relations,
     enumerate_Bm,
     enumerate_Bmk,
     evaluator,
+    from_left_comb,
+    from_right_comb,
     graft,
     is_basis_Bm,
     is_basis_Bmk,
-    node,
     parse_tree,
     plan_holds,
     relation_plan,
@@ -62,10 +62,8 @@ def test_encode_parse_roundtrip():
 
 
 def test_comb_decompose_examples():
-    dec = comb_decompose(LEAF, LEFT)
-    assert dec.colors == () and dec.subtrees == ()
-    dec = comb_decompose(t("(2 | |)"), LEFT)
-    assert dec.colors == (2,) and dec.subtrees == (LEAF,)
+    assert comb_decompose(LEAF, LEFT) == ((), ())
+    assert comb_decompose(t("(2 | |)"), LEFT) == ((2,), (LEAF,))
 
 
 def test_comb_roundtrip_exhaustive(all_colored_trees):
@@ -73,12 +71,12 @@ def test_comb_roundtrip_exhaustive(all_colored_trees):
         for tree in all_colored_trees(2, n):
             left = comb_decompose(tree, LEFT)
             right = comb_decompose(tree, RIGHT)
-            assert comb_reassemble(left) == tree
-            assert comb_reassemble(right) == tree
+            assert from_left_comb(*left) == tree
+            assert from_right_comb(*right) == tree
             if not tree.is_leaf:
-                assert left.colors[0] == right.colors[0] == tree.color
+                assert left[0][0] == right[0][0] == tree.color
             else:
-                assert left.colors == right.colors == ()
+                assert left[0] == right[0] == ()
 
 
 def test_is_basis_examples():
@@ -160,7 +158,7 @@ def test_product_examples():
     for m in (1, 2, 3):
         for i in range(m + 1):
             assert tree_product(LEAF, LEAF, i, m) == LinComb.single(
-                node(i, LEAF, LEAF)
+                ColoredTree(i, LEAF, LEAF)
             )
     got = tree_product(t("(1 | |)"), LEAF, 1, 1)
     assert got == LinComb(
