@@ -375,8 +375,11 @@ def phi(t: ColoredTree, m: int) -> LinComb:
 
     The :func:`~mdyck.trees.evaluator` of a fresh ``PathOracle(m)`` with
     leaf -> rho(m).  Accepts any colored tree (not only basis trees), which
-    is how elements written in the alternative bases are compared across models.
+    is how elements written in the alternative bases are compared across
+    models.  A color above m raises ``ValueError``.
     """
+    if t.max_color() > m:
+        raise ValueError("color exceeds m")
     return evaluator(PathOracle(m).product, rho(m))(t)
 
 

@@ -129,14 +129,9 @@ class PosetFamily:
 # Planar rooted trees as nested tuples; () is the leaf.
 
 
-def pt_leaves(t) -> int:
-    if t == ():
-        return 1
-    return sum(pt_leaves(c) for c in t)
-
-
 def pt_size(t) -> int:
-    return pt_leaves(t) - 1
+    # a vertex with p children adds p - 1 to the degree
+    return sum(pt_size(c) for c in t) + len(t) - 1 if t else 0
 
 
 def pt_encode(t) -> str:
@@ -779,6 +774,8 @@ def parse_poset_file(text: str) -> DeclaredFamily:
                     raise ValueError(f"unknown token {token!r}")
             if degree_of[c] != degree_of[a] + degree_of[b]:
                 raise ValueError(f"product {raw!r} is not degree-additive")
+            if (op, a, b) in products:
+                raise ValueError(f"product {op} {a} {b} declared twice")
             products[(op, a, b)] = c
         else:
             raise ValueError(f"unrecognized line: {raw!r}")

@@ -30,18 +30,6 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class FrozenRecord(Record):
-    """A record that is immutable once built and hashes by its fields; its
-    ``__init__`` sets them through ``object.__setattr__``."""
-
-    __slots__ = ()
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __hash__(self):
-        return hash(self._fields())
-
-
 class CheckReport(Record):
     """Outcome of a verification sweep.
 

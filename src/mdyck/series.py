@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .reporting import CheckReport, FrozenRecord
+from .reporting import CheckReport, Record, _immutable
 
 
 def fuss_catalan(m: int, n: int) -> int:
@@ -49,7 +49,7 @@ def identity_cost(max_m: int, order: int) -> int:
     return max_m * (max_m + 5) // 2 * order * product_cost(order)
 
 
-class TruncatedSeries(FrozenRecord):
+class TruncatedSeries(Record):
     """Integer power series truncated at x^order.
 
     ``coeffs`` stores c_0 .. c_order; arithmetic silently discards terms
@@ -63,6 +63,11 @@ class TruncatedSeries(FrozenRecord):
             raise ValueError("coefficient count must be order + 1")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -84,12 +89,6 @@ class TruncatedSeries(FrozenRecord):
         order = min(self.order, other.order)
         return TruncatedSeries(
             order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":

@@ -114,6 +114,8 @@ def verify_simplicial_identities(max_m: int) -> CheckReport:
     degeneracy transforms of the free tree structure (m = 1, 2) are run
     through the axiom checker for the shifted order at total degree <= 4.
     """
+    if max_m < 1:
+        raise ValueError("need max_m >= 1")
     report = CheckReport(name=f"simplicial identities m<={max_m}")
     for m in range(1, max_m + 1):
         v = symbolic_vector(m)
@@ -175,6 +177,8 @@ def theta_basis(t: ColoredTree, m: int, k: int) -> ColoredTree:
     denotes the same algebra element, which is checked against the path
     model in the test suite.
     """
+    if not 0 <= k <= m:
+        raise ValueError("need 0 <= k <= m")
     if not is_basis_Bm(t, m):
         raise ValueError("input is not a basis tree")
     return _theta(t, m, k)

@@ -234,7 +234,16 @@ def _fits(c: int, left: ColoredTree, right: ColoredTree, m: int, k: int) -> bool
     return (left.color is None or left.color > m) and (right.color is None or right.color > m)
 
 
-def _in_basis(t: ColoredTree, m: int, k: int) -> bool:
+def is_basis_Bm(t: ColoredTree, m: int) -> bool:
+    """Basis test: every left child is a leaf or carries a larger color."""
+    return is_basis_Bmk(t, m, m)
+
+
+def is_basis_Bmk(t: ColoredTree, m: int, k: int) -> bool:
+    """Membership in the k-th alternative basis B(m, k): every vertex meets
+    the rule of :func:`_fits`."""
+    if not 0 <= k <= m:
+        raise ValueError("need 0 <= k <= m")
     for v in t.subtrees():
         if v.color > m:
             raise ValueError(f"color {v.color} exceeds m={m}")
@@ -243,32 +252,19 @@ def _in_basis(t: ColoredTree, m: int, k: int) -> bool:
     return True
 
 
-def is_basis_Bm(t: ColoredTree, m: int) -> bool:
-    """Basis test: every left child is a leaf or carries a larger color."""
-    return _in_basis(t, m, m)
-
-
-def is_basis_Bmk(t: ColoredTree, m: int, k: int) -> bool:
-    """Membership in the k-th alternative basis B(m, k): every vertex meets
-    the rule of :func:`_fits`."""
-    if not 0 <= k <= m:
-        raise ValueError("need 0 <= k <= m")
-    return _in_basis(t, m, k)
-
-
 def enumerate_Bm(m: int, n: int) -> list[ColoredTree]:
     """All basis trees of degree n in canonical order (by root color, left
     subtree, right subtree; :meth:`ColoredTree.sort_key`); |result| = d(m, n)."""
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    return list(_basis(m, m, n))
+    if m < 1:
+        raise ValueError("need m >= 1")
+    return enumerate_Bmk(m, m, n)
 
 
 def enumerate_Bmk(m: int, k: int, n: int) -> list[ColoredTree]:
     """All trees of B(m, k) of degree n in canonical order (by root color,
     left subtree, right subtree; :meth:`ColoredTree.sort_key`)."""
-    if not 0 <= k <= m:
-        raise ValueError("need 0 <= k <= m")
+    if not 0 <= k <= m or n < 1:
+        raise ValueError("need n >= 1" if n < 1 else "need 0 <= k <= m")
     return list(_basis(m, k, n))
 
 

@@ -17,6 +17,8 @@ DEEP_TREE = "(0 " * 1500 + "|" + " |)" * 1500
 DEEP_PLANAR = "( " * 1500 + "|" + " |)" * 1500
 # a poset file whose bytes are not UTF-8
 NOT_UTF8 = ROOT / "tests" / "data" / "not_utf8.poset"
+# a poset file that declares the product / e e twice
+DUPLICATE_PRODUCT = ROOT / "tests" / "data" / "duplicate_product.poset"
 
 
 def run(argv):
@@ -137,6 +139,10 @@ def test_mul_ordm_refuses_a_simplex_it_cannot_multiply(argv, message):
             ["verify", "--suite", "poset", "--file", str(NOT_UTF8)],
             f"cannot read {NOT_UTF8}: not UTF-8 text",
         ),
+        (
+            ["verify", "--suite", "poset", "--file", str(DUPLICATE_PRODUCT)],
+            "product / e e declared twice",
+        ),
     ],
     ids=[
         "tree-unclosed",
@@ -152,6 +158,7 @@ def test_mul_ordm_refuses_a_simplex_it_cannot_multiply(argv, message):
         "tree-deep",
         "ordm-deep",
         "not-utf8",
+        "duplicate-product",
     ],
 )
 def test_malformed_input_is_usage_error(argv, message):

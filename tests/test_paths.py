@@ -358,6 +358,9 @@ def test_phi_basics():
             assert phi(ColoredTree(i, LEAF, LEAF), m) == LinComb.single(
                 DyckPath(m, (m - i, m + i))
             )
+    # a color above m is refused as tree_normal_form refuses it
+    with pytest.raises(ValueError, match="^color exceeds m$"):
+        phi(ColoredTree(3, LEAF, LEAF), 2)
 
 
 def _phi_reference(t, m):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdyck import series
+from mdyck.cli import main
 from mdyck.series import (
     TruncatedSeries,
     check_lemform,
@@ -178,6 +179,56 @@ def test_series_identities_reject_an_empty_range():
     # max_m = 0 checks no m: no vacuous "ok (0 checks)"
     with pytest.raises(ValueError, match="need max_m >= 1"):
         check_series_identities(0)
+
+
+def test_a_wrong_coefficient_fails_the_series_suite(monkeypatch, capsys):
+    fuss = series.fuss_catalan
+    monkeypatch.setattr(series, "fuss_catalan", lambda m, n: fuss(m, n) + (n == 3))
+    report = check_series_identities(1, 4)
+    assert report.failures == ["coefficient 3 of f_1 is not fuss_catalan(1,3)"]
+    code = main(["verify", "--suite", "series", "--max-m", "1", "--order", "4"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "series identities m<=1 order=4: FAILED (24 checks)\n"
+        "  coefficient 3 of f_1 is not fuss_catalan(1,3)\n"
+    )
+
+
+def test_a_wrong_inverse_fails_both_inverse_checks(monkeypatch):
+    inverse = series.geometric_inverse
+    monkeypatch.setattr(
+        series, "geometric_inverse", lambda m, order: inverse(3 if m == 2 else m, order)
+    )
+    report = check_series_identities(2, 4)
+    assert report.failures == ["d_2(g_2(x)) != x", "(1+x) g_2 != g_1"]
+
+
+def test_a_wrong_power_fails_the_fixed_point(monkeypatch):
+    power = TruncatedSeries.pow
+
+    def off_at_3(self, exponent):
+        extra = (1,) if exponent == 3 else ()
+        return power(self, exponent) + TruncatedSeries.from_coeffs(self.order, extra)
+
+    monkeypatch.setattr(TruncatedSeries, "pow", off_at_3)
+    report = check_series_identities(2, 4)
+    assert report.failures == ["fixed point fails for m=2"]
+
+
+def test_a_wrong_composition_fails_the_substitution_identity(monkeypatch):
+    compose = series.series_compose
+
+    def plus_x2(f, g):
+        return compose(f, g) + TruncatedSeries.from_coeffs(min(f.order, g.order), (0, 0, 1))
+
+    monkeypatch.setattr(series, "series_compose", plus_x2)
+    report = check_series_identities(1, 4)
+    wrong = "substitution identity fails: (0, 1, 3, 5, 14) != (0, 1, 2, 5, 14)"
+    assert report.failures == [
+        "d_1(g_1(x)) != x",
+        f"series substitution m=1 k=0 order=4: {wrong}",
+        f"series substitution m=1 k=1 order=4: {wrong}",
+    ]
 
 
 @pytest.mark.parametrize("order", [0, -1])

@@ -79,11 +79,53 @@ def test_slot_law_checks_count_the_laws_of_one_m(monkeypatch):
     # the functor-level checks do not depend on max_m; without them the
     # suite makes exactly the slot-law checks of m = 1 .. max_m
     monkeypatch.setattr(simplicial, "verify_dyck_axioms", lambda *args: CheckReport(name="axioms"))
-    counts = [verify_simplicial_identities(m).checks for m in range(7)]
-    assert counts[0] == 0
+    counts = [0] + [verify_simplicial_identities(m).checks for m in range(1, 7)]
     assert [b - a for a, b in zip(counts, counts[1:])] == [
         simplicial.slot_law_checks(m) for m in range(1, 7)
     ]
+
+
+@pytest.mark.parametrize("max_m", [0, -1])
+def test_simplicial_identities_reject_an_empty_range(monkeypatch, max_m):
+    # max_m = 0 checks no slot law: no "ok" from the fixed tree sweeps alone
+    def sweep(*args):
+        raise AssertionError("a tree sweep ran before max_m was checked")
+
+    monkeypatch.setattr(simplicial, "verify_dyck_axioms", sweep)
+    with pytest.raises(ValueError, match="^need max_m >= 1$"):
+        verify_simplicial_identities(max_m)
+
+
+def _rotated_at_0(v, i):
+    # merging at 0 and rotating the result breaks S_0 S_0 = S_0 S_1 from m = 3
+    out = degeneracy_transform(v, i)
+    return out[1:] + out[:1] if i == 0 else out
+
+
+@pytest.mark.parametrize(
+    "name, broken, max_m, message",
+    [
+        (
+            "face_transform",
+            lambda v, i: face_transform(v, min(i, 1)),
+            1,
+            "insert law fails m=1 i=0 j=1",
+        ),
+        (
+            "degeneracy_transform",
+            lambda v, i: degeneracy_transform(v, max(i - 1, 0)),
+            1,
+            "mixed law fails m=1 i=0 j=1",
+        ),
+        ("degeneracy_transform", _rotated_at_0, 3, "merge law fails m=3 i=0 j=0"),
+    ],
+    ids=["insert", "mixed", "merge"],
+)
+def test_a_broken_slot_law_is_reported(monkeypatch, name, broken, max_m, message):
+    monkeypatch.setattr(simplicial, name, broken)
+    report = verify_simplicial_identities(max_m)
+    assert not report.ok
+    assert message in report.failures
 
 
 def test_degeneracy_of_dendriform_is_associative():
@@ -241,6 +283,29 @@ def test_theta_input_validation():
         theta_basis(t("(1 (0 | |) |)"), 1, 0)
     with pytest.raises(ValueError):
         theta_basis_inverse(t("(0 (0 | |) |)"), 1, 0)
+    # both directions refuse a k outside 0 .. m
+    for k in (5, -1):
+        for theta in (theta_basis, theta_basis_inverse):
+            with pytest.raises(ValueError, match="^need 0 <= k <= m$"):
+                theta(t("(1 | (2 | |))"), 2, k)
+
+
+@pytest.mark.parametrize(
+    "enumerate_trees, args, message",
+    [
+        (enumerate_Bm, (1, 0), "need n >= 1"),
+        (enumerate_Bm, (2, -3), "need n >= 1"),
+        (enumerate_Bmk, (1, 0, 0), "need n >= 1"),
+        (enumerate_Bmk, (2, 1, -3), "need n >= 1"),
+        (generators_Amk, (2, 1, 0), "need n >= 1"),
+        (generators_Amk, (2, 1, -3), "need n >= 1"),
+        (enumerate_Bm, (0, 2), "need m >= 1"),
+    ],
+    ids=["Bm-0", "Bm-minus-3", "Bmk-0", "Bmk-minus-3", "Amk-0", "Amk-minus-3", "Bm-m-0"],
+)
+def test_enumeration_refuses_a_bound_below_one(enumerate_trees, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_trees(*args)
 
 
 def test_generators():
