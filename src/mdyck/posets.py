@@ -75,6 +75,8 @@ class PosetFamily:
         """The degree-n elements and their order, materialized once."""
         poset = self._posets.get(n)
         if poset is None:
+            if n < 1:
+                raise ValueError("need n >= 1")
             poset = self._posets[n] = FinitePoset(self._build_elements(n), self._above)
             self._degrees.update(dict.fromkeys(poset.elements, n))
         return poset
@@ -86,7 +88,7 @@ class PosetFamily:
         n = self._degrees.get(x)
         if n is None:
             n = self.degree(x)
-            if x not in self.poset(n).index:
+            if n < 1 or x not in self.poset(n).index:
                 raise ValueError(f"{x!r} is not a {self.name} element of degree {n}")
         return n
 
@@ -99,8 +101,9 @@ class PosetFamily:
     def prod(self, op: str, x, y):
         if op not in OPS:
             raise ValueError(f"unknown product {op!r}")
+        n = self._degree(x) + self._degree(y)
         result = self._product(op, x, y)
-        if result not in self.poset(self._degree(x) + self._degree(y)).index:
+        if result not in self.poset(n).index:
             raise ValueError(f"product {op} is not degree-additive")
         return result
 
@@ -749,6 +752,8 @@ def parse_poset_file(text: str) -> DeclaredFamily:
                 current = int(parts[1])
             except ValueError:
                 raise ValueError(f"malformed degree line: {raw!r}") from None
+            if current < 1:
+                raise ValueError(f"degree {current} is below 1")
             degrees.setdefault(current, [])
         elif parts[0] == "elem":
             if current is None:

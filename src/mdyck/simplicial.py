@@ -24,14 +24,13 @@ from .trees import (
     RIGHT,
     ColoredTree,
     TreeOracle,
-    comb_decompose,
     enumerate_Bm,
     enumerate_Bmk,
     evaluator,
-    from_left_comb,
-    from_right_comb,
     is_basis_Bm,
     is_basis_Bmk,
+    spine_cut,
+    spine_graft,
     tree_normal_form,
     verify_dyck_axioms,
 )
@@ -181,35 +180,21 @@ def theta_basis(t: ColoredTree, m: int, k: int) -> ColoredTree:
         raise ValueError("need 0 <= k <= m")
     if not is_basis_Bm(t, m):
         raise ValueError("input is not a basis tree")
-    return _theta(t, m, k)
+    return _theta(t, k)
 
 
 @cache
-def _theta(t: ColoredTree, m: int, k: int) -> ColoredTree:
+def _theta(t: ColoredTree, k: int) -> ColoredTree:
     if t.is_leaf:
         return t
-    color = t.color
-    if color != k:
-        return ColoredTree(color, _theta(t.left, m, k), _theta(t.right, m, k))
-    jcolors, jhangs = comb_decompose(t, RIGHT)  # jcolors[0] == k
-    bad = [idx for idx in range(1, len(jcolors)) if jcolors[idx] > k]
-    if not bad:
-        return ColoredTree(k, _theta(t.left, m, k), _theta(t.right, m, k))
-    # slide the k-node past the first larger right-spine color: the left comb
-    # of that node absorbs the skipped prefix and the old left child,
-    # preserving the algebra element
-    l0 = bad[0]
-    upper_colors, upper_subs = comb_decompose(jhangs[l0], LEFT)
-    skipped = from_right_comb(jcolors[1:l0], jhangs[1:l0])
-    lower_colors, lower_subs = comb_decompose(t.left, LEFT)
-    big = from_left_comb(
-        upper_colors + (k,) + lower_colors,
-        tuple(_theta(x, m, k) for x in upper_subs)
-        + (_theta(skipped, m, k),)
-        + tuple(_theta(x, m, k) for x in lower_subs),
-    )
-    rest = from_right_comb(jcolors[l0 + 1 :], jhangs[l0 + 1 :])
-    return ColoredTree(jcolors[l0], big, _theta(rest, m, k))
+    # a k-vertex whose right spine meets a color above k slides below the
+    # first such vertex v: the k-vertex keeps its left child and takes the
+    # skipped part of the spine, and hangs at the end of v's left spine
+    skipped, v = spine_cut(t.right, RIGHT, lambda c: c > k) if t.color == k else (LEAF, LEAF)
+    if v.is_leaf:
+        return ColoredTree(t.color, _theta(t.left, k), _theta(t.right, k))
+    big = spine_graft(v.left, LEFT, ColoredTree(k, t.left, skipped))
+    return ColoredTree(v.color, _theta(big, k), _theta(v.right, k))
 
 
 def theta_basis_inverse(t: ColoredTree, m: int, k: int) -> ColoredTree:
@@ -237,70 +222,29 @@ def generators_Amk(m: int, k: int, n: int) -> list[ColoredTree]:
 def little_theta(t: ColoredTree, m: int, k: int) -> ColoredTree:
     """Degree-raising bijection from B(m, k) onto the root-k generators.
 
-    The image is always a grafting A v_k B where A collects the part of t
-    with colors above k and B the part with colors at most k:
-
-      * root color h > k, no k on the left spine: (t, leaf);
-      * root color h > k, left spine split by k: A = comb below the k,
-        B = subtree at the k;
-      * root color h <= k, right spine bounded by k: (leaf, t);
-      * otherwise split the right spine at its first color above k, push
-        any k-rooted part of that subtree's left comb back into B.
+    Cut t's right spine at its first color above k into a prefix, whose
+    right spine stays at most k, and a suffix.  Cut the suffix's left spine
+    at its first k into the part high above it, with every color above k,
+    and the part low from it.  The image is high v_k (prefix with low
+    grafted at the end of its right spine); a missing cut leaves a leaf.
     """
+    if not 0 <= k < m:
+        raise ValueError("need 0 <= k < m")
     if not is_basis_Bmk(t, m, k):
         raise ValueError("input is not in the alternative basis")
-    if t.is_leaf:
-        return ColoredTree(k, LEAF, LEAF)
-    if t.color > k:
-        colors, subs = comb_decompose(t, LEFT)
-        if k not in colors:
-            return ColoredTree(k, t, LEAF)
-        s = colors.index(k)
-        upper = from_left_comb(colors[:s], subs[:s])
-        lower = from_left_comb(colors[s:], subs[s:])
-        return ColoredTree(k, upper, lower)
-    colors, subs = comb_decompose(t, RIGHT)
-    above = [idx for idx in range(len(colors)) if colors[idx] > k]
-    if not above:
-        return ColoredTree(k, LEAF, t)
-    s = above[0]
-    suffix = from_right_comb(colors[s:], subs[s:])
-    left_colors, left_subs = comb_decompose(suffix, LEFT)
-    if k in left_colors:
-        pos = left_colors.index(k)
-        high = from_left_comb(left_colors[:pos], left_subs[:pos])
-        low = from_left_comb(left_colors[pos:], left_subs[pos:])
-        low_colors, low_subs = comb_decompose(low, RIGHT)
-        tail = from_right_comb(colors[:s] + low_colors, subs[:s] + low_subs)
-        return ColoredTree(k, high, tail)
-    tail = from_right_comb(colors[:s], subs[:s])
-    return ColoredTree(k, suffix, tail)
+    prefix, suffix = spine_cut(t, RIGHT, lambda c: c > k)
+    high, low = spine_cut(suffix, LEFT, lambda c: c == k)
+    return ColoredTree(k, high, spine_graft(prefix, RIGHT, low))
 
 
 def little_theta_inverse(u: ColoredTree, m: int, k: int) -> ColoredTree:
     """Inverse of :func:`little_theta` on the root-k generators."""
-    if u.is_leaf or u.color != k:
+    if not 0 <= k < m:
+        raise ValueError("need 0 <= k < m")
+    if u.is_leaf or u.color != k or not is_basis_Bmk(u, m, k):
         raise ValueError("input is not a root-k generator")
-    a, b = u.left, u.right
-    if a.is_leaf:
-        return b
-    if b.is_leaf:
-        return a
-    if b.color == k:
-        a_colors, a_subs = comb_decompose(a, LEFT)
-        b_colors, b_subs = comb_decompose(b, LEFT)
-        return from_left_comb(a_colors + b_colors, a_subs + b_subs)
-    b_colors, b_subs = comb_decompose(b, RIGHT)
-    if k in b_colors:
-        pos = b_colors.index(k)
-        low = from_right_comb(b_colors[pos:], b_subs[pos:])
-        a_colors, a_subs = comb_decompose(a, LEFT)
-        low_colors, low_subs = comb_decompose(low, LEFT)
-        suffix = from_left_comb(a_colors + low_colors, a_subs + low_subs)
-        s_colors, s_subs = comb_decompose(suffix, RIGHT)
-        return from_right_comb(b_colors[:pos] + s_colors, b_subs[:pos] + s_subs)
-    a_colors, a_subs = comb_decompose(a, RIGHT)
-    return from_right_comb(b_colors + a_colors, b_subs + a_subs)
+    prefix, low = spine_cut(u.right, RIGHT, lambda c: c == k)
+    return spine_graft(prefix, RIGHT, spine_graft(u.left, LEFT, low))
 
 
 def verify_Sk_freeness(m: int, k: int, max_degree: int) -> CheckReport:

@@ -37,7 +37,7 @@ result that a user sees (:func:`tree_product`, the results of an
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .exactlin import LinComb, term_sum
 from .reporting import CheckReport, _immutable
@@ -173,47 +173,36 @@ def _parse_subtree(tokens: list[str], pos: int, text: str) -> tuple[ColoredTree,
     return ColoredTree(color, left, right), pos + 1
 
 
-def comb_decompose(t: ColoredTree, side: str) -> tuple[tuple, tuple]:
-    """``(colors, subtrees)`` of t written as an iterated one-sided comb.
+def spine_cut(t: ColoredTree, side: str, stop: Callable[[int], bool]) -> tuple:
+    """``(rest, v)``: v is the first vertex on t's left or right spine, from
+    the root down, whose color passes ``stop``, or the leaf that ends the
+    spine if none does; rest is t with v replaced by a leaf, so that
+    ``spine_graft(rest, side, v) == t``."""
+    path, v = _spine(t, side, stop)
+    return _hang(path, side, LEAF), v
 
-    Left comb with colors (i_1, ..., i_p) and hanging subtrees (t_1, ..., t_p):
-    (((| v_{i_p} t_p) v_{i_p-1} t_p-1) ...) v_{i_1} t_1; the colors run along
-    the left spine from the root up, the subtrees hang off on the right.
-    The right comb is the mirror image.  p = 0 encodes the bare leaf.
-    :func:`from_left_comb` and :func:`from_right_comb` rebuild t.
-    """
+
+def spine_graft(t: ColoredTree, side: str, w: ColoredTree) -> ColoredTree:
+    """t with the leaf that ends its left or right spine replaced by w."""
+    return _hang(_spine(t, side, None)[0], side, w)
+
+
+def _spine(t: ColoredTree, side: str, stop: Callable[[int], bool] | None) -> tuple:
+    # the vertices on t's spine above the first that passes stop, and that vertex
     if side not in (LEFT, RIGHT):
         raise ValueError("side must be LEFT or RIGHT")
-    colors: list[int] = []
-    subs: list[ColoredTree] = []
-    cur = t
-    while not cur.is_leaf:
-        colors.append(cur.color)
-        if side == LEFT:
-            subs.append(cur.right)
-            cur = cur.left
-        else:
-            subs.append(cur.left)
-            cur = cur.right
-    return tuple(colors), tuple(subs)
+    path = []
+    while t.color is not None and not (stop and stop(t.color)):
+        path.append(t)
+        t = t.left if side == LEFT else t.right
+    return path, t
 
 
-def from_left_comb(colors: Sequence[int], subtrees: Sequence[ColoredTree]) -> ColoredTree:
-    if len(colors) != len(subtrees):
-        raise ValueError("color/subtree length mismatch")
-    cur = LEAF
-    for color, sub in zip(reversed(colors), reversed(subtrees)):
-        cur = ColoredTree(color, cur, sub)
-    return cur
-
-
-def from_right_comb(colors: Sequence[int], subtrees: Sequence[ColoredTree]) -> ColoredTree:
-    if len(colors) != len(subtrees):
-        raise ValueError("color/subtree length mismatch")
-    cur = LEAF
-    for color, sub in zip(reversed(colors), reversed(subtrees)):
-        cur = ColoredTree(color, sub, cur)
-    return cur
+def _hang(path: list, side: str, w: ColoredTree) -> ColoredTree:
+    # rebuild the spine path from the bottom up with w in place of what hung below it
+    for v in reversed(path):
+        w = ColoredTree(v.color, w, v.right) if side == LEFT else ColoredTree(v.color, v.left, w)
+    return w
 
 
 def _fits(c: int, left: ColoredTree, right: ColoredTree, m: int, k: int) -> bool:

@@ -19,6 +19,8 @@ DEEP_PLANAR = "( " * 1500 + "|" + " |)" * 1500
 NOT_UTF8 = ROOT / "tests" / "data" / "not_utf8.poset"
 # a poset file that declares the product / e e twice
 DUPLICATE_PRODUCT = ROOT / "tests" / "data" / "duplicate_product.poset"
+# a poset file with a degree 0 block
+DEGREE_ZERO = ROOT / "tests" / "data" / "degree_zero.poset"
 
 
 def run(argv):
@@ -143,6 +145,10 @@ def test_mul_ordm_refuses_a_simplex_it_cannot_multiply(argv, message):
             ["verify", "--suite", "poset", "--file", str(DUPLICATE_PRODUCT)],
             "product / e e declared twice",
         ),
+        (
+            ["verify", "--suite", "poset", "--file", str(DEGREE_ZERO)],
+            "degree 0 is below 1",
+        ),
     ],
     ids=[
         "tree-unclosed",
@@ -159,6 +165,7 @@ def test_mul_ordm_refuses_a_simplex_it_cannot_multiply(argv, message):
         "ordm-deep",
         "not-utf8",
         "duplicate-product",
+        "degree-zero",
     ],
 )
 def test_malformed_input_is_usage_error(argv, message):

@@ -318,6 +318,12 @@ def test_tall_full_rank_examples():
     assert rank_of_lincombs([lc(x=1), lc(x=1, y=Fraction(1, 2))]) == 2
 
 
+def test_wide_full_rank_examples():
+    # full rank of a wide matrix is its row count, not its column count
+    assert has_full_rank([[1, 0, 0], [0, 1, 0]])
+    assert not has_full_rank([[1, 2, 3], [2, 4, 6]])
+
+
 def test_span_examples():
     assert span_contains([lc(x=1, y=1)], lc(x=1, y=1))
     assert not span_contains([lc(x=1)], lc(y=1))

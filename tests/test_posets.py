@@ -450,6 +450,37 @@ def test_non_element_is_a_value_error():
         TamariBinaryFamily().leq(corolla, corolla)
 
 
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (TamariBinaryFamily().poset, (0,), "need n >= 1"),
+        (PermutationFamily().elements, (0,), "need n >= 1"),
+        (SurjectionFamily().poset, (-1,), "need n >= 1"),
+        (count_simplices, (TamariBinaryFamily(), 0, 2), "need n >= 1"),
+        (count_simplices, (PlanarTreeFamily(), 0, 2), "need n >= 1"),
+        (TamariBinaryFamily().split, (LEAF, BUD), r"\(\) is not a binary element of degree 0"),
+        (TamariBinaryFamily().prod, (TOP, BUD, LEAF), r"\(\) is not a binary element of degree 0"),
+        (PermutationFamily().leq, ((), ()), r"\(\) is not a permutations element of degree 0"),
+        (parse_poset_file, ("degree 0\nelem z\n",), "degree 0 is below 1"),
+    ],
+    ids=[
+        "binary-poset",
+        "permutation-elements",
+        "surjection-poset",
+        "binary-count",
+        "planar-count",
+        "binary-split",
+        "binary-prod",
+        "permutation-leq",
+        "declared-block",
+    ],
+)
+def test_degree_zero_is_refused(call, args, message):
+    # every family is graded by the degrees n >= 1 and lists nothing at 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(*args)
+
+
 def test_undeclared_token_is_a_value_error():
     family = _declared()
     with pytest.raises(ValueError, match="'zz' is not a declared element"):

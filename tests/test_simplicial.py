@@ -30,7 +30,6 @@ from mdyck.trees import (
     RIGHT,
     ColoredTree,
     TreeOracle,
-    comb_decompose,
     enumerate_Bm,
     is_basis_Bm,
     parse_tree,
@@ -159,15 +158,24 @@ def _spine_reading(t, m, k):
     # from the root, i_1 != k asks i_2 = k or i_2 > i_1, and i_1 = k asks
     # i_2, i_3, ... > k and j_2, j_3, ... <= k
     for v in t.subtrees():
-        lc = comb_decompose(v, LEFT)[0]
+        lc = _spine_colors(v, LEFT)
         if lc[0] != k:
             if len(lc) >= 2 and not (lc[1] == k or lc[1] > lc[0]):
                 return False
         elif any(c <= k for c in lc[1:]):
             return False
-        elif any(c > k for c in comb_decompose(v, RIGHT)[0][1:]):
+        elif any(c > k for c in _spine_colors(v, RIGHT)[1:]):
             return False
     return True
+
+
+def _spine_colors(v, side):
+    # the colors on v's left or right spine, from the root down
+    colors = []
+    while not v.is_leaf:
+        colors.append(v.color)
+        v = v.left if side == LEFT else v.right
+    return colors
 
 
 @pytest.mark.parametrize("m, max_n", [(0, 6), (1, 6), (2, 6), (3, 5)])
@@ -341,6 +349,36 @@ def test_little_theta_bijective():
                 assert sorted(image, key=lambda u: u.sort_key()) == targets
                 for tree, u in zip(source, image):
                     assert little_theta_inverse(u, m, k) == tree
+
+
+def test_little_theta_walks_a_deep_spine_without_recursion():
+    # a 3000-vertex right comb of color 0 lies in B(2, 1); its image hangs it
+    # under a new k-vertex, and the inverse walks its whole right spine back
+    comb = LEAF
+    for _ in range(3000):
+        comb = ColoredTree(0, LEAF, comb)
+    u = little_theta(comb, 2, 1)
+    assert (u.color, u.left, u.right is comb) == (1, LEAF, True)
+    assert little_theta_inverse(u, 2, 1) is comb
+
+
+@pytest.mark.parametrize(
+    "bijection, text, m, k, message",
+    [
+        (little_theta, "(2 | |)", 2, 2, "need 0 <= k < m"),
+        (little_theta, "|", 2, -1, "need 0 <= k < m"),
+        (little_theta_inverse, "(5 | |)", 2, 5, "need 0 <= k < m"),
+        (little_theta_inverse, "(1 (9 | |) |)", 2, 1, "color 9 exceeds m=2"),
+        (little_theta_inverse, "(1 (0 | |) |)", 2, 1, "input is not a root-k generator"),
+        (little_theta_inverse, "(0 | |)", 2, 1, "input is not a root-k generator"),
+    ],
+    ids=["k-equals-m", "k-negative", "inverse-k-above-m", "inverse-color-above-m",
+         "inverse-not-in-Bmk", "inverse-root-not-k"],
+)
+def test_little_theta_refuses_what_generators_refuse(bijection, text, m, k, message):
+    # the inputs that generators_Amk(m, k, n) would not list
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bijection(t(text), m, k)
 
 
 def test_freeness():

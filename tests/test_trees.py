@@ -18,19 +18,18 @@ from mdyck.trees import (
     TreeOracle,
     _triples,
     circ_relations,
-    comb_decompose,
     dyck_relations,
     enumerate_Bm,
     enumerate_Bmk,
     evaluator,
-    from_left_comb,
-    from_right_comb,
     graft,
     is_basis_Bm,
     is_basis_Bmk,
     parse_tree,
     plan_holds,
     relation_plan,
+    spine_cut,
+    spine_graft,
     tree_normal_form,
     tree_product,
     verify_circ_relations,
@@ -61,22 +60,37 @@ def test_encode_parse_roundtrip():
         assert parse_tree(tree.encode()) == tree
 
 
-def test_comb_decompose_examples():
-    assert comb_decompose(LEAF, LEFT) == ((), ())
-    assert comb_decompose(t("(2 | |)"), LEFT) == ((2,), (LEAF,))
+def test_spine_cut_examples():
+    tree = t("(2 (1 | |) (0 | (3 | |)))")
+    assert spine_cut(LEAF, LEFT, lambda c: True) == (LEAF, LEAF)
+    assert spine_cut(tree, RIGHT, lambda c: c > 2) == (t("(2 (1 | |) (0 | |))"), t("(3 | |)"))
+    assert spine_cut(tree, LEFT, lambda c: c == 1) == (t("(2 | (0 | (3 | |)))"), t("(1 | |)"))
+    # no vertex passes: v is the leaf that ends the spine, and rest is t
+    assert spine_cut(tree, LEFT, lambda c: c > 5) == (tree, LEAF)
+    # the root passes: rest is the leaf
+    assert spine_cut(tree, RIGHT, lambda c: c == 2) == (LEAF, tree)
+    assert spine_graft(t("(2 | (1 | |))"), LEFT, t("(0 | |)")) == t("(2 (0 | |) (1 | |))")
+    assert spine_graft(t("(2 | (1 | |))"), RIGHT, t("(0 | |)")) == t("(2 | (1 | (0 | |)))")
+    for bad in ("l", None):
+        with pytest.raises(ValueError, match="^side must be LEFT or RIGHT$"):
+            spine_cut(tree, bad, lambda c: True)
+        with pytest.raises(ValueError, match="^side must be LEFT or RIGHT$"):
+            spine_graft(tree, bad, LEAF)
 
 
-def test_comb_roundtrip_exhaustive(all_colored_trees):
+def test_spine_cut_roundtrip_exhaustive(all_colored_trees):
+    stops = [lambda c, s=s: c == s for s in range(3)] + [lambda c, s=s: c > s for s in range(2)]
     for n in range(1, 7):
         for tree in all_colored_trees(2, n):
-            left = comb_decompose(tree, LEFT)
-            right = comb_decompose(tree, RIGHT)
-            assert from_left_comb(*left) == tree
-            assert from_right_comb(*right) == tree
-            if not tree.is_leaf:
-                assert left[0][0] == right[0][0] == tree.color
-            else:
-                assert left[0] == right[0] == ()
+            for side in (LEFT, RIGHT):
+                for stop in stops:
+                    rest, v = spine_cut(tree, side, stop)
+                    assert spine_graft(rest, side, v) == tree
+                    # the first spine vertex from the root that passes, else the end leaf
+                    expected = tree
+                    while not expected.is_leaf and not stop(expected.color):
+                        expected = expected.left if side == LEFT else expected.right
+                    assert v is expected
 
 
 def test_is_basis_examples():
