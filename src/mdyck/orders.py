@@ -5,7 +5,9 @@ m-Tamari lattices and every degree of a dendriform-poset family are
 instances.  The order is stored as one up-set and one down-set bitmask per
 element index, built once from the covers by :func:`closure_masks` in
 Kahn's topological order with one OR per cover each way, so an interval is
-a single AND and a chain extends by masking with an up-set.
+a single AND and a chain extends by masking with an up-set.  The generating
+steps are kept too, so that a property transitivity carries is checked on
+them alone.
 """
 
 from __future__ import annotations
@@ -64,21 +66,26 @@ def mask_indices(mask: int):
 class FinitePoset:
     """A finite poset on an element tuple; immutable after construction.
 
-    ``above(x)`` gives the elements y > x that generate the order; the
+    ``above(x)`` gives the elements y > x that generate the order; they are
+    kept as ``above[i]``, the tuple of their indices, and the
     reflexive-transitive closure is taken once.  ``index`` maps each element
     to its position in ``elements``, and ``up[i]`` / ``down[i]`` are the
     bitmasks of the indices above / below index i.
     """
 
-    __slots__ = ("elements", "index", "up", "down")
+    __slots__ = ("elements", "index", "above", "up", "down")
 
     def __init__(self, elements: Iterable, above: Callable[[object], Iterable]):
         elements = tuple(elements)
         index = {x: i for i, x in enumerate(elements)}
         pairs = [(i, index[y]) for i, x in enumerate(elements) for y in above(x)]
+        steps: list[list[int]] = [[] for _ in elements]
+        for i, j in pairs:
+            steps[i].append(j)
         up, down = closure_masks(len(elements), pairs)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "above", tuple(map(tuple, steps)))
         object.__setattr__(self, "up", tuple(up))
         object.__setattr__(self, "down", tuple(down))
 
@@ -92,6 +99,22 @@ class FinitePoset:
 
     def leq(self, x, y) -> bool:
         return bool(self.up[self.index[x]] >> self.index[y] & 1)
+
+    def up_sums(self, values) -> list[int]:
+        """For each index i, the sum of the non-negative ``values[j]`` over
+        the j in its up-set.
+
+        ``values`` is split into bit planes, the mask of the indices whose
+        value has a given bit set, so each sum is one popcount per plane
+        instead of a walk over the up-set.  The planes come from the most
+        significant bit down, each doubling the sums so far.
+        """
+        width = max(values, default=0).bit_length()
+        sums = [0] * len(self.up)
+        for column in zip(*(format(v, f"0{width}b") for v in reversed(values))):
+            plane = int("".join(column), 2)
+            sums = [2 * s + (mask & plane).bit_count() for s, mask in zip(sums, self.up)]
+        return sums
 
     def members(self, mask: int) -> list:
         """The elements whose indices are the bits of ``mask``, in order."""

@@ -330,13 +330,6 @@ def _vee(children: tuple):
 # Surjections and permutations
 
 
-def standardize(word) -> tuple[int, ...]:
-    """The unique surjection with the same strict-comparison pattern."""
-    word = tuple(word)
-    ranks = {v: i + 1 for i, v in enumerate(sorted(set(word)))}
-    return tuple(ranks[v] for v in word)
-
-
 def is_surjection(word: tuple[int, ...]) -> bool:
     return bool(word) and set(word) == set(range(1, max(word) + 1))
 
@@ -416,18 +409,6 @@ class SurjectionFamily(PosetFamily):
         return surj_products(x, y, op)
 
 
-def perm_inversions(p: tuple[int, ...]) -> frozenset:
-    """Position inversions: pairs i < j with p(i) > p(j).
-
-    Containment of these sets is the left weak order (covers multiply by a
-    simple transposition on the left, i.e. swap two adjacent values).
-    """
-    n = len(p)
-    return frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if p[i] > p[j]
-    )
-
-
 class PermutationFamily(PosetFamily):
     """Permutations with the left weak order (inversion-set containment)."""
 
@@ -495,6 +476,11 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
     taken in the strong two-pair form used by the simplex construction: no
     element of a prec-type interval is below an element of a succ-type
     interval of the same bidegree.
+
+    Conditions (1), (4) and (5) run per bidegree and count the checks of a
+    scan in element order without walking it: (1) on generating steps, (4)
+    on index masks per element.  A bidegree that fails (1) or (4) runs the
+    scan, which gives the first failure and the checks before it.
     """
     if max_degree < 2:
         raise ValueError("need max_degree >= 2")
@@ -509,33 +495,12 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
     # the four interval bounds are consistently ordered for every pair.
     # (The middle products are not monotone maps even on the classical
     # instances, so no stronger monotonicity can be required of them.)
-    split = family.split
     for n, r in degree_pairs:
-        X, Y, U = family.poset(n), family.poset(r), family.poset(n + r)
-        x_pairs = [(x, x2) for i, x in enumerate(X.elements) for x2 in X.members(X.up[i])]
-        y_pairs = [(y, y2) for i, y in enumerate(Y.elements) for y2 in Y.members(Y.up[i])]
-        for op, bound in ((SLASH, _LO), (BACKSLASH, _HI)):
-            for x, x2 in x_pairs:
-                for y, y2 in y_pairs:
-                    report.checks += 1
-                    if not U.up[split(x, y)[bound]] >> split(x2, y2)[bound] & 1:
-                        report.fail(
-                            f"condition 1 at degrees ({n},{r}): {op} not monotone "
-                            f"on {x!r}<={x2!r}, {y!r}<={y2!r}"
-                        )
-                        return report
-        for x in X.elements:
-            for y in Y.elements:
-                report.checks += 1
-                # a mask is empty exactly when its bounds are not ordered
-                if not all(split(x, y)[_WHOLE:]):
-                    report.fail(
-                        f"condition 1 at degrees ({n},{r}): bounds of "
-                        f"{x!r}, {y!r} are not ordered"
-                    )
-                    return report
+        if not _outer_products_monotone(family, n, r, report):
+            return report
 
     # (2) interval splitting
+    split = family.split
     for n, r in degree_pairs:
         for x in family.elements(n):
             for y in family.elements(r):
@@ -560,33 +525,124 @@ def verify_dendriform_poset(family: PosetFamily, max_degree: int) -> CheckReport
 
     # (4) decompositions are monotone
     for n, r in degree_pairs:
-        X, Y, U = family.poset(n), family.poset(r), family.poset(n + r)
-        members: dict = {}
-        for x in X.elements:
-            for y in Y.elements:
-                for u in U.members(split(x, y)[_WHOLE]):
-                    members.setdefault(u, []).append((x, y))
-        for i, u in enumerate(U.elements):
-            if u not in members:
-                continue
-            for v in U.members(U.up[i]):
-                if v not in members:
-                    continue
-                for x1, y1 in members[u]:
-                    for x2, y2 in members[v]:
-                        report.checks += 1
-                        if not (X.leq(x1, x2) and Y.leq(y1, y2)):
-                            report.fail(
-                                f"condition 4 at degrees ({n},{r}): {u!r}<={v!r} "
-                                f"but ({x1!r},{y1!r}) !<= ({x2!r},{y2!r})"
-                            )
-                            return report
+        if not _decompositions_monotone(family, n, r, report):
+            return report
 
     # (5) prec-type intervals never sit below succ-type intervals
     for n, r in degree_pairs:
         if not _prec_never_below_succ(family, n, r, report):
             return report
     return report
+
+
+def _outer_products_monotone(family: PosetFamily, n: int, r: int, report: CheckReport) -> bool:
+    """Condition (1) at bidegree (n, r): / and \\ are monotone, and the four
+    bounds of every pair are ordered.
+
+    An outer product is monotone on every pair of comparable pairs iff it is
+    monotone along each generating step x -> x' of ``X.above`` with y fixed
+    and each step y -> y' of ``Y.above`` with x fixed; transitivity gives the
+    rest.  A passing product counts the checks of the ordered scan over all
+    pairs of comparable pairs; a failing one (or a product that raises) runs
+    that scan, which reports the first failure and the checks before it.
+    """
+    X, Y, U = family.poset(n), family.poset(r), family.poset(n + r)
+    split = family.split
+    comparable = sum(map(int.bit_count, X.up)) * sum(map(int.bit_count, Y.up))
+    try:
+        splits = [[split(x, y) for y in Y.elements] for x in X.elements]
+    except ValueError:  # the ordered scan raises it, or fails before it would
+        splits = []
+    for op, bound in ((SLASH, _LO), (BACKSLASH, _HI)):
+        rows = [[pair[bound] for pair in row] for row in splits]
+        if rows and _monotone_on_steps(rows, X.above, Y.above, U.up):
+            report.checks += comparable
+            continue
+        x_pairs = [(x, x2) for i, x in enumerate(X.elements) for x2 in X.members(X.up[i])]
+        y_pairs = [(y, y2) for i, y in enumerate(Y.elements) for y2 in Y.members(Y.up[i])]
+        for x, x2 in x_pairs:
+            for y, y2 in y_pairs:
+                report.checks += 1
+                if not U.up[split(x, y)[bound]] >> split(x2, y2)[bound] & 1:
+                    report.fail(
+                        f"condition 1 at degrees ({n},{r}): {op} not monotone "
+                        f"on {x!r}<={x2!r}, {y!r}<={y2!r}"
+                    )
+                    return False
+    for x in X.elements:
+        for y in Y.elements:
+            report.checks += 1
+            # a mask is empty exactly when its bounds are not ordered
+            if not all(split(x, y)[_WHOLE:]):
+                report.fail(
+                    f"condition 1 at degrees ({n},{r}): bounds of "
+                    f"{x!r}, {y!r} are not ordered"
+                )
+                return False
+    return True
+
+
+def _monotone_on_steps(rows, x_steps, y_steps, up) -> bool:
+    """Whether the index ``rows[i][j]`` rises in the order ``up`` along each
+    step i -> k of ``x_steps[i]`` and each step j -> k of ``y_steps[j]``."""
+    return all(
+        up[b] >> rows[k][j] & 1 for row, steps in zip(rows, x_steps) for k in steps for j, b in enumerate(row)
+    ) and all(up[row[j]] >> row[k] & 1 for row in rows for j, steps in enumerate(y_steps) for k in steps)
+
+
+def _decompositions_monotone(family: PosetFamily, n: int, r: int, report: CheckReport) -> bool:
+    """Condition (4) at bidegree (n, r): if u <= v, (x1, y1) <= (x2, y2) for
+    every pair (x1, y1) whose interval [x1/y1, x1\\y1] holds u and every
+    (x2, y2) whose interval holds v.
+
+    With P_u the pairs whose interval holds u, the quadruples of u <= v are
+    the full product P_u x P_v, so they all pass iff the X-indices of every
+    P_v, v >= u, lie in the up-set of each X-index of P_u, and the same for Y.
+    Masks of the indices of P_v are ORed up the generating steps, so that u
+    holds those of every v >= u.  A passing bidegree counts the checks of
+    the ordered scan, sum over u of |P_u| times the sum of |P_v| over v >= u;
+    a failing one runs that scan, which reports the first failing quadruple
+    and the checks before it.
+    """
+    X, Y, U = family.poset(n), family.poset(r), family.poset(n + r)
+    size = len(U.elements)
+    count, xs, ys = [0] * size, [0] * size, [0] * size
+    x_meet, y_meet = [-1] * size, [-1] * size
+    for i, x in enumerate(X.elements):
+        x_bit, x_up = 1 << i, X.up[i]
+        for j, y in enumerate(Y.elements):
+            y_bit, y_up = 1 << j, Y.up[j]
+            for u in mask_indices(family.split(x, y)[_WHOLE]):
+                count[u] += 1
+                xs[u] |= x_bit
+                ys[u] |= y_bit
+                x_meet[u] &= x_up
+                y_meet[u] &= y_up
+    # a v above u has the smaller up-set, so it is complete before u is visited
+    for u in sorted(range(size), key=lambda u: U.up[u].bit_count()):
+        for v in U.above[u]:
+            xs[u] |= xs[v]
+            ys[u] |= ys[v]
+    if all(xs[u] & ~x_meet[u] | ys[u] & ~y_meet[u] == 0 for u in range(size) if count[u]):
+        report.checks += sum(c * s for c, s in zip(count, U.up_sums(count)))
+        return True
+    members: dict = {}
+    for x in X.elements:
+        for y in Y.elements:
+            for u in U.members(family.split(x, y)[_WHOLE]):
+                members.setdefault(u, []).append((x, y))
+    for i, u in enumerate(U.elements):
+        for v in U.members(U.up[i]):
+            for x1, y1 in members.get(u, ()):
+                for x2, y2 in members.get(v, ()):
+                    report.checks += 1
+                    if not (X.leq(x1, x2) and Y.leq(y1, y2)):
+                        report.fail(
+                            f"condition 4 at degrees ({n},{r}): {u!r}<={v!r} "
+                            f"but ({x1!r},{y1!r}) !<= ({x2!r},{y2!r})"
+                        )
+                        return False
+    return True
 
 
 def _prec_never_below_succ(family: PosetFamily, n: int, r: int, report: CheckReport) -> bool:
@@ -631,21 +687,16 @@ def count_simplices(family: PosetFamily, n: int, m: int) -> int:
     """``len(ordm_simplices(family, n, m))``, counted without listing a chain.
 
     With f_1(x) = 1 and f_{k+1}(x) the sum of f_k(y) over the up-set of x,
-    the count is the sum of f_m(x) over the degree-n elements x.  Each step
-    splits f_k into bit planes, the mask of the elements whose value has bit
-    b set, so a sum over an up-set is one popcount per plane (f_2(x) is the
-    size of the up-set) instead of a walk over its elements.
+    the count is the sum of f_m(x) over the degree-n elements x; each step
+    is one :meth:`~mdyck.orders.FinitePoset.up_sums` (f_2(x) is the size of
+    the up-set), so no chain and no up-set is walked.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    up = family.poset(n).up
-    f = [1] * len(up)
+    poset = family.poset(n)
+    f = [1] * len(poset.elements)
     for _ in range(m - 1):
-        planes = [
-            int("".join("1" if v >> b & 1 else "0" for v in reversed(f)), 2)
-            for b in range(max(f).bit_length())
-        ]
-        f = [sum((mask & plane).bit_count() << b for b, plane in enumerate(planes)) for mask in up]
+        f = poset.up_sums(f)
     return sum(f)
 
 

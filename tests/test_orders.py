@@ -106,6 +106,7 @@ def test_finite_poset_matches_reachability(dag):
     reach = _reachable(count, covers)
     assert poset.elements == tuple(names)
     assert poset.index == {x: i for i, x in enumerate(names)}
+    assert poset.above == tuple(tuple(b for a, b in covers if a == i) for i in range(count))
     for a, b in itertools.product(range(count), repeat=2):
         between = [names[k] for k in range(count) if k in reach[a] and b in reach[k]]
         assert poset.leq(names[a], names[b]) == (b in reach[a])
@@ -116,6 +117,16 @@ def test_finite_poset_matches_reachability(dag):
     for x in names:
         assert poset.interval_mask(x, "absent") == poset.interval_mask("absent", x) == 0
     assert poset.interval_mask("absent", "absent") == 0
+
+
+@given(dags(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_up_sums_match_a_per_element_loop(dag, data):
+    count, covers = dag
+    _, poset = _poset(count, covers)
+    reach = _reachable(count, covers)
+    values = data.draw(st.lists(st.integers(0, 2**70), min_size=count, max_size=count))
+    assert poset.up_sums(values) == [sum(values[k] for k in reach[i]) for i in range(count)]
 
 
 @given(dags(), st.data())
@@ -134,7 +145,7 @@ def test_finite_poset_chains_match_brute_force(dag, data):
     assert poset.chains(masks) == expected
 
 
-@pytest.mark.parametrize("name", ["elements", "index", "up", "down", "cover_pairs", "m"])
+@pytest.mark.parametrize("name", ["elements", "index", "above", "up", "down", "cover_pairs", "m"])
 def test_finite_posets_are_immutable(name):
     # one lattice per (m, n) is shared by every caller
     _, poset = _poset(2, [(0, 1)])

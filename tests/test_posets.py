@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -23,18 +24,34 @@ from mdyck.posets import (
     ordm_product,
     ordm_simplices,
     parse_poset_file,
-    perm_inversions,
     pt_encode,
     pt_parse,
-    standardize,
     surj_products,
     tree_restriction,
     verify_dendriform_poset,
 )
+from mdyck.tamari import TamariLattice, _cover_walk
 from mdyck.trees import verify_dyck_axioms
 
 LEAF = ()
 BUD = ((), ())  # the unique binary tree of degree 1
+
+
+def standardize(word) -> tuple[int, ...]:
+    """The unique surjection with the same strict-comparison pattern."""
+    word = tuple(word)
+    ranks = {v: i + 1 for i, v in enumerate(sorted(set(word)))}
+    return tuple(ranks[v] for v in word)
+
+
+def perm_inversions(p: tuple[int, ...]) -> frozenset:
+    """Position inversions: pairs i < j with p(i) > p(j).
+
+    Containment of these sets is the left weak order (covers multiply by a
+    simple transposition on the left, i.e. swap two adjacent values).
+    """
+    n = len(p)
+    return frozenset((i, j) for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
 class StandardizedTop(SurjectionFamily):
@@ -421,6 +438,210 @@ class ExtraCover(TamariBinaryFamily):
 def test_mutant_reports_are_pinned(family, bound, summary):
     # the failing condition, its message and the checks made before it
     assert verify_dendriform_poset(family, bound).summary() == summary
+
+
+CONDITION4_FILE = Path(__file__).resolve().parent / "data" / "condition4_late.poset"
+
+
+UNDECLARED_PAIRS = """
+degree 1
+elem a
+elem b
+elem c
+cover a c
+degree 2
+elem d
+prod / a a -> d
+prod bot a a -> d
+prod top a a -> d
+prod \\ a a -> d
+"""
+
+
+def _condition1_scan(family, n, r, report):
+    # the reference: / and \ on every pair of comparable pairs, then the
+    # bounds of every pair, all in element order
+    X, Y, U = family.poset(n), family.poset(r), family.poset(n + r)
+    split = family.split
+    x_pairs = [(x, x2) for i, x in enumerate(X.elements) for x2 in X.members(X.up[i])]
+    y_pairs = [(y, y2) for i, y in enumerate(Y.elements) for y2 in Y.members(Y.up[i])]
+    for op, bound in ((SLASH, posets._LO), (BACKSLASH, posets._HI)):
+        for x, x2 in x_pairs:
+            for y, y2 in y_pairs:
+                report.checks += 1
+                if not U.up[split(x, y)[bound]] >> split(x2, y2)[bound] & 1:
+                    report.fail(
+                        f"condition 1 at degrees ({n},{r}): {op} not monotone "
+                        f"on {x!r}<={x2!r}, {y!r}<={y2!r}"
+                    )
+                    return False
+    for x in X.elements:
+        for y in Y.elements:
+            report.checks += 1
+            if not all(split(x, y)[posets._WHOLE:]):
+                report.fail(
+                    f"condition 1 at degrees ({n},{r}): bounds of {x!r}, {y!r} are not ordered"
+                )
+                return False
+    return True
+
+
+def _condition4_scan(family, n, r, report):
+    # the reference: every quadruple (x1, y1, x2, y2) over each u <= v, in
+    # element order
+    X, Y, U = family.poset(n), family.poset(r), family.poset(n + r)
+    members: dict = {}
+    for x in X.elements:
+        for y in Y.elements:
+            for u in U.members(family.split(x, y)[posets._WHOLE]):
+                members.setdefault(u, []).append((x, y))
+    for i, u in enumerate(U.elements):
+        for v in U.members(U.up[i]):
+            for x1, y1 in members.get(u, []):
+                for x2, y2 in members.get(v, []):
+                    report.checks += 1
+                    if not (X.leq(x1, x2) and Y.leq(y1, y2)):
+                        report.fail(
+                            f"condition 4 at degrees ({n},{r}): {u!r}<={v!r} "
+                            f"but ({x1!r},{y1!r}) !<= ({x2!r},{y2!r})"
+                        )
+                        return False
+    return True
+
+
+def _bidegrees(bound):
+    # the verifier's order: by total degree
+    return sorted(((n, r) for n in range(1, bound) for r in range(1, bound - n + 1)), key=sum)
+
+
+def _trail(condition, family, bound):
+    # one running report over the bidegrees: (checks, failures) after each,
+    # up to the first failure, or the message of the ValueError raised
+    report, trail = CheckReport(name="trail"), []
+    for n, r in _bidegrees(bound):
+        try:
+            held = condition(family, n, r, report)
+        except ValueError as error:
+            return trail + [str(error)]
+        trail.append((n, r, report.checks, list(report.failures)))
+        if not held:
+            break
+    return trail
+
+
+_CONDITIONS = (
+    (posets._outer_products_monotone, _condition1_scan),
+    (posets._decompositions_monotone, _condition4_scan),
+)
+
+
+def _mutant(base, added=None, dropped=None, moved=None):
+    """``base`` with one generating step (x, y) added or dropped, or one
+    product (op, x, y) sent to z by ``moved`` = (op, x, y, z)."""
+
+    class Mutant(base):
+        def _above(self, x):
+            above = [y for y in super()._above(x) if (x, y) != dropped]
+            return above + [added[1]] if added and added[0] == x else above
+
+        def _product(self, op, x, y):
+            if moved and moved[:3] == (op, x, y):
+                return moved[3]
+            return super()._product(op, x, y)
+
+    return Mutant
+
+
+def _sampled_mutants(rng, count):
+    # single-step and single-product mutants at degree <= 4
+    mutants = []
+    while len(mutants) < count:
+        base = rng.choice([TamariBinaryFamily, PermutationFamily, PlanarTreeFamily])
+        family, kind = base(), rng.choice(["added", "dropped", "moved"])
+        if kind == "moved":
+            n, r = rng.choice(_bidegrees(4))
+            x, y, op = rng.choice(family.elements(n)), rng.choice(family.elements(r)), rng.choice(OPS)
+            z = rng.choice([z for z in family.elements(n + r) if z != family.prod(op, x, y)])
+            mutants.append(_mutant(base, moved=(op, x, y, z)))
+            continue
+        elements = family.elements(rng.randint(2, 4))
+        if kind == "added":
+            mutants.append(_mutant(base, added=tuple(rng.sample(elements, 2))))
+        else:
+            x = rng.choice([x for x in elements if list(family._above(x))])
+            mutants.append(_mutant(base, dropped=(x, rng.choice(list(family._above(x))))))
+    return mutants
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (TamariBinaryFamily, 5),
+        (PermutationFamily, 4),
+        (SurjectionFamily, 3),
+        (PlanarTreeFamily, 4),
+        (NotMonotone, 3),
+        (ExtraCover, 4),
+        (lambda: parse_poset_file(CONDITION4_FILE.read_text(encoding="utf-8")), 4),
+        # a * b and a * c are not declared; the scan over comparable pairs
+        # asks for a * c first, since a <= c and not a <= b
+        (lambda: parse_poset_file(UNDECLARED_PAIRS), 2),
+    ],
+    ids=[
+        "binary",
+        "permutations",
+        "surjections",
+        "planar",
+        "not-monotone",
+        "extra-cover",
+        "declared-late",
+        "declared-undeclared",
+    ],
+)
+def test_conditions_1_and_4_match_the_ordered_scan(make, bound):
+    for condition, scan in _CONDITIONS:
+        assert _trail(condition, make(), bound) == _trail(scan, make(), bound)
+
+
+def test_sampled_mutants_match_the_ordered_scan():
+    failed = {condition: 0 for condition, _ in _CONDITIONS}
+    for make in _sampled_mutants(random.Random(39), 60):
+        for condition, scan in _CONDITIONS:
+            trail = _trail(condition, make(), 4)
+            assert trail == _trail(scan, make(), 4)
+            failed[condition] += isinstance(trail[-1], tuple) and bool(trail[-1][3])
+    # the sample reaches the ordered scan of both conditions
+    assert all(failed.values()), failed
+
+
+def test_a_late_condition_4_failure_keeps_its_count():
+    # conditions 1-3 hold, and condition 4 passes four bidegrees before (2,2)
+    # fails: the count is that of the ordered scan over every bidegree
+    family = parse_poset_file(CONDITION4_FILE.read_text(encoding="utf-8"))
+    assert verify_dendriform_poset(family, 4).summary() == (
+        "dendriform poset declared degree<=4: FAILED (243 checks)\n"
+        "  condition 4 at degrees (2,2): '(|(((||)|)|))'<='((||)(|(||)))' "
+        "but ('(|(||))','((||)|)') !<= ('((||)|)','(|(||))')"
+    )
+
+
+def test_generators_close_to_the_up_sets():
+    # above holds the generating steps, and up is their reflexive-transitive
+    # closure: on an acyclic relation the closure is the one solution of
+    # up[i] = {i} | up[k] over the k in above[i]
+    posets_with_steps = [
+        (family.poset(n), family._above)
+        for family in (TamariBinaryFamily(), PermutationFamily(), SurjectionFamily(), PlanarTreeFamily())
+        for n in range(1, 6)
+    ] + [(TamariLattice(m, n), _cover_walk) for m in range(1, 4) for n in range(1, 6)]
+    for poset, steps in posets_with_steps:
+        elements = poset.elements
+        for i, x in enumerate(elements):
+            assert [elements[k] for k in poset.above[i]] == list(steps(x))
+            closed = 1 << i
+            for k in poset.above[i]:
+                closed |= poset.up[k]
+            assert poset.up[i] == closed
 
 
 @pytest.mark.parametrize(
