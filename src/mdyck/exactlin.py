@@ -27,8 +27,10 @@ workhorses shared by all the combinatorial models:
   on a row's largest column, with every kept row primitive (its content
   divided out), so entries stay small and no dense matrix is formed.
   Vectors with distinct leading columns, such as the ``phi`` images of the
-  tree basis, are already in echelon form and cause no fill-in, and
-  elimination stops once ``min(rows, cols)`` rows are kept.
+  tree basis, are already in echelon form and cause no fill-in.  Rows are
+  read one at a time from any iterable until one row per column is kept,
+  full rank, so a caller that generates its rows lazily never builds those
+  past that point; a row is copied only when it has to be reduced.
   :func:`rank_of_lincombs`, :func:`span_contains`, :func:`matrix_rank` and
   :func:`has_full_rank` are entry points onto it, used for change-of-basis
   and generation checks; the last two take row lists.
@@ -212,7 +214,7 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if content == 1 else {c: x // content for c, x in row.items()}
 
 
-def _sparse_rank(rows: list[dict[int, int]], cols: int) -> int:
+def _sparse_rank(rows: Iterable[dict[int, int]], cols: int) -> int:
     """Exact rank over the rationals of sparse integer rows ``{column: entry}``.
 
     The rows hold no zero entry, and elimination keeps it so: a reduction
@@ -222,16 +224,19 @@ def _sparse_rank(rows: list[dict[int, int]], cols: int) -> int:
     so far: with entry a there in the echelon row p and entry b in the row
     r, r becomes (a*r - b*p) / gcd(a, b).  A row is divided by its content
     whenever a step scaled it and when it is kept, so every echelon row is
-    primitive and entries stay small.  Vectors with distinct leading columns (the ``phi`` basis) pass
-    without a single reduction, and the loop stops once ``min(len(rows),
-    cols)`` rows are kept, the largest rank possible.
+    primitive and entries stay small.  The rows are read in turn, and no
+    further row is read once ``cols`` rows are kept, the largest rank
+    possible.  A row is never changed: it is copied when its largest column
+    already holds a pivot, and may be kept as it is otherwise, so vectors
+    with distinct leading columns (the ``phi`` basis) pass without a single
+    copy or reduction.
     """
-    target = min(len(rows), cols)
     echelon: dict[int, dict[int, int]] = {}
-    for row in rows:
-        if len(echelon) == target:
+    rows = iter(rows)
+    while len(echelon) < cols:
+        row = source = next(rows, None)
+        if row is None:
             break
-        row = dict(row)
         while row:
             col = max(row)
             pivot = echelon.get(col)
@@ -245,6 +250,8 @@ def _sparse_rank(rows: list[dict[int, int]], cols: int) -> int:
                 a, b = -a, -b
             if a != 1:
                 row = {c: a * x for c, x in row.items()}
+            elif row is source:
+                row = dict(row)
             for c, x in pivot.items():
                 value = row.get(c, 0) - b * x
                 if value:
@@ -285,30 +292,37 @@ def lincombs_to_matrix(vectors: list[LinComb], keys: list | None = None) -> list
     return [[v[k] for k in keys] for v in vectors]
 
 
-def rank_of_lincombs(vectors: list, keys: list | None = None) -> int:
-    """Exact rank of ``vectors`` restricted to ``keys`` (default: their support).
-
-    Each vector is a :class:`LinComb` or a term dict; a term dict may hold
-    zeros, which are dropped as its row is built.  Rows are built from the
-    terms alone; no dense matrix is formed.  An integer row is taken as it
-    is; only a row with a ``Fraction`` entry is scaled to integers.
-    """
-    if keys is None:
-        keys = _key_universe(vectors)
-    index = {k: i for i, k in enumerate(keys)}
-    rows = []
+def _rows(vectors: Iterable, index: dict) -> Iterable[dict[int, int]]:
+    # each vector's integer row over the columns of index, built as it is read
     for v in vectors:
         row = {index[k]: c for k, c in v.items() if c and k in index}
         # a sum of ints is an int, and one Fraction makes it a Fraction
         if type(sum(row.values())) is not int:
             row = _integer_row(row.items())
-        rows.append(row)
-    return _sparse_rank(rows, len(keys))
+        yield row
 
 
-def span_contains(vectors: list[LinComb], target: LinComb) -> bool:
+def rank_of_lincombs(vectors: Iterable, keys: list | None = None) -> int:
+    """Exact rank of ``vectors`` restricted to ``keys`` (default: their support).
+
+    Each vector is a :class:`LinComb` or a term dict; a term dict may hold
+    zeros, which are dropped as its row is built.  ``vectors`` may be any
+    iterable, a generator included.  With ``keys`` given, each vector's row
+    is built from its terms alone as the rank reads it, and no vector is
+    read once the rank equals ``len(keys)``; without them the vectors are
+    listed first, to scan their support.  No dense matrix is formed.  An
+    integer row is taken as it is; only a row with a ``Fraction`` entry is
+    scaled to integers.
+    """
+    if keys is None:
+        vectors = list(vectors)
+        keys = _key_universe(vectors)
+    index = {k: i for i, k in enumerate(keys)}
+    return _sparse_rank(_rows(vectors, index), len(keys))
+
+
+def span_contains(vectors: Iterable[LinComb], target: LinComb) -> bool:
     """Membership of ``target`` in the rational span of ``vectors``."""
-    keys = _key_universe(list(vectors) + [target])
-    base = rank_of_lincombs(list(vectors), keys)
-    extended = rank_of_lincombs(list(vectors) + [target], keys)
-    return base == extended
+    vectors = list(vectors)
+    keys = _key_universe(vectors + [target])
+    return rank_of_lincombs(vectors, keys) == rank_of_lincombs(vectors + [target], keys)

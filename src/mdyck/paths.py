@@ -17,7 +17,7 @@ from functools import cache, partial
 
 from .exactlin import LinComb
 from .reporting import _immutable
-from .trees import ColoredTree, MemoOracle, enumerate_Bm, evaluator
+from .trees import ColoredTree, MemoOracle, enumerate_Bm, evaluator, term_evaluator
 
 UP = "u"
 DOWN = "d"
@@ -235,15 +235,31 @@ def _classes(P: DyckPath) -> tuple[tuple[int, ...], ...]:
     Entry i holds the suffix lengths whose maximal letter multiplicity is i,
     in increasing order; the maximum only grows with the suffix, so each
     length falls in exactly one class.
+
+    The top word is read off the stack of :func:`standard_coloring` kept as
+    runs: up step k pushes one run of m copies of k, so each color sits on
+    the stack as one run, colors rising towards the top, and the last level
+    pops the whole stack.  A suffix of the top word is thus the stack read
+    from the bottom, and only the run lengths count.
     """
-    classes: list[list[int]] = [[0]] + [[] for _ in range(P.m)]
-    counts: dict[int, int] = {}
-    best = 0
-    for length, letter in enumerate(reversed(top_word(P)), start=1):
-        count = counts[letter] = counts.get(letter, 0) + 1
-        if count > best:
-            best = count
-        classes[best].append(length)
+    m = P.m
+    runs: list[int] = []
+    for lv in P.levels[:-1]:
+        runs.append(m)
+        while lv:
+            if lv < runs[-1]:
+                runs[-1] -= lv
+                break
+            lv -= runs.pop()
+    runs.append(m)
+    classes: list[list[int]] = [[0]] + [[] for _ in range(m)]
+    best = length = 0
+    for run in runs:
+        for count in range(1, run + 1):
+            length += 1
+            if count > best:
+                best = count
+            classes[best].append(length)
     return tuple(tuple(lengths) for lengths in classes)
 
 
@@ -391,8 +407,8 @@ def phi_matrix_full_rank(m: int, n: int) -> bool:
     paths = enumerate_paths(m, n)
     if len(trees) != len(paths):
         return False
-    vectors = list(map(evaluator(PathOracle(m).product, rho(m)), trees))
-    return rank_of_lincombs(vectors, paths) == len(paths)
+    images = map(term_evaluator(PathOracle(m).product, rho(m)), trees)
+    return rank_of_lincombs(images, paths) == len(paths)
 
 
 def decompose_smaller(P: DyckPath) -> tuple[DyckPath, DyckPath, int]:

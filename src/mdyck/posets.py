@@ -387,6 +387,30 @@ def surj_products(f: tuple[int, ...], g: tuple[int, ...], op: str):
     return word
 
 
+def _surjective_words(prefix: tuple, top: int, missing: int, n: int, out: list) -> list:
+    """Append every surjective word of length n that extends ``prefix`` to
+    ``out``, in lexicographic order, and return ``out``.
+
+    ``top`` is the prefix's largest value and ``missing`` the number of
+    values below it that the prefix lacks.  A prefix is extended only while
+    those values fit in the positions left, so no word is filtered out.
+    """
+    left = n - len(prefix) - 1  # the positions after the next one
+    if left < 0:
+        out.append(prefix)
+        return out
+    for v in range(1, n + 1):
+        if v <= top:
+            gap = missing - (v not in prefix)
+        else:
+            gap = missing + v - top - 1
+            if gap > left:
+                break
+        if gap <= left:
+            _surjective_words(prefix + (v,), max(top, v), gap, n, out)
+    return out
+
+
 class SurjectionFamily(PosetFamily):
     """All surjective words with the facial order."""
 
@@ -396,11 +420,7 @@ class SurjectionFamily(PosetFamily):
         return len(x)
 
     def _build_elements(self, n: int) -> list:
-        out = []
-        for word in itertools.product(range(1, n + 1), repeat=n):
-            if is_surjection(word):
-                out.append(word)
-        return out
+        return _surjective_words((), 0, 0, n, [])
 
     def _above(self, x):
         return facial_covers(x)

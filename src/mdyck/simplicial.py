@@ -13,6 +13,7 @@ merged products are freely generated by those generators.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from functools import cache
 
 from .exactlin import rank_of_lincombs, term_sum
@@ -26,11 +27,11 @@ from .trees import (
     TreeOracle,
     enumerate_Bm,
     enumerate_Bmk,
-    evaluator,
     is_basis_Bm,
     is_basis_Bmk,
     spine_cut,
     spine_graft,
+    term_evaluator,
     tree_normal_form,
     verify_dyck_axioms,
 )
@@ -68,7 +69,10 @@ class SlotTransformedOracle:
     """Product oracle obtained by re-wiring slots of a base oracle.
 
     ``slots[j]`` lists the base product indices summed into the new slot j
-    (empty tuple = the zero product).  A product is a fresh term dict.
+    (empty tuple = the zero product).  A product of a one-index slot is the
+    base oracle's own term dict, which its memo may share, so a caller must
+    not change it; a slot of no index or of two or more is summed into a
+    fresh dict.
     """
 
     def __init__(self, base, slots: tuple[tuple[int, ...], ...]):
@@ -80,7 +84,10 @@ class SlotTransformedOracle:
         return self.base.basis(n)
 
     def product(self, x, y, i: int) -> dict:
-        return term_sum((self.base.product(x, y, j), 1) for j in self.slots[i])
+        slot = self.slots[i]
+        if len(slot) == 1:
+            return self.base.product(x, y, slot[0])
+        return term_sum((self.base.product(x, y, j), 1) for j in slot)
 
 
 def face_oracle(base, i: int) -> SlotTransformedOracle:
@@ -247,6 +254,18 @@ def little_theta_inverse(u: ColoredTree, m: int, k: int) -> ColoredTree:
     return spine_graft(prefix, RIGHT, spine_graft(u.left, LEFT, low))
 
 
+def _degree_vectors(generators: Iterable[dict], product: Callable, m: int, n: int):
+    # the degree-n generators' normal forms, then each merged product t *_j w
+    # of basis trees with degrees adding to n, as term dicts, in that order
+    yield from generators
+    for n1 in range(1, n):
+        rights = enumerate_Bm(m, n - n1)
+        for t in enumerate_Bm(m, n1):
+            for w in rights:
+                for j in range(m):
+                    yield product(t, w, j)
+
+
 def verify_Sk_freeness(m: int, k: int, max_degree: int) -> CheckReport:
     """The merged products are freely generated by the root-k generators.
 
@@ -263,18 +282,14 @@ def verify_Sk_freeness(m: int, k: int, max_degree: int) -> CheckReport:
     report = CheckReport(name=f"freeness of merged products m={m} k={k}")
     oracle = TreeOracle(m)
     product = degeneracy_oracle(oracle, k).product
-    normal_form = evaluator(oracle.product, LEAF)
+    normal_form = term_evaluator(oracle.product, LEAF)
     for n in range(1, max_degree + 1):
         dim = fuss_catalan(m, n)
         basis = enumerate_Bm(m, n)
         generators = generators_Amk(m, k, n)
-        vectors = list(map(normal_form, generators))
-        for n1 in range(1, n):
-            for t in enumerate_Bm(m, n1):
-                for w in enumerate_Bm(m, n - n1):
-                    for j in range(m):
-                        vectors.append(product(t, w, j))
         report.checks += 1
+        # the rank reads the vectors as it needs them: none past full rank is built
+        vectors = _degree_vectors(map(normal_form, generators), product, m, n)
         rank = rank_of_lincombs(vectors, basis)
         if rank != dim:
             report.fail(

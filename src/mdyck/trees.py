@@ -208,19 +208,30 @@ def _hang(path: list, side: str, w: ColoredTree) -> ColoredTree:
 def _fits(c: int, left: ColoredTree, right: ColoredTree, m: int, k: int) -> bool:
     """The vertex rule of B(m, k): may a vertex of color c sit over left and right?
 
-    If c != k, left must be a leaf or carry k or a color above c.  If c = k,
-    every color on left's left spine must be above k and every color on
-    right's right spine at most k.  A spine walk stops at a color above m,
-    which its own vertex refuses, so B(m) = B(m, m) reads "left is a leaf or
-    carries a color above c" on any tree.
+    If c != k, left must be a leaf or carry k or a color above c, and any
+    right child fits.  If c = k, every color on left's left spine must be
+    above k and every color on right's right spine at most k.  A spine walk
+    stops at a color above m, which its own vertex refuses, so B(m) = B(m, m)
+    reads "left is a leaf or carries a color above c" on any tree.  The rule
+    is a left half times a right half, which :func:`_ordered` tests apart.
     """
+    return _left_fits(c, left, m, k) and (c != k or _right_fits(right, m, k))
+
+
+def _left_fits(c: int, left: ColoredTree, m: int, k: int) -> bool:
+    # the half of _fits that reads the left child
     if c != k:
         return left.color is None or left.color == k or left.color > c
     while left.color is not None and k < left.color <= m:
         left = left.left
+    return left.color is None or left.color > m
+
+
+def _right_fits(right: ColoredTree, m: int, k: int) -> bool:
+    # the half of _fits that reads the right child under a vertex of color k
     while right.color is not None and right.color <= k:
         right = right.right
-    return (left.color is None or left.color > m) and (right.color is None or right.color > m)
+    return right.color is None or right.color > m
 
 
 def is_basis_Bm(t: ColoredTree, m: int) -> bool:
@@ -269,16 +280,26 @@ def _ordered(m: int, k: int, top: int) -> tuple[ColoredTree, ...]:
     # vertices by color, left subtree and right subtree, both from this same
     # list, as B(m, k) is closed under subtrees.  Prefix words of complete
     # binary trees are prefix-free, so word(left) + word(right) compares the
-    # lefts first, and each degree comes in sort_key's order.
+    # lefts first, and each degree comes in sort_key's order.  The halves of
+    # _fits filter the lefts once per color and, under color k, each list of
+    # rights once, which keeps that order and grafts only what fits.
     if top == 1:
         return (LEAF,)
     out = [LEAF]
     lefts = _ordered(m, k, top - 1)
     for c in range(m + 1):
+        rights: dict[int, tuple] = {}
         for left in lefts:
-            for right in _ordered(m, k, top - left.degree):
-                if _fits(c, left, right, m, k):
-                    out.append(ColoredTree(c, left, right))
+            if not _left_fits(c, left, m, k):
+                continue
+            degree = top - left.degree
+            fitting = rights.get(degree)
+            if fitting is None:
+                fitting = _ordered(m, k, degree)
+                if c == k:
+                    fitting = tuple(right for right in fitting if _right_fits(right, m, k))
+                rights[degree] = fitting
+            out += [ColoredTree(c, left, right) for right in fitting]
     return tuple(out)
 
 
@@ -386,6 +407,13 @@ def evaluator(product: Callable, generator) -> Callable[[ColoredTree], LinComb]:
     colors are not checked.
     """
     return partial(_evaluate, {LEAF: {generator: 1}}, product)
+
+
+def term_evaluator(product: Callable, generator) -> Callable[[ColoredTree], dict]:
+    """The map of :func:`evaluator` with each image left as its term dict,
+    shared with the returned function's memo, so a caller must not change
+    it; for callers that only read the images, such as a rank."""
+    return partial(_image, {LEAF: {generator: 1}}, product)
 
 
 def _evaluate(images: dict, product: Callable, t: ColoredTree) -> LinComb:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mdyck.exactlin import (
     LinComb,
+    _sparse_rank,
     bilinear,
     has_full_rank,
     lincombs_to_matrix,
@@ -277,14 +278,17 @@ def test_dense_integer_rank_agrees_with_fraction_elimination():
 @given(st.lists(lincombs, max_size=5), st.lists(keys, unique=True))
 @settings(max_examples=60, deadline=None)
 def test_rank_of_lincombs_matches_dense_matrix(vectors, key_list):
-    # key lists that miss part of the support restrict the vectors
+    # key lists that miss part of the support restrict the vectors; a
+    # one-shot iterator of the vectors gives the list's rank
     assert rank_of_lincombs(vectors, key_list) == matrix_rank(
         lincombs_to_matrix(vectors, key_list)
     )
+    assert rank_of_lincombs(iter(vectors), key_list) == rank_of_lincombs(vectors, key_list)
     everything = sorted({k for v in vectors for k in v})
     assert rank_of_lincombs(vectors) == matrix_rank(
         lincombs_to_matrix(vectors, everything)
     )
+    assert rank_of_lincombs(iter(vectors)) == rank_of_lincombs(vectors)
 
 
 def test_rank_of_a_large_prime_entry():
@@ -338,6 +342,34 @@ def test_span_agrees_with_rank(vectors, target):
     base = matrix_rank(lincombs_to_matrix(vectors, keys_all)) if vectors else 0
     extended = matrix_rank(lincombs_to_matrix(vectors + [target], keys_all))
     assert span_contains(vectors, target) == (base == extended)
+    assert span_contains(iter(vectors), target) == (base == extended)
+
+
+def test_sparse_rank_leaves_its_rows_unchanged():
+    # the second row is reduced by a unit step, the third is never read
+    rows = [{1: 2, 0: 1}, {1: 4, 0: 3}, {1: 1}]
+    copies = [dict(row) for row in rows]
+    assert _sparse_rank(rows, 2) == 2
+    assert rows == copies
+
+
+def test_one_shot_iterables_give_the_answers_of_lists():
+    assert rank_of_lincombs(iter([{"a": 1}, {"b": 2}])) == 2
+    assert span_contains(iter([lc(a=1)]), lc(a=2))
+    assert not span_contains(iter([lc(a=1)]), lc(b=1))
+
+
+@pytest.mark.parametrize(
+    "independent, keys",
+    [([], []), ([{"x": 1}], ["x"]), ([{"x": 2}, {"x": 1, "y": Fraction(1, 3)}], ["x", "y"])],
+    ids=["no-column", "one-column", "two-columns"],
+)
+def test_rank_reads_no_vector_past_full_rank(independent, keys):
+    def vectors():
+        yield from independent
+        raise AssertionError("a vector past full rank was read")
+
+    assert rank_of_lincombs(vectors(), keys) == len(keys)
 
 
 def test_rank_rejects_ragged_rows():

@@ -209,7 +209,7 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_class_statistics_match_per_class_scan(m):
-    for n in range(1, 6):
+    for n in range(1, 6 if m == 3 else 7):
         for path in enumerate_paths(m, n):
             for i in range(-1, m + 2):
                 assert _outcome(c_bound, path, i) == _outcome(

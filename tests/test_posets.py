@@ -73,6 +73,13 @@ def test_standardize():
         assert standardize(f) == f
 
 
+def test_surjections_are_the_filtered_words_in_order():
+    for n in range(1, 8):
+        words = itertools.product(range(1, n + 1), repeat=n)
+        expected = [w for w in words if set(w) == set(range(1, max(w) + 1))]
+        assert SurjectionFamily()._build_elements(n) == expected, n
+
+
 def test_facial_covers():
     assert facial_covers((1, 2)) == [(1, 1)]
     assert facial_covers((1, 1)) == [(2, 1)]

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from mdyck import simplicial
+from mdyck.exactlin import term_sum
 from mdyck.reporting import CheckReport
-from mdyck.paths import phi
+from mdyck.paths import PathOracle, enumerate_paths, phi
 from mdyck.series import fuss_catalan
 from mdyck.simplicial import (
     degeneracy_oracle,
@@ -140,6 +141,17 @@ def test_face_of_dendriform_is_order_two():
         oracle = face_oracle(TreeOracle(1), i)
         report = verify_dyck_axioms(2, 4, oracle.product, oracle.basis)
         assert report.ok, report.failures
+
+
+def test_a_one_index_slot_passes_the_base_product_through():
+    base = PathOracle(2)
+    P, Q = enumerate_paths(2, 2)[1:3]
+    merged = degeneracy_oracle(base, 0)  # slots (0, 1) and (2,)
+    assert merged.product(P, Q, 1) is base.product(P, Q, 2)
+    both = term_sum(((base.product(P, Q, 0), 1), (base.product(P, Q, 1), 1)))
+    assert len(both) == 9
+    assert merged.product(P, Q, 0) == both
+    assert face_oracle(base, 1).product(P, Q, 1) == {}
 
 
 @pytest.mark.parametrize(
@@ -411,6 +423,32 @@ def test_freeness_builds_each_generator_set_once(monkeypatch):
     assert report.ok, report.failures
     assert report.checks == expected_checks
     assert degrees == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("k, calls", [(0, 395), (1, 398)])
+def test_freeness_builds_no_merged_product_past_full_rank(monkeypatch, k, calls):
+    # the rank reads generators first, then products, and stops at full rank
+    # in each degree: of the 444 merged products in the 516 rows to degree 5,
+    # only those read before it are built
+    made = []
+    real = simplicial.SlotTransformedOracle.product
+
+    def counted(self, x, y, i):
+        made.append((x, y, i))
+        return real(self, x, y, i)
+
+    monkeypatch.setattr(simplicial.SlotTransformedOracle, "product", counted)
+    report = verify_Sk_freeness(2, k, 5)
+    assert report.ok, report.failures
+    assert report.checks == 20
+    products = sum(
+        2 * len(enumerate_Bm(2, a)) * len(enumerate_Bm(2, n - a))
+        for n in range(2, 6)
+        for a in range(1, n)
+    )
+    rows = products + sum(len(generators_Amk(2, k, n)) for n in range(1, 6))
+    assert (len(made), products, rows) == (calls, 444, 516)
+    assert len(set(made)) == len(made)
 
 
 def test_freeness_fault_injection(monkeypatch):

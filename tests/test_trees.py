@@ -150,6 +150,8 @@ def test_every_basis_is_strictly_increasing_in_sort_key_order():
             for n in range(1, {3: 7, 4: 6}.get(m, 8)):
                 basis = enumerate_Bmk(m, k, n)
                 assert basis == sorted(basis, key=ColoredTree.sort_key), (m, k, n)
+                assert len(basis) == fuss_catalan(m, n), (m, k, n)
+                assert all(is_basis_Bmk(tree, m, k) for tree in basis), (m, k, n)
                 keys = [tree.sort_key() for tree in basis]
                 assert all(a < b for a, b in zip(keys, keys[1:])), (m, k, n)
 
